@@ -33,12 +33,10 @@ from .walks import (
 from .signed import (
     RealSpectrum,
     SignedGraph,
-    SigmaSet,
     char_poly_exact,
     eigenvalues,
     enumerate_signings,
     is_balanced,
-    sigma_set,
     signed_spectral_moment,
 )
 from .digraphs import (
@@ -56,9 +54,7 @@ from .digraphs import (
 )
 from .spectrum import (
     FactoredSpectralFunction,
-    MomentSystem,
     beta,
-    build_system,
     char_poly_power,
     script_S,
     spectral_radius_multiplicity,
@@ -76,16 +72,13 @@ __all__ = [
     "Multidigraph",
     "RealSpectrum",
     "SignedGraph",
-    "SigmaSet",
     "TraceTerm",
     "WalkCount",
     "FactoredSpectralFunction",
-    "MomentSystem",
     "VerifyReport",
     "amgm_check",
     "arborescence_count",
     "beta",
-    "build_system",
     "canonical_certificate",
     "char_poly_exact",
     "char_poly_power",
@@ -113,7 +106,6 @@ __all__ = [
     "reduce_to_core",
     "run_verify_suite",
     "script_S",
-    "sigma_set",
     "signed_spectral_moment",
     "spanning_tree_reduction_check",
     "spectral_radius_multiplicity",

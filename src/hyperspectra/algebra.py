@@ -8,7 +8,7 @@ integers or fractions.Fraction, never floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +86,21 @@ def poly_gcd(a, b):
     return [Fraction(c) / lead for c in a]
 
 
+def _primitive(p):
+    """A nonzero rational polynomial scaled to a primitive integer polynomial
+    with positive leading coefficient."""
+    denom = 1
+    for c in p:
+        denom = lcm(denom, Fraction(c).denominator)
+    ints = [int(c * denom) for c in p]
+    content = 0
+    for c in ints:
+        content = gcd(content, c)
+    if ints[-1] < 0:
+        content = -content
+    return [c // content for c in ints]
+
+
 def squarefree_part(p):
     """Squarefree part of an integer polynomial, as a primitive integer
     polynomial with positive leading coefficient."""
@@ -96,18 +111,52 @@ def squarefree_part(p):
     q, rem = poly_divmod(p, g)
     if poly_trim(rem):
         raise ArithmeticError("gcd does not divide its polynomial")
-    # clear denominators, then strip integer content
-    denom = 1
-    for c in q:
-        denom = denom * Fraction(c).denominator // gcd(denom, Fraction(c).denominator)
-    ints = [int(c * denom) for c in q]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    return _primitive(q)
+
+
+def coprime_basis(polys):
+    """Gcd-free basis of the squarefree parts of nonzero integer polynomials:
+    pairwise coprime, squarefree, primitive integer polynomials such that
+    every input is a constant times a product of powers of basis elements.
+
+    Each squarefree part is split against the basis built so far: a shared
+    gcd g replaces b by g and b/g, and the part continues as p/g.
+    """
+    basis = []
+    for p in polys:
+        p = squarefree_part(p)
+        refined = []
+        for b in basis:
+            g = poly_gcd(b, p)
+            if len(g) <= 1:
+                refined.append(b)
+                continue
+            refined.append(_primitive(g))
+            rest = poly_divmod(b, g)[0]
+            if len(rest) > 1:
+                refined.append(_primitive(rest))
+            p = _primitive(poly_divmod(p, g)[0])
+        if len(p) > 1:
+            refined.append(p)
+        basis = refined
+    return basis
+
+
+def basis_exponents(p, basis):
+    """Exponents e_i with p = c * prod basis[i]^e_i for a constant c; raises
+    ArithmeticError when p does not factor over the basis."""
+    exponents = []
+    for b in basis:
+        e = 0
+        while len(p) >= len(b):
+            quotient, rem = poly_divmod(p, b)
+            if rem:
+                break
+            p, e = quotient, e + 1
+        exponents.append(e)
+    if len(poly_trim(p)) != 1:
+        raise ArithmeticError("polynomial does not factor over the basis")
+    return exponents
 
 
 def poly_pow(p, exponent):

@@ -15,13 +15,5 @@ class BudgetError(RuntimeError):
     """An explicit size budget was exceeded; the operation refuses to run."""
 
 
-class ClusterAmbiguityError(RuntimeError):
-    """Two eigenvalue-square clusters are too close to separate reliably."""
-
-
-class PrecisionError(RuntimeError):
-    """A computed quantity failed its integrality/snapping residual gate."""
-
-
 class ConsistencyError(AssertionError):
     """An internal cross-check that should hold by theory has failed."""

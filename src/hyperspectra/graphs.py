@@ -432,22 +432,33 @@ def connected_edge_subsets_brute(g, max_edges):
     return out
 
 
-def connected_subgraph_census(g, max_edges):
-    """Count connected subgraphs of g with 1..max_edges edges, grouped by
-    isomorphism class."""
+def connected_subgraph_classes(g, max_edges):
+    """Connected edge subsets of g with 1..max_edges edges, grouped by
+    isomorphism class: ((Motif, [subset, ...]), ...) in census order."""
     buckets = {}
     for subset in connected_edge_subsets(g, max_edges):
         sub = g.subgraph_of_edges(subset)
         cert = canonical_certificate(sub)
         if cert in buckets:
-            buckets[cert][1] += 1
+            buckets[cert][1].append(subset)
         else:
-            buckets[cert] = [Motif(canonical_form(sub), cert), 1]
-    entries = sorted(
-        ((motif, count) for motif, count in buckets.values()),
-        key=lambda mc: (mc[0].e_count, mc[0].v_count, mc[0].certificate),
+            buckets[cert] = (Motif(canonical_form(sub), cert), [subset])
+    return tuple(
+        sorted(
+            buckets.values(),
+            key=lambda ms: (ms[0].e_count, ms[0].v_count, ms[0].certificate),
+        )
     )
-    return MotifCensus(entries=tuple(entries), max_edges=max_edges)
+
+
+def connected_subgraph_census(g, max_edges):
+    """Count connected subgraphs of g with 1..max_edges edges, grouped by
+    isomorphism class."""
+    entries = tuple(
+        (motif, len(subsets))
+        for motif, subsets in connected_subgraph_classes(g, max_edges)
+    )
+    return MotifCensus(entries=entries, max_edges=max_edges)
 
 
 def connected_induced_subgraph_classes(g):

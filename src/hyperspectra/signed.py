@@ -1,5 +1,5 @@
-"""Signed graphs: signing enumeration, exact characteristic polynomials,
-numeric spectra, balance, and the clustered set of squared eigenvalues.
+"""Signed graphs: signing enumeration, exact characteristic polynomials and
+the polynomials of their squared eigenvalues, numeric spectra, and balance.
 
 The eigensolver is a cyclic Jacobi iteration written out by hand: it is
 deterministic, dependency-free, and converges to machine precision on the
@@ -12,12 +12,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import mat_identity, mat_mul, mat_trace
-from .errors import BudgetError, ClusterAmbiguityError, ConsistencyError
-from .graphs import connected_induced_subgraph_classes, connected_subgraph_census
+from .algebra import mat_identity, mat_mul, mat_trace, poly_mul
+from .errors import BudgetError, ConsistencyError
 
 SIGNING_EDGE_LIMIT = 20
-DEFAULT_CLUSTER_TOL = 1e-8
 JACOBI_SWEEP_LIMIT = 60
 
 
@@ -166,6 +164,22 @@ def char_poly_exact(sg):
     return coeffs
 
 
+def char_poly_of_squares(sg):
+    """Integer polynomial in x whose roots are the squares of the nonzero
+    eigenvalues, with multiplicity; ascending degree, leading coefficient +-1.
+
+    Writing phi(lambda) = E(lambda^2) + lambda O(lambda^2), the polynomial
+    E(x)^2 - x O(x)^2 equals (-1)^n prod (x - lambda_i^2); its factor x^j from
+    the j zero eigenvalues is stripped.
+    """
+    phi = char_poly_exact(sg)
+    even = poly_mul(phi[0::2], phi[0::2])
+    odd = [0] + poly_mul(phi[1::2], phi[1::2])
+    q = [a - b for a, b in itertools.zip_longest(even, odd, fillvalue=0)]
+    zeros = next(i for i, c in enumerate(q) if c)
+    return q[zeros:]
+
+
 def signed_spectral_moment(sg, d):
     """Exact trace of the d-th power of the signed adjacency matrix."""
     if d < 0:
@@ -261,81 +275,3 @@ def spectral_radius(g):
     if g.m == 0:
         return 0.0
     return max(abs(x) for x in eigenvalues(all_positive(g)).eigenvalues)
-
-
-# ---------------------------------------------------------------------------
-# the set Sigma of squared eigenvalues over signed subgraphs
-
-
-@dataclass(frozen=True)
-class SigmaWitness:
-    subgraph: object  # Graph in canonical form
-    signs: tuple
-    eigenvalue: float
-
-
-@dataclass(frozen=True)
-class SigmaSet:
-    values: tuple  # ascending distinct squared eigenvalues
-    tolerance: float
-    provenance: tuple  # one SigmaWitness per value
-
-    def __len__(self):
-        return len(self.values)
-
-    def index_of(self, sigma_sq, tol=None):
-        tol = self.tolerance * 10 if tol is None else tol
-        best, best_gap = None, None
-        for i, v in enumerate(self.values):
-            gap = abs(v - sigma_sq)
-            if best_gap is None or gap < best_gap:
-                best, best_gap = i, gap
-        if best is None or best_gap > tol * max(1.0, abs(sigma_sq)):
-            raise KeyError(f"{sigma_sq} is not close to any cluster")
-        return best
-
-
-def sigma_set(g, mode="all_subgraphs", tol=DEFAULT_CLUSTER_TOL):
-    """Cluster the squared nonzero eigenvalues over all connected signed
-    subgraphs of g (one representative signing per switching class).
-
-    Spectra of disconnected subgraphs are unions of their components', so
-    connected subgraphs suffice.  mode="induced_subgraphs" restricts the
-    subgraph family to induced ones.
-    """
-    if g.m == 0:
-        return SigmaSet((), tol, ())
-    if mode == "all_subgraphs":
-        motifs = [m.graph for m, _ in connected_subgraph_census(g, g.m).entries]
-    elif mode == "induced_subgraphs":
-        motifs = connected_induced_subgraph_classes(g)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    samples = []  # (lambda^2, witness)
-    for motif in motifs:
-        for rep in enumerate_signings(motif, up_to_switching=True):
-            spectrum = eigenvalues(rep, tol=min(tol, 1e-9))
-            for lam in spectrum.eigenvalues:
-                if lam * lam > tol:
-                    samples.append(
-                        (lam * lam, SigmaWitness(motif, rep.signs, lam))
-                    )
-    samples.sort(key=lambda item: item[0])
-    clusters = []  # [ [values], witness ]
-    for value, witness in samples:
-        if clusters and value - clusters[-1][0][-1] <= tol:
-            clusters[-1][0].append(value)
-        else:
-            clusters.append([[value], witness])
-    values = []
-    witnesses = []
-    for member_values, witness in clusters:
-        values.append(sum(member_values) / len(member_values))
-        witnesses.append(witness)
-    for left, right in zip(values, values[1:]):
-        if right - left <= 10 * tol:
-            raise ClusterAmbiguityError(
-                f"clusters at {left} and {right} are closer than 10*tol"
-            )
-    return SigmaSet(tuple(values), tol, tuple(witnesses))

@@ -1,15 +1,18 @@
-"""The main pipeline: exact spectral moments of k-power hypergraphs, the
-moment linear system (M, P, N, D(k)), eigenvalue multiplicities, the factored
-characteristic polynomial, the spectral-radius multiplicity, and the k=2
-extrapolation beta.
+"""The main pipeline: exact spectral moments of k-power hypergraphs, exact
+eigenvalue multiplicities, the factored characteristic polynomial, the
+spectral-radius multiplicity, and the k=2 extrapolation beta.
 
-Everything feeding the linear system is exact (integer walk counts, rational
-moment scales).  The single inexact step is the Vandermonde-style solve,
-which runs in mpmath at a configurable precision; the squared eigenvalues
-entering the matrix are refined beforehand to working precision by root
-polishing on the exact characteristic polynomial of each cluster's witness
-subgraph, so the solve is the only noise source and its residuals are
-reported and gated.
+The trace formula k * sum_x mu(x) x^ell = S_{ell k} holds for every
+ell >= 1, and S_{ell k} is itself an exact finite sum of x^ell terms over the
+squared eigenvalues x of signed subgraphs: covering walk counts are an
+inclusion-exclusion over parity-closed counts, which are signed-trace
+averages.  Each multiplicity mu(x) is therefore read off as a coefficient,
+with no linear system.  Squared eigenvalues are keyed exactly by the elements
+b of a gcd-free basis of the polynomials `char_poly_of_squares` of all
+connected signed subgraphs; every root of one b carries the same
+multiplicity mu_b, because all polynomials involved have integer
+coefficients.  The only floats are the displayed roots sigma^2 of each b.
+Every result is checked against the exact moments before it is returned.
 """
 
 from __future__ import annotations
@@ -20,48 +23,23 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from . import digraphs
-from .algebra import poly_trim, squarefree_part
-from .errors import ConsistencyError, PrecisionError
-from .graphs import connected_subgraph_census
-from .signed import (
-    DEFAULT_CLUSTER_TOL,
-    SignedGraph,
-    char_poly_exact,
-    sigma_set,
-    spectral_radius,
-)
+from .algebra import basis_exponents, coprime_basis, power_sums_from_charpoly
+from .errors import ConsistencyError
+from .graphs import connected_subgraph_census, connected_subgraph_classes
+from .signed import char_poly_of_squares, enumerate_signings, spectral_radius
 from .walks import covering_parity_profile, parity_closed_profile
 
 DEFAULT_PRECISION_BITS = 256
-MAX_PRECISION_BITS = 8192
-RESIDUAL_GATE = 1e-6
-
-
-@dataclass(frozen=True)
-class MomentSystem:
-    """Everything needed to solve for multiplicities at a given k."""
-
-    k: int
-    sigma: object  # SigmaSet
-    motifs: object  # MotifCensus
-    P: tuple  # rows ell = 1..sigma size; columns follow motifs
-    N: tuple
-    Dk: tuple  # exact Fractions, one per motif
-    sigma_refined: tuple  # mpf squared eigenvalues at precision_bits
-    precision_bits: int
-    condition_estimate: float
-
-    @property
-    def size(self):
-        return len(self.sigma.values)
 
 
 @dataclass(frozen=True)
 class SpectralFactor:
+    """One root sigma^2 of the exact basis polynomial b (ascending integer
+    coefficients, monic), with the exponent mu shared by all roots of b."""
+
     sigma_sq: float
-    mu: object  # int for k >= 3, Fraction for k = 2
-    residual: float
-    witness: object  # SigmaWitness
+    mu: object  # int for k >= 3, int or Fraction for k = 2
+    b: tuple
 
 
 @dataclass(frozen=True)
@@ -71,7 +49,6 @@ class FactoredSpectralFunction:
     k: int
     mu0: object
     factors: tuple
-    condition_estimate: float
 
     def total_degree(self):
         return self.mu0 + self.k * sum(f.mu for f in self.factors)
@@ -160,325 +137,156 @@ def script_S(g, d, k):
 
 
 # ---------------------------------------------------------------------------
-# the moment system
+# exact multiplicities
 
 
-def _polish_sigma_squares(sigma, precision_bits):
-    """Refine each cluster value to working precision: the witness signed
-    subgraph has an exact characteristic polynomial, so its eigenvalue can
-    be root-polished and squared."""
-    refined = []
-    with mp.workprec(precision_bits):
-        for value, witness in zip(sigma.values, sigma.provenance):
-            poly = char_poly_exact(SignedGraph(witness.subgraph, witness.signs))
-            reduced = squarefree_part(poly_trim(poly))
-            roots = mp.polyroots(
-                list(reversed(reduced)), maxsteps=200, extraprec=precision_bits
-            )
-            best = None
-            for root in roots:
-                if abs(mp.im(root)) > mp.mpf(2) ** (-precision_bits // 4):
-                    continue
-                root = mp.re(root)
-                if best is None or abs(root - witness.eigenvalue) < abs(
-                    best - witness.eigenvalue
-                ):
-                    best = root
-            if best is None:
-                raise ConsistencyError("witness polynomial lost its real root")
-            square = best * best
-            if abs(square - value) > 1e-6 * max(1.0, abs(value)):
-                raise ConsistencyError(
-                    f"polished sigma^2 {square} drifted from cluster {value}"
-                )
-            refined.append(square)
-    return tuple(refined)
+def _covering_weight(g, subset, k):
+    """w(C) = sum over S of (-1)^|S| D_k(C + S), where S ranges over the sets
+    of edges of g outside the connected edge subset C that touch V(C).
 
-
-def _condition_estimate(sigma_refined, precision_bits):
-    size = len(sigma_refined)
-    if size == 0:
-        return 1.0
-    with mp.workprec(precision_bits):
-        m = mp.matrix(size)
-        for row in range(size):
-            for col in range(size):
-                m[row, col] = sigma_refined[col] ** (row + 1)
-        try:
-            inv = m**-1
-        except ZeroDivisionError:
-            return float("inf")
-        norm = mp.mnorm(m, 1) * mp.mnorm(inv, 1)
-        try:
-            return float(norm)
-        except (OverflowError, ValueError):
-            return float("inf")
-
-
-def build_system(g, k, tol=DEFAULT_CLUSTER_TOL, precision_bits=DEFAULT_PRECISION_BITS):
-    """Assemble Sigma, the motif census to |Sigma| edges, the moment matrix
-    pieces P, N, D(k), and the refined squared eigenvalues."""
-    if k < 2:
-        raise ValueError("the moment system needs k >= 2")
-    sigma = sigma_set(g, mode="all_subgraphs", tol=tol)
-    size = len(sigma.values)
-    if size == 0:
-        return MomentSystem(
-            k=k,
-            sigma=sigma,
-            motifs=None,
-            P=(),
-            N=(),
-            Dk=(),
-            sigma_refined=(),
-            precision_bits=precision_bits,
-            condition_estimate=1.0,
-        )
-    census = connected_subgraph_census(g, min(size, g.m))
-    profiles = [
-        covering_parity_profile(motif.graph, 2 * size)
-        for motif, _ in census.entries
-    ]
-    P = tuple(
-        tuple(profiles[i][2 * ell] for i in range(len(census.entries)))
-        for ell in range(1, size + 1)
-    )
-    N = tuple(count for _, count in census.entries)
-    Dk = tuple(
-        digraphs.power_moment_prefactor(motif.v_count, motif.e_count, k)
-        for motif, _ in census.entries
-    )
-    refined = _polish_sigma_squares(sigma, precision_bits)
-    cond = _condition_estimate(refined, precision_bits)
-    return MomentSystem(
-        k=k,
-        sigma=sigma,
-        motifs=census,
-        P=P,
-        N=N,
-        Dk=Dk,
-        sigma_refined=refined,
-        precision_bits=precision_bits,
-        condition_estimate=cond,
-    )
-
-
-def _solve_multiplicities(system, scale):
-    """Solve M x = P D N exactly-as-possible and return scale * x as mpf.
-
-    The right-hand side is exact rational; M uses the refined sigma squares.
+    The prefactor D_k(v, e) is c * r^v * s^e, so the sum factors into
+    (1 - s) for each further edge inside V(C) and 1 - r + r (1 - s)^t for
+    each outside vertex joined to V(C) by t edges.  At k = 3, s = 1 and only
+    induced C weigh in; at k = 2, r = s = 1 and only whole components do.
     """
-    size = system.size
-    if size == 0:
-        return []
-    rhs = []
-    for ell in range(size):
-        acc = Fraction(0)
-        for i in range(len(system.N)):
-            acc += system.Dk[i] * system.P[ell][i] * system.N[i]
-        rhs.append(acc)
-    with mp.workprec(system.precision_bits):
-        m = mp.matrix(size)
-        for row in range(size):
-            for col in range(size):
-                m[row, col] = system.sigma_refined[col] ** (row + 1)
-        vec = mp.matrix([_to_mpf(x) for x in rhs])
-        sol = mp.lu_solve(m, vec)
-        factor = _to_mpf(scale)
-        return [factor * sol[i] for i in range(size)]
+    verts = {x for i in subset for x in g.edges[i]}
+    v, e = len(verts), len(subset)
+    weight = digraphs.power_moment_prefactor(v, e, k)
+    per_vertex = digraphs.power_moment_prefactor(v + 1, e, k) / weight
+    per_edge = digraphs.power_moment_prefactor(v, e + 1, k) / weight
+    joins = {}
+    for i, (a, b) in enumerate(g.edges):
+        if i in subset:
+            continue
+        if a in verts and b in verts:
+            weight *= 1 - per_edge
+        elif a in verts or b in verts:
+            outside = b if a in verts else a
+            joins[outside] = joins.get(outside, 0) + 1
+    for t in joins.values():
+        weight *= 1 - per_vertex + per_vertex * (1 - per_edge) ** t
+    return weight
 
 
-def _snap(value, snap_denominator):
-    """Round to the nearest multiple of 1/snap_denominator; returns the
-    snapped exact number and the relative residual."""
-    scaled = value * snap_denominator
-    nearest = int(mp.nint(scaled))
-    snapped = Fraction(nearest, snap_denominator)
-    residual = abs(value - _to_mpf(snapped)) / max(1.0, abs(_to_mpf(snapped)))
-    return snapped, float(residual)
+def _exact_multiplicities(g, k):
+    """The gcd-free basis of Sigma and the exact multiplicity mu_b of each
+    element, for the k-power (for k = 2, the exponents of beta).
+
+    mu(x) = scale * sum over connected edge subsets H of D_k(H) times
+    sum over F in H of (-1)^(|H|-|F|) abar_F(x), where abar_F(x) is the
+    number of eigenvalues with square x, averaged over the signings of F and
+    summed over its components.  A connected C is a component of F exactly
+    when no other edge of F touches V(C), so the inner sum keeps only those
+    C whose vertices touch every edge of H, with sign (-1)^(|H|-|C|).
+    Exchanging the sums gives mu(x) = scale * sum_C w(C) abar_C(x).
+    """
+    classes = connected_subgraph_classes(g, g.m) if g.m else ()
+    squares = [
+        [
+            char_poly_of_squares(sg)
+            for sg in enumerate_signings(motif.graph, up_to_switching=True)
+        ]
+        for motif, _ in classes
+    ]
+    basis = coprime_basis(q for qs in squares for q in qs)
+    scale = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
+    mu = [Fraction(0)] * len(basis)
+    for (_, subsets), qs in zip(classes, squares):
+        weight = scale * sum(_covering_weight(g, s, k) for s in subsets) / len(qs)
+        if not weight:
+            continue
+        for q in qs:
+            for i, e in enumerate(basis_exponents(q, basis)):
+                mu[i] += weight * e
+    return basis, mu
 
 
-def char_poly_power(
-    g,
-    k,
-    precision_bits=DEFAULT_PRECISION_BITS,
-    tol=DEFAULT_CLUSTER_TOL,
-):
+def _factors(pairs):
+    """One SpectralFactor per root of each (b, mu) pair, by ascending root."""
+    factors = []
+    with mp.workprec(DEFAULT_PRECISION_BITS):
+        for b, mu in pairs:
+            roots = mp.polyroots(
+                list(reversed(b)), maxsteps=200, extraprec=DEFAULT_PRECISION_BITS
+            )
+            factors.extend(
+                SpectralFactor(float(mp.re(root)), mu, tuple(b)) for root in roots
+            )
+    return tuple(sorted(factors, key=lambda f: f.sigma_sq))
+
+
+def check_moment_identity(g, fsf, sigma_size):
+    """Check a factored result against the exact moments, in Fractions:
+    k sum_b mu_b p_ell(b) = S_{ell k} for ell <= min(2 |Sigma|, 8) when
+    k >= 3, and 2 sum_b mu_b p_ell(b) = P_{2 ell} for ell <= |Sigma| for beta,
+    where p_ell(b) is the ell-th power sum of the roots of b.  Raises
+    ConsistencyError on the first mismatch."""
+    k = fsf.k
+    top = min(2 * sigma_size, 8) if k >= 3 else sigma_size
+    mu_of = {f.b: Fraction(f.mu) for f in fsf.factors}
+    sums = {b: power_sums_from_charpoly(b, top) for b in mu_of}
+    counts = parity_closed_profile(g, 2 * top) if k == 2 else None
+    for ell in range(1, top + 1):
+        lhs = k * sum(mu * sums[b][ell] for b, mu in mu_of.items())
+        rhs = counts[2 * ell] if k == 2 else script_S(g, ell * k, k)
+        if lhs != rhs:
+            raise ConsistencyError(
+                f"moment identity fails at ell={ell}: {lhs} != {rhs}"
+            )
+
+
+def char_poly_power(g, k):
     """Factored characteristic polynomial of the k-power of a connected graph.
 
-    Multiplicities come from the moment system; each is snapped to an integer
-    with its residual recorded, and the exponent of lambda follows from the
-    total-degree identity.  Precision escalates automatically (doubling up
-    to MAX_PRECISION_BITS) if a residual misses the gate.
+    Every multiplicity is an exact coefficient of the trace formula; the
+    exponent of lambda follows from the total-degree identity.
     """
     if k < 3:
         raise ValueError("power hypergraphs need k >= 3; use beta for k = 2")
     if not g.is_connected():
         raise ValueError("the characteristic polynomial pipeline needs a connected graph")
-    scale = Fraction((k - 1) ** (g.n + (k - 2) * g.m - 1), k)
-    total_degree = (g.n + (k - 2) * g.m) * (k - 1) ** (g.n + (k - 2) * g.m - 1)
-    bits = precision_bits
-    last_error = None
-    while bits <= MAX_PRECISION_BITS:
-        system = build_system(g, k, tol=tol, precision_bits=bits)
-        try:
-            raw = _solve_multiplicities(system, scale)
-        except ZeroDivisionError:
-            last_error = f"moment matrix numerically singular at {bits} bits"
-            bits *= 2
-            continue
-        factors = []
-        ok = True
-        for value, refined, witness in zip(
-            raw, system.sigma_refined, system.sigma.provenance
-        ):
-            snapped, residual = _snap(value, 1)
-            if residual > RESIDUAL_GATE:
-                ok = False
-                last_error = (
-                    f"multiplicity near sigma^2={float(refined)} has residual "
-                    f"{residual:.3e} at {bits} bits"
-                )
-                break
-            mu = int(snapped)
-            if mu < 0:
-                raise ConsistencyError(
-                    f"negative multiplicity {mu} near sigma^2={float(refined)}"
-                )
-            factors.append(
-                SpectralFactor(
-                    sigma_sq=float(refined),
-                    mu=mu,
-                    residual=residual,
-                    witness=witness,
-                )
+    basis, mu = _exact_multiplicities(g, k)
+    for b, m in zip(basis, mu):
+        if m.denominator != 1 or m < 0:
+            raise ConsistencyError(
+                f"multiplicity {m} of the roots of {b} is not a non-negative integer"
             )
-        if ok:
-            mu_sum = sum(f.mu for f in factors)
-            mu0 = total_degree - k * mu_sum
-            if mu0 < 0:
-                raise ConsistencyError(f"negative zero-eigenvalue exponent {mu0}")
-            result = FactoredSpectralFunction(
-                k=k,
-                mu0=mu0,
-                factors=tuple(factors),
-                condition_estimate=system.condition_estimate,
-            )
-            _validate_moments(g, k, result, system)
-            return result
-        bits *= 2
-    raise PrecisionError(
-        f"{last_error}; raise precision beyond {MAX_PRECISION_BITS} bits"
-    )
+    factors = _factors(zip(basis, map(int, mu)))
+    size = g.n + (k - 2) * g.m
+    mu0 = size * (k - 1) ** (size - 1) - k * sum(f.mu for f in factors)
+    if mu0 < 0:
+        raise ConsistencyError(f"negative zero-eigenvalue exponent {mu0}")
+    result = FactoredSpectralFunction(k=k, mu0=mu0, factors=factors)
+    check_moment_identity(g, result, len(factors))
+    return result
 
 
-def _validate_moments(g, k, fsf, system):
-    """Check k * sum mu_i sigma_i^(2 ell) against the exact moment for
-    ell = 1..min(2|Sigma|, 8)."""
-    size = system.size
-    if size == 0:
-        return
-    with mp.workprec(system.precision_bits):
-        for ell in range(1, min(2 * size, 8) + 1):
-            lhs = mp.mpf(0)
-            for f, refined in zip(fsf.factors, system.sigma_refined):
-                lhs += _to_mpf(f.mu) * refined**ell
-            lhs *= k
-            rhs = _to_mpf(script_S(g, ell * k, k))
-            if abs(lhs - rhs) > RESIDUAL_GATE * max(1.0, abs(rhs)):
-                raise ConsistencyError(
-                    f"moment mismatch at ell={ell}: {lhs} vs {rhs}"
-                )
+def _exact(value):
+    return int(value) if value.denominator == 1 else value
 
 
-def beta(g, precision_bits=DEFAULT_PRECISION_BITS, tol=DEFAULT_CLUSTER_TOL):
+def beta(g):
     """The k=2 extrapolation of the factored characteristic polynomial.
 
-    Exponents are the solved multiplicities snapped to the dyadic grid
-    2^-|E| (they are averages over the 2^|E| signings); zero exponents are
-    dropped from the factor list.
+    The exponent of (lambda^2 - x) is half the number of eigenvalues with
+    square x, averaged over the 2^|E| signings, so exponents are dyadic;
+    zero exponents are dropped from the factor list.
     """
-    snap_denominator = 2**g.m
-    bits = precision_bits
-    last_error = None
-    while bits <= MAX_PRECISION_BITS:
-        system = build_system(g, 2, tol=tol, precision_bits=bits)
-        try:
-            raw = _solve_multiplicities(system, Fraction(1, 2))
-        except ZeroDivisionError:
-            last_error = f"moment matrix numerically singular at {bits} bits"
-            bits *= 2
-            continue
-        factors = []
-        kept_refined = []
-        ok = True
-        for value, refined, witness in zip(
-            raw, system.sigma_refined, system.sigma.provenance
-        ):
-            snapped, residual = _snap(value, snap_denominator)
-            if residual > RESIDUAL_GATE:
-                ok = False
-                last_error = (
-                    f"beta exponent near sigma^2={float(refined)} has residual "
-                    f"{residual:.3e} at {bits} bits"
-                )
-                break
-            if snapped < 0:
-                raise ConsistencyError(f"negative beta exponent {snapped}")
-            if snapped == 0:
-                continue
-            mu = int(snapped) if snapped.denominator == 1 else snapped
-            factors.append(
-                SpectralFactor(
-                    sigma_sq=float(refined),
-                    mu=mu,
-                    residual=residual,
-                    witness=witness,
-                )
+    basis, mu = _exact_multiplicities(g, 2)
+    if any(m < 0 for m in mu):
+        raise ConsistencyError("negative beta exponent")
+    factors = _factors((b, _exact(m)) for b, m in zip(basis, mu) if m)
+    mu0 = _exact(g.n - 2 * sum(Fraction(f.mu) for f in factors))
+    result = FactoredSpectralFunction(k=2, mu0=mu0, factors=factors)
+    check_moment_identity(g, result, sum(len(b) - 1 for b in basis))
+    if g.m and g.is_connected():
+        expected = Fraction(1, 2 ** (g.m - g.n + 1))
+        if Fraction(radius_cluster_exponent(result, g)) != expected:
+            raise ConsistencyError(
+                "spectral-radius exponent of beta is not "
+                f"2^-(|E|-|V|+1) = {expected}"
             )
-            kept_refined.append(refined)
-        if ok:
-            mu_sum = sum(Fraction(f.mu) for f in factors)
-            mu0 = g.n - 2 * mu_sum
-            mu0 = int(mu0) if mu0.denominator == 1 else mu0
-            result = FactoredSpectralFunction(
-                k=2,
-                mu0=mu0,
-                factors=tuple(factors),
-                condition_estimate=system.condition_estimate,
-            )
-            _validate_parity_moments(g, result, kept_refined, system)
-            if g.m and g.is_connected():
-                expected = Fraction(1, 2 ** (g.m - g.n + 1))
-                if Fraction(radius_cluster_exponent(result, g)) != expected:
-                    raise ConsistencyError(
-                        "spectral-radius exponent of beta is not "
-                        f"2^-(|E|-|V|+1) = {expected}"
-                    )
-            return result
-        bits *= 2
-    raise PrecisionError(
-        f"{last_error}; raise precision beyond {MAX_PRECISION_BITS} bits"
-    )
-
-
-def _validate_parity_moments(g, fsf, kept_refined, system):
-    """After snapping, 2 * sum mu_i sigma_i^(2 ell) must reproduce the
-    parity-closed walk counts for ell = 1..|Sigma|."""
-    size = system.size
-    if size == 0:
-        return
-    counts = parity_closed_profile(g, 2 * size)
-    with mp.workprec(system.precision_bits):
-        for ell in range(1, size + 1):
-            lhs = mp.mpf(0)
-            for f, refined in zip(fsf.factors, kept_refined):
-                lhs += 2 * _to_mpf(f.mu) * refined**ell
-            rhs = mp.mpf(counts[2 * ell])
-            if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
-                raise ConsistencyError(
-                    f"parity moment mismatch at ell={ell}: {lhs} vs {rhs}"
-                )
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from hyperspectra.algebra import (
+    basis_exponents,
     charpoly_from_power_sums,
+    coprime_basis,
     det_bareiss,
     mat_power_traces,
     poly_divmod,
@@ -40,6 +42,18 @@ class TestPolynomials:
 
     def test_squarefree_of_squarefree(self):
         assert squarefree_part([-2, 0, 1]) == [-2, 0, 1]
+
+    def test_coprime_basis(self):
+        # (x - 1)(x - 2), (x - 2)^2 (x - 3), x^2 - 2: the shared root 2 splits off
+        basis = coprime_basis([[2, -3, 1], [-12, 16, -7, 1], [-2, 0, 1]])
+        assert sorted(basis) == [[-3, 1], [-2, 0, 1], [-2, 1], [-1, 1]]
+
+    def test_basis_exponents(self):
+        basis = [[-1, 1], [-2, 1]]
+        # -(x - 1)^2 (x - 2) = -x^3 + 4x^2 - 5x + 2
+        assert basis_exponents([2, -5, 4, -1], basis) == [2, 1]
+        with pytest.raises(ArithmeticError):
+            basis_exponents([-3, 1], basis)
 
     def test_power_sums(self):
         # roots 2 and 3: x^2 - 5x + 6

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyperspectra import cli, digraphs
+from hyperspectra import cli, digraphs, spectrum
+from hyperspectra.graphs import path_graph
 
 
 def run_cli(capsys, *argv):
@@ -24,9 +25,10 @@ class TestCharpolyCommand:
         assert payload["degree_check"] is True
         assert len(payload["factors"]) == 1
         factor = payload["factors"][0]
-        assert factor["sigma_sq"] == 1.0
-        assert factor["mu"] == "3"
-        assert factor["residual"] <= 1e-6
+        assert factor == {"sigma_sq": 1.0, "mu": "3"}
+        # the first moment, exactly: k * mu * sigma^2 = S_k
+        moment = 3 * Fraction(factor["mu"]) * Fraction(factor["sigma_sq"])
+        assert moment == spectrum.script_S(path_graph(2), 3, 3)
 
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "charpoly", "--graph", "path:2", "--k", "3")
@@ -222,6 +224,12 @@ class TestVerifyCommand:
         by_name = {c["name"]: c for c in payload["checks"]}
         assert by_name["digraphs/best-vs-brute"]["status"] == "pass"
         assert by_name["digraphs/tree-reduction"]["status"] == "pass"
+
+
+class TestJsonWriter:
+    def test_control_characters_round_trip(self):
+        payload = {"detail": "a\tb\x01c", "text": 'λ "q" \\ \n'}
+        assert json.loads(cli._json_dump(payload)) == payload
 
 
 class TestErrors:

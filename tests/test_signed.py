@@ -2,21 +2,33 @@ import math
 
 import pytest
 
-from hyperspectra.algebra import power_sums_from_charpoly
-from hyperspectra.errors import ClusterAmbiguityError
-from hyperspectra.graphs import Graph, complete_graph, cycle_graph, path_graph
+from hyperspectra.algebra import (
+    basis_exponents,
+    coprime_basis,
+    poly_eval,
+    power_sums_from_charpoly,
+)
+from hyperspectra.graphs import (
+    Graph,
+    complete_graph,
+    connected_induced_subgraph_classes,
+    connected_subgraph_census,
+    cycle_graph,
+    path_graph,
+)
 from hyperspectra.signed import (
     SignedGraph,
     all_positive,
     char_poly_exact,
+    char_poly_of_squares,
     eigenvalues,
     enumerate_signings,
     is_balanced,
-    sigma_set,
     signed_spectral_moment,
     spanning_forest_edges,
     spectral_radius,
 )
+from hyperspectra.spectrum import beta, char_poly_power
 
 K2 = path_graph(2)
 P3 = path_graph(3)
@@ -70,6 +82,12 @@ class TestCharPoly:
     def test_cycle3_unbalanced(self):
         sg = SignedGraph(C3, (-1, 1, 1))
         assert char_poly_exact(sg) == [2, -3, 0, 1]
+
+    def test_squares_polynomial(self):
+        # eigenvalues 2, -1, -1: -(x - 1)^2 (x - 4)
+        assert char_poly_of_squares(all_positive(C3)) == [4, -9, 6, -1]
+        # eigenvalues +-sqrt 2 and 0: the zero eigenvalue is stripped
+        assert char_poly_of_squares(all_positive(P3)) == [-4, 4, -1]
 
     def test_monic_and_degree(self, small_corpus):
         for g in small_corpus:
@@ -168,42 +186,67 @@ class TestRadiusLemma:
                 assert hits_bottom == is_balanced(sg.negated())
 
 
-class TestSigmaSet:
+def _basis(graphs):
+    """Gcd-free basis of the squared-eigenvalue polynomials of every
+    switching class of the given graphs, as a set of coefficient tuples."""
+    return {
+        tuple(b)
+        for b in coprime_basis(
+            char_poly_of_squares(sg)
+            for h in graphs
+            for sg in enumerate_signings(h, up_to_switching=True)
+        )
+    }
+
+
+def _connected_subgraphs(g):
+    return [m.graph for m, _ in connected_subgraph_census(g, g.m).entries]
+
+
+class TestSigmaBasis:
+    """Sigma, the squared nonzero eigenvalues of all connected signed
+    subgraphs, keyed exactly by a gcd-free basis; char_poly_power keeps one
+    factor per root of every basis element."""
+
     def test_k2(self):
-        assert sigma_set(K2).values == pytest.approx((1.0,), abs=1e-9)
+        assert _basis(_connected_subgraphs(K2)) == {(-1, 1)}
 
     def test_cycle3(self):
-        assert sigma_set(C3).values == pytest.approx((1.0, 2.0, 4.0), abs=1e-9)
+        expected = {(-1, 1), (-2, 1), (-4, 1)}
+        assert _basis(_connected_subgraphs(C3)) == expected
+        assert {f.b for f in char_poly_power(C3, 3).factors} == expected
 
     def test_path3(self):
-        assert sigma_set(P3).values == pytest.approx((1.0, 2.0), abs=1e-9)
+        expected = {(-1, 1), (-2, 1)}
+        assert _basis(_connected_subgraphs(P3)) == expected
+        assert {f.b for f in char_poly_power(P3, 3).factors} == expected
 
     def test_cycle3_induced_mode_drops_p3(self):
-        values = sigma_set(C3, mode="induced_subgraphs").values
-        assert values == pytest.approx((1.0, 4.0), abs=1e-9)
+        assert _basis(connected_induced_subgraph_classes(C3)) == {(-1, 1), (-4, 1)}
 
-    def test_provenance_witnesses_reproduce_values(self):
-        sigma = sigma_set(complete_graph(4))
-        for value, witness in zip(sigma.values, sigma.provenance):
-            assert witness.eigenvalue**2 == pytest.approx(value, rel=1e-9)
-            spec = eigenvalues(SignedGraph(witness.subgraph, witness.signs))
-            assert min(abs(e - witness.eigenvalue) for e in spec.eigenvalues) < 1e-9
-
-    def test_every_subgraph_eigenvalue_lands_in_a_cluster(self):
-        sigma = sigma_set(complete_graph(4))
-        from hyperspectra.graphs import connected_subgraph_census
-
+    def test_factor_roots_are_subgraph_eigenvalues_squared(self):
         g = complete_graph(4)
-        census = connected_subgraph_census(g, g.m)
-        for motif, _ in census.entries:
-            for sg in enumerate_signings(motif.graph, up_to_switching=True):
-                for lam in eigenvalues(sg).eigenvalues:
-                    if lam * lam > sigma.tolerance:
-                        sigma.index_of(lam * lam)  # raises if unmatched
+        squares = [
+            lam * lam
+            for h in _connected_subgraphs(g)
+            for sg in enumerate_signings(h, up_to_switching=True)
+            for lam in eigenvalues(sg).eigenvalues
+        ]
+        for f in char_poly_power(g, 3).factors:
+            assert min(abs(x - f.sigma_sq) for x in squares) < 1e-9
+            assert abs(poly_eval(f.b, f.sigma_sq)) < 1e-9
 
-    def test_ambiguity_detected(self):
-        with pytest.raises(ClusterAmbiguityError):
-            sigma_set(C3, tol=0.2)
+    def test_every_signed_subgraph_factors_over_the_basis(self):
+        g = complete_graph(4)
+        basis = sorted({f.b for f in char_poly_power(g, 3).factors})
+        for h in _connected_subgraphs(g):
+            for sg in enumerate_signings(h):
+                exponents = basis_exponents(char_poly_of_squares(sg), basis)
+                nonzero = sum(e * (len(b) - 1) for e, b in zip(exponents, basis))
+                zeros = sum(1 for lam in eigenvalues(sg).eigenvalues if lam * lam < 1e-9)
+                assert nonzero + zeros == h.n
 
     def test_empty_graph(self):
-        assert len(sigma_set(Graph(3, ()))) == 0
+        fsf = beta(Graph(3, ()))
+        assert fsf.factors == ()
+        assert fsf.mu0 == 3

@@ -1,19 +1,33 @@
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from hyperspectra.graphs import Graph, cycle_graph, path_graph
+from hyperspectra.algebra import poly_divmod
+from hyperspectra.digraphs import power_moment_prefactor
+from hyperspectra.errors import ConsistencyError
+from hyperspectra.graphs import (
+    Graph,
+    connected_edge_subsets,
+    connected_induced_subgraph_classes,
+    connected_subgraph_census,
+    cycle_graph,
+    path_graph,
+)
+from hyperspectra.signed import char_poly_of_squares, enumerate_signings
 from hyperspectra.spectrum import (
+    _covering_weight,
     beta,
-    build_system,
     char_poly_power,
+    check_moment_identity,
     convergence_ratio,
     radius_cluster_exponent,
     radius_total_multiplicity,
     script_S,
     spectral_radius_multiplicity,
 )
-from hyperspectra.walks import parity_closed_profile
+from hyperspectra.walks import covering_parity_profile, parity_closed_profile
 
 K2 = path_graph(2)
 P3 = path_graph(3)
@@ -42,31 +56,27 @@ class TestScriptS:
 
 
 class TestBuildSystem:
+    """The moment data behind S_{ell k}: covering counts P, motif counts N
+    and the prefactors D(k)."""
+
     def test_k2(self):
-        system = build_system(K2, 3)
-        assert system.size == 1
-        assert system.P == ((2,),)
-        assert system.N == (1,)
-        assert system.Dk == (Fraction(9, 8),)
+        census = connected_subgraph_census(K2, 1)
+        assert [count for _, count in census.entries] == [1]
+        assert covering_parity_profile(K2, 2)[2] == 2
+        assert power_moment_prefactor(2, 1, 3) == Fraction(9, 8)
 
     def test_path3(self):
-        system = build_system(P3, 3)
-        assert system.size == 2
-        assert len(system.motifs) == 2  # K2 and P3
+        assert len(connected_subgraph_census(P3, 2)) == 2  # K2 and P3
 
     def test_cycle3(self):
-        system = build_system(C3, 3)
-        assert system.size == 3
-        assert len(system.motifs) == 3
-        assert system.condition_estimate >= 1.0
+        assert len(connected_subgraph_census(C3, 3)) == 3
 
     def test_p_vanishes_above_edge_count(self):
-        system = build_system(C3, 3)
-        # row ell, column i: zero whenever the motif has more than ell edges
-        for ell in range(1, system.size + 1):
-            for i, (motif, _) in enumerate(system.motifs.entries):
+        # covering walks of length 2 ell need every edge twice
+        for motif, _ in connected_subgraph_census(C3, 3).entries:
+            for ell in range(1, 4):
                 if motif.e_count > ell:
-                    assert system.P[ell - 1][i] == 0
+                    assert covering_parity_profile(motif.graph, 2 * ell)[2 * ell] == 0
 
 
 class TestCharPolyPower:
@@ -102,7 +112,7 @@ class TestCharPolyPower:
                 fsf = char_poly_power(g, k)
                 for f in fsf.factors:
                     assert isinstance(f.mu, int) and f.mu >= 0
-                    assert f.residual <= 1e-6
+                check_moment_identity(g, fsf, len(fsf.factors))
 
     def test_zero_clusters_retained(self):
         # the sigma^2 = 2 cluster of the triangle gets multiplicity 0 at k=3
@@ -113,20 +123,47 @@ class TestCharPolyPower:
 
     def test_positive_k3_clusters_come_from_induced_subgraphs(self, builtin_corpus):
         # at k=3 only squared eigenvalues of induced signed subgraphs can
-        # carry multiplicity; clusters contributed solely by non-induced
+        # carry multiplicity; basis elements contributed solely by non-induced
         # subgraphs (e.g. P4 inside C4) must end up with exponent zero
-        from hyperspectra.signed import sigma_set
-
         for g in builtin_corpus:
             if not g.is_connected() or g.m == 0:
                 continue
             fsf = char_poly_power(g, 3)
-            induced = sigma_set(g, mode="induced_subgraphs").values
+            induced = [
+                char_poly_of_squares(sg)
+                for h in connected_induced_subgraph_classes(g)
+                for sg in enumerate_signings(h, up_to_switching=True)
+            ]
             for f in fsf.factors:
                 if f.mu > 0:
-                    assert any(
-                        abs(f.sigma_sq - v) <= 1e-6 * max(1.0, v) for v in induced
-                    ), (g, f.sigma_sq)
+                    assert any(not poly_divmod(q, f.b)[1] for q in induced), (g, f.b)
+
+    def test_covering_weight_matches_the_alternating_sum(self):
+        # w(C) against its definition: the sum over every set S of edges
+        # outside C touching V(C) of (-1)^|S| D_k(C + S)
+        g = Graph(5, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)))
+        for subset in connected_edge_subsets(g, g.m):
+            verts = {x for i in subset for x in g.edges[i]}
+            touching = [
+                i for i, e in enumerate(g.edges)
+                if i not in subset and verts & set(e)
+            ]
+            for k in (2, 3, 4):
+                expected = 0
+                for size in range(len(touching) + 1):
+                    for extra in itertools.combinations(touching, size):
+                        h = g.subgraph_of_edges(set(subset) | set(extra))
+                        expected += (-1) ** size * power_moment_prefactor(h.n, h.m, k)
+                assert _covering_weight(g, subset, k) == expected, (subset, k)
+
+    def test_corrupted_multiplicity_fails_moment_identity(self):
+        fsf = char_poly_power(C3, 3)
+        factors = tuple(
+            replace(f, mu=f.mu + 1) if f.b == (-4, 1) else f for f in fsf.factors
+        )
+        check_moment_identity(C3, fsf, len(fsf.factors))
+        with pytest.raises(ConsistencyError):
+            check_moment_identity(C3, replace(fsf, factors=factors), len(factors))
 
     def test_cycle4_multiplicities(self):
         # frozen pipeline output: C4 at k=3 has golden-ratio clusters with
