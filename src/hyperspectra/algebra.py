@@ -23,11 +23,6 @@ def poly_trim(p):
     return list(p[:n])
 
 
-def poly_degree(p):
-    p = poly_trim(p)
-    return len(p) - 1 if p else -1
-
-
 def poly_eval(p, x):
     """Horner evaluation; works for int, Fraction, float and mpf inputs."""
     acc = 0 * x

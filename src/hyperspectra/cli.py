@@ -100,7 +100,6 @@ def _factored_payload(fsf):
             {"sigma_sq": f.sigma_sq, "mu": _exact_str(f.mu)}
             for f in fsf.factors
         ],
-        "degree_check": True,
     }
 
 

@@ -244,7 +244,6 @@ def _degree_class_permutations(g):
 
 def _encode_upper_triangle(g, perm):
     bits = 0
-    pos = 0
     adj = set()
     for u, v in g.edges:
         pu, pv = perm[u], perm[v]
@@ -252,49 +251,43 @@ def _encode_upper_triangle(g, perm):
     for i in range(g.n):
         for j in range(i + 1, g.n):
             bits = (bits << 1) | (1 if (i, j) in adj else 0)
-            pos += 1
     return bits
 
 
-def canonical_certificate(g, max_vertices=CERTIFICATE_VERTEX_LIMIT):
-    """Byte certificate equal for isomorphic graphs and distinct otherwise.
+def canonical_form(g, max_vertices=CERTIFICATE_VERTEX_LIMIT):
+    """The relabeled copy of g with the minimum upper-triangular adjacency
+    encoding over all degree-respecting relabelings (brute force; bounded by
+    max_vertices).  Isomorphic graphs get equal forms, and the form of a
+    form is the form itself.
+    """
+    if g.n > max_vertices:
+        raise BudgetError(
+            f"canonical form supports at most {max_vertices} vertices, got {g.n}"
+        )
+    best_perm = min(
+        _degree_class_permutations(g), key=lambda perm: _encode_upper_triangle(g, perm)
+    )
+    return g.relabel(best_perm)
 
-    The certificate is the vertex count followed by the minimum
-    upper-triangular adjacency encoding over all degree-respecting
-    relabelings (brute force; bounded by max_vertices).
+
+def _form_certificate(form):
+    """The vertex count followed by the upper-triangular adjacency encoding
+    of a graph already in canonical form."""
+    nbytes = (form.n * (form.n - 1) // 2 + 7) // 8
+    encoding = _encode_upper_triangle(form, range(form.n))
+    return bytes([form.n]) + encoding.to_bytes(nbytes, "big")
+
+
+def canonical_certificate(g, max_vertices=CERTIFICATE_VERTEX_LIMIT):
+    """Byte certificate equal for isomorphic graphs and distinct otherwise:
+    the vertex count followed by the upper-triangular adjacency encoding of
+    `canonical_form(g)` (bounded by max_vertices).
     """
     if g.n > max_vertices:
         raise BudgetError(
             f"certificate supports at most {max_vertices} vertices, got {g.n}"
         )
-    best = None
-    for perm in _degree_class_permutations(g):
-        enc = _encode_upper_triangle(g, perm)
-        if best is None or enc < best:
-            best = enc
-    if best is None:
-        best = 0
-    nbits = g.n * (g.n - 1) // 2
-    nbytes = (nbits + 7) // 8
-    return bytes([g.n]) + best.to_bytes(nbytes, "big")
-
-
-def canonical_form(g, max_vertices=CERTIFICATE_VERTEX_LIMIT):
-    """The relabeled copy of g realizing its canonical certificate."""
-    if g.n > max_vertices:
-        raise BudgetError(
-            f"canonical form supports at most {max_vertices} vertices, got {g.n}"
-        )
-    best = None
-    best_perm = None
-    for perm in _degree_class_permutations(g):
-        enc = _encode_upper_triangle(g, perm)
-        if best is None or enc < best:
-            best = enc
-            best_perm = perm
-    if best_perm is None:
-        return g
-    return g.relabel(best_perm)
+    return _form_certificate(canonical_form(g, max_vertices))
 
 
 def are_isomorphic(a, b):
@@ -367,12 +360,6 @@ class MotifCensus:
     def __len__(self):
         return len(self.entries)
 
-    def count_for(self, certificate):
-        for motif, count in self.entries:
-            if motif.certificate == certificate:
-                return count
-        return 0
-
     def to_json_obj(self):
         return [
             {
@@ -437,12 +424,12 @@ def connected_subgraph_classes(g, max_edges):
     isomorphism class: ((Motif, [subset, ...]), ...) in census order."""
     buckets = {}
     for subset in connected_edge_subsets(g, max_edges):
-        sub = g.subgraph_of_edges(subset)
-        cert = canonical_certificate(sub)
+        form = canonical_form(g.subgraph_of_edges(subset))
+        cert = _form_certificate(form)
         if cert in buckets:
             buckets[cert][1].append(subset)
         else:
-            buckets[cert] = (Motif(canonical_form(sub), cert), [subset])
+            buckets[cert] = (Motif(form, cert), [subset])
     return tuple(
         sorted(
             buckets.values(),
@@ -469,9 +456,8 @@ def connected_induced_subgraph_classes(g):
             sub = g.induced(vs)
             if sub.m == 0 or not sub.is_connected():
                 continue
-            cert = canonical_certificate(sub)
-            if cert not in classes:
-                classes[cert] = canonical_form(sub)
+            form = canonical_form(sub)
+            classes.setdefault(_form_certificate(form), form)
     return [classes[c] for c in sorted(classes)]
 
 
@@ -489,9 +475,8 @@ def all_connected_graphs(n):
         g = Graph(n, edges)
         if not g.is_connected():
             continue
-        cert = canonical_certificate(g)
-        if cert not in seen:
-            seen[cert] = canonical_form(g)
+        form = canonical_form(g)
+        seen.setdefault(_form_certificate(form), form)
     return [seen[c] for c in sorted(seen)]
 
 

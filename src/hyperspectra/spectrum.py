@@ -12,7 +12,9 @@ b of a gcd-free basis of the polynomials `char_poly_of_squares` of all
 connected signed subgraphs; every root of one b carries the same
 multiplicity mu_b, because all polynomials involved have integer
 coefficients.  The only floats are the displayed roots sigma^2 of each b.
-Every result is checked against the exact moments before it is returned.
+Every result is checked against the exact moments before it is returned;
+all the moments one check needs come from a single motif census and one
+covering walk profile per motif.
 """
 
 from __future__ import annotations
@@ -105,6 +107,23 @@ def _to_mpf(value):
 # spectral moments
 
 
+def _power_moments(g, k, top):
+    """[S_k, S_2k, ..., S_{top k}] of the k-power of g from one motif census
+    to min(top, |E|) edges and one covering profile per motif."""
+    totals = [Fraction(0)] * top
+    max_edges = min(top, g.m)
+    if max_edges:
+        for motif, count in connected_subgraph_census(g, max_edges).entries:
+            profile = covering_parity_profile(motif.graph, 2 * top)
+            weight = digraphs.power_moment_prefactor(motif.v_count, motif.e_count, k)
+            for ell in range(1, top + 1):
+                p = profile[2 * ell]
+                if p:
+                    totals[ell - 1] += weight * p * count
+    prefactor = Fraction(k - 1) ** (g.n + g.m * (k - 2) - 1)
+    return [prefactor * total for total in totals]
+
+
 def script_S(g, d, k):
     """Exact spectral moment of order d of the k-power of g, as a sum of
     covering parity-closed walk counts over the motif census.  Zero whenever
@@ -119,21 +138,7 @@ def script_S(g, d, k):
         return Fraction(size * (k - 1) ** (size - 1)) if size else Fraction(0)
     if d % k != 0:
         return Fraction(0)
-    ell = d // k
-    prefactor = Fraction(k - 1) ** (g.n + g.m * (k - 2) - 1)
-    total = Fraction(0)
-    if g.m:
-        census = connected_subgraph_census(g, min(ell, g.m))
-        for motif, count in census.entries:
-            profile = covering_parity_profile(motif.graph, 2 * ell)
-            p = profile[2 * ell]
-            if p:
-                total += (
-                    digraphs.power_moment_prefactor(motif.v_count, motif.e_count, k)
-                    * p
-                    * count
-                )
-    return prefactor * total
+    return _power_moments(g, k, d // k)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +230,12 @@ def check_moment_identity(g, fsf, sigma_size):
     top = min(2 * sigma_size, 8) if k >= 3 else sigma_size
     mu_of = {f.b: Fraction(f.mu) for f in fsf.factors}
     sums = {b: power_sums_from_charpoly(b, top) for b in mu_of}
-    counts = parity_closed_profile(g, 2 * top) if k == 2 else None
-    for ell in range(1, top + 1):
+    if k == 2:
+        moments = parity_closed_profile(g, 2 * top)[2::2]
+    else:
+        moments = _power_moments(g, k, top)
+    for ell, rhs in enumerate(moments, start=1):
         lhs = k * sum(mu * sums[b][ell] for b, mu in mu_of.items())
-        rhs = counts[2 * ell] if k == 2 else script_S(g, ell * k, k)
         if lhs != rhs:
             raise ConsistencyError(
                 f"moment identity fails at ell={ell}: {lhs} != {rhs}"
@@ -236,15 +243,14 @@ def check_moment_identity(g, fsf, sigma_size):
 
 
 def char_poly_power(g, k):
-    """Factored characteristic polynomial of the k-power of a connected graph.
+    """Factored characteristic polynomial of the k-power of a graph, which
+    may be disconnected or have isolated vertices.
 
     Every multiplicity is an exact coefficient of the trace formula; the
     exponent of lambda follows from the total-degree identity.
     """
     if k < 3:
         raise ValueError("power hypergraphs need k >= 3; use beta for k = 2")
-    if not g.is_connected():
-        raise ValueError("the characteristic polynomial pipeline needs a connected graph")
     basis, mu = _exact_multiplicities(g, k)
     for b, m in zip(basis, mu):
         if m.denominator != 1 or m < 0:

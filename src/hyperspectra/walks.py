@@ -14,12 +14,12 @@ All arithmetic is arbitrary-precision integer; no floats appear anywhere.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import mat_power_traces
 from .errors import BudgetError, ConsistencyError
-from .graphs import canonical_form
 
 PARITY_DP_EDGE_LIMIT = 24
 SIGNED_MEAN_EDGE_LIMIT = 20
@@ -123,7 +123,8 @@ def covering_parity_closed_count(motif, d, state_budget=COVERING_STATE_BUDGET):
 def covering_parity_profile(motif, max_d, state_budget=COVERING_STATE_BUDGET):
     """Covering parity-closed counts for all lengths 0..max_d in one sweep.
 
-    Results are cached per isomorphism class since hosts share motifs.
+    Results are cached per motif as given; census motifs are in canonical
+    form, so hosts that share a motif class share its cache entry.
     """
     if not motif.is_connected():
         raise ValueError("covering counts are defined for connected motifs")
@@ -132,7 +133,7 @@ def covering_parity_profile(motif, max_d, state_budget=COVERING_STATE_BUDGET):
     if max_d < 2 * motif.m:
         # covering needs every edge at least twice
         return [0] * (max_d + 1)
-    cached = _covering_profile_cached(canonical_form(motif), max_d, state_budget)
+    cached = _covering_profile_cached(motif, max_d, state_budget)
     return list(cached)
 
 
@@ -171,12 +172,10 @@ def covering_parity_closed_by_subsets(motif, d):
     sum over F of (-1)^(|E|-|F|) times parity-closed walks restricted to F."""
     if not motif.is_connected():
         raise ValueError("covering counts are defined for connected motifs")
-    from .graphs import Graph
-
     total = 0
     for size in range(motif.m + 1):
         for combo in itertools.combinations(range(motif.m), size):
-            restricted = Graph(motif.n, tuple(motif.edges[i] for i in combo))
+            restricted = replace(motif, edges=tuple(motif.edges[i] for i in combo))
             count = parity_closed_count(restricted, d, method="dp").value
             total += (-1) ** (motif.m - size) * count
     return WalkCount(d, total)

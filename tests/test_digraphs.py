@@ -287,6 +287,12 @@ class TestNaiveTrace:
             for d in (3, 6):
                 assert naive_tensor_trace(h, d) == script_S(g, d, 3), (g, d)
 
+    def test_matches_closed_form_on_disjoint_union(self):
+        g = Graph(4, ((0, 1), (2, 3)))
+        h = power_hypergraph(g, 3)
+        for d in (3, 6):
+            assert naive_tensor_trace(h, d) == script_S(g, d, 3), d
+
     def test_order_zero_is_eigenvalue_count(self):
         # 0th moment = characteristic polynomial degree = n (k-1)^(n-1)
         h = power_hypergraph(path_graph(2), 3)

@@ -125,8 +125,17 @@ class TestCertificate:
             assert canonical_certificate(a) == canonical_certificate(b)
 
     def test_canonical_form_is_isomorphic(self, small_corpus):
+        import random
+
+        rng = random.Random(20240817)
         for g in small_corpus:
-            assert are_isomorphic(g, canonical_form(g))
+            form = canonical_form(g)
+            assert are_isomorphic(g, form)
+            assert canonical_form(form) == form
+            assert canonical_certificate(g) == canonical_certificate(form)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(perm)) == form
 
 
 class TestCensus:

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyperspectra.algebra import poly_divmod
+from hyperspectra import spectrum
+from hyperspectra.algebra import basis_exponents, coprime_basis, poly_divmod
 from hyperspectra.digraphs import power_moment_prefactor
 from hyperspectra.errors import ConsistencyError
 from hyperspectra.graphs import (
@@ -32,6 +33,15 @@ from hyperspectra.walks import covering_parity_profile, parity_closed_profile
 K2 = path_graph(2)
 P3 = path_graph(3)
 C3 = cycle_graph(3)
+
+
+def _exponents(fsf, basis):
+    """Exponent of each basis polynomial in prod_b b(lambda^k)^mu_b."""
+    out = [0] * len(basis)
+    for b, mu in {f.b: f.mu for f in fsf.factors}.items():
+        for i, e in enumerate(basis_exponents(b, basis)):
+            out[i] += mu * e
+    return out
 
 
 class TestScriptS:
@@ -179,9 +189,40 @@ class TestCharPolyPower:
         ]
         assert fsf.mu0 == 493
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            char_poly_power(Graph(4, ((0, 1), (2, 3))), 3)
+    def test_disconnected_product_rule(self):
+        # Cooper & Dutle: the k-powers H1, H2 of G1, G2 on N1, N2 vertices
+        # give phi(H1 + H2) = phi(H1)^((k-1)^N2) * phi(H2)^((k-1)^N1)
+        cases = [(K2, K2, 3), (K2, K2, 4), (P3, K2, 3), (K2, Graph(1, ()), 3)]
+        for g1, g2, k in cases:
+            shifted = tuple((u + g1.n, v + g1.n) for u, v in g2.edges)
+            whole = char_poly_power(Graph(g1.n + g2.n, g1.edges + shifted), k)
+            f1, f2 = char_poly_power(g1, k), char_poly_power(g2, k)
+            p1 = (k - 1) ** (g2.n + (k - 2) * g2.m)
+            p2 = (k - 1) ** (g1.n + (k - 2) * g1.m)
+            basis = coprime_basis(f.b for fsf in (f1, f2, whole) for f in fsf.factors)
+            expected = [
+                p1 * a + p2 * b
+                for a, b in zip(_exponents(f1, basis), _exponents(f2, basis))
+            ]
+            assert _exponents(whole, basis) == expected, (g1, g2, k)
+            assert whole.mu0 == p1 * f1.mu0 + p2 * f2.mu0, (g1, g2, k)
+        assert char_poly_power(Graph(4, ((0, 1), (2, 3))), 3).to_text() == (
+            "λ^48 (λ^3 - 1)^48"
+        )
+
+    def test_moment_check_builds_one_census(self, monkeypatch):
+        g = cycle_graph(8)
+        fsf = char_poly_power(g, 3)
+        calls = []
+        census = spectrum.connected_subgraph_census
+
+        def counted(*args):
+            calls.append(args)
+            return census(*args)
+
+        monkeypatch.setattr(spectrum, "connected_subgraph_census", counted)
+        check_moment_identity(g, fsf, len(fsf.factors))
+        assert len(calls) == 1
 
     def test_k2_rejected(self):
         with pytest.raises(ValueError):
