@@ -64,6 +64,13 @@ def _json_write(obj, out):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _count(text):
+    """argparse type: a negative or malformed count is a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text!r}")
+    return int(text)
+
+
 def _load_graph(spec):
     """Accept a builtin name, a file path, or inline edge-list text (with
     literal backslash-n sequences standing for newlines)."""
@@ -336,7 +343,7 @@ def build_parser():
     p.set_defaults(func=_cmd_walks)
 
     p = sub.add_parser("census", parents=[common], help="connected motif census")
-    p.add_argument("--max-edges", type=int, default=0)
+    p.add_argument("--max-edges", type=_count, default=0, help="0: all edges")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("signed", parents=[common], help="signings and spectra")

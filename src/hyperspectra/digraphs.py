@@ -45,10 +45,6 @@ class Multidigraph:
             merged[(u, v)] = merged.get((u, v), 0) + mult
         object.__setattr__(self, "arcs", tuple(sorted(merged.items())))
 
-    @classmethod
-    def from_dict(cls, n, multiplicity):
-        return cls(n, tuple(multiplicity.items()))
-
     def multiplicity(self, u, v):
         for (a, b), mult in self.arcs:
             if (a, b) == (u, v):

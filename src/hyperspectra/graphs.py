@@ -421,7 +421,7 @@ def connected_edge_subsets_brute(g, max_edges):
 
 def connected_subgraph_classes(g, max_edges):
     """Connected edge subsets of g with 1..max_edges edges, grouped by
-    isomorphism class: ((Motif, [subset, ...]), ...) in census order."""
+    isomorphism class: ((Motif, (subset, ...)), ...) in census order."""
     buckets = {}
     for subset in connected_edge_subsets(g, max_edges):
         form = canonical_form(g.subgraph_of_edges(subset))
@@ -431,7 +431,8 @@ def connected_subgraph_classes(g, max_edges):
         else:
             buckets[cert] = (Motif(form, cert), [subset])
     return tuple(
-        sorted(
+        (motif, tuple(subsets))
+        for motif, subsets in sorted(
             buckets.values(),
             key=lambda ms: (ms[0].e_count, ms[0].v_count, ms[0].certificate),
         )

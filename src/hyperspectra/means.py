@@ -5,17 +5,14 @@ pseudo-characteristic function, and the AM-GM comparison between the two.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import BudgetError, ConsistencyError
-from .signed import SignedGraph, char_poly_exact
+from .errors import ConsistencyError
+from .signed import char_poly_exact, enumerate_signings
 from .algebra import poly_eval
-
-MEAN_EDGE_LIMIT = 20
 
 
 def matchings_by_size(g):
@@ -53,14 +50,9 @@ def matching_polynomial(g, method="direct"):
             coeffs[g.n - 2 * r] += Fraction((-1) ** r * m_r)
         return coeffs
     if method == "signed_mean":
-        if g.m > MEAN_EDGE_LIMIT:
-            raise BudgetError(
-                f"signing enumeration supports at most {MEAN_EDGE_LIMIT} edges"
-            )
         totals = [0] * (g.n + 1)
-        for signs in itertools.product((1, -1), repeat=g.m):
-            poly = char_poly_exact(SignedGraph(g, signs))
-            for i, c in enumerate(poly):
+        for sg in enumerate_signings(g):
+            for i, c in enumerate(char_poly_exact(sg)):
                 totals[i] += c
         scale = Fraction(1, 2**g.m)
         return [scale * c for c in totals]
@@ -69,17 +61,10 @@ def matching_polynomial(g, method="direct"):
 
 def signed_char_poly_values(g, lambda0):
     """phi_pi(lambda0) for every signing, as exact rationals (lambda0 is
-    taken at its exact binary value)."""
-    if g.m > MEAN_EDGE_LIMIT:
-        raise BudgetError(
-            f"signing enumeration supports at most {MEAN_EDGE_LIMIT} edges"
-        )
+    taken at its exact binary value); enumerate_signings refuses more than
+    SIGNING_EDGE_LIMIT edges."""
     x = Fraction(lambda0)
-    values = []
-    for signs in itertools.product((1, -1), repeat=g.m):
-        poly = char_poly_exact(SignedGraph(g, signs))
-        values.append(poly_eval(poly, x))
-    return values
+    return [poly_eval(char_poly_exact(sg), x) for sg in enumerate_signings(g)]
 
 
 def geometric_mean_evaluate(g, lambda0, precision_bits=256):
@@ -91,10 +76,15 @@ def geometric_mean_evaluate(g, lambda0, precision_bits=256):
     signing) evaluates to exactly 0.
     """
     values = signed_char_poly_values(g, lambda0)
+    return _geometric_mean(values, lambda0, precision_bits)
+
+
+def _geometric_mean(values, lambda0, precision_bits=256):
+    """The 2^|E|-th root of the product of the 2^|E| values phi_pi(lambda0)."""
     product = Fraction(1)
     for v in values:
         product *= v
-    if g.m == 0:
+    if len(values) == 1:
         # a single signing: the mean is the polynomial value itself
         return float(product)
     if product < 0:
@@ -108,7 +98,7 @@ def geometric_mean_evaluate(g, lambda0, precision_bits=256):
         return 0.0
     with mp.workprec(precision_bits):
         value = mp.mpf(product.numerator) / mp.mpf(product.denominator)
-        return float(mp.root(value, 2**g.m))
+        return float(mp.root(value, len(values)))
 
 
 @dataclass(frozen=True)
@@ -138,7 +128,7 @@ def amgm_check(g, lambda0, tolerance=1e-9):
             detail="some signed characteristic polynomial is negative here",
         )
     alpha_value = sum(values, Fraction(0)) / 2**g.m
-    beta_value = geometric_mean_evaluate(g, lambda0)
+    beta_value = _geometric_mean(values, lambda0)
     spread = float(max(values) - min(values))
     all_equal = spread <= tolerance
     gap = float(alpha_value) - beta_value

@@ -12,22 +12,23 @@ b of a gcd-free basis of the polynomials `char_poly_of_squares` of all
 connected signed subgraphs; every root of one b carries the same
 multiplicity mu_b, because all polynomials involved have integer
 coefficients.  The only floats are the displayed roots sigma^2 of each b.
-Every result is checked against the exact moments before it is returned;
-all the moments one check needs come from a single motif census and one
-covering walk profile per motif.
+The census, its signed-spectra polynomials and their basis are memoised per
+graph; each result is checked against exact moments from the same census via
+covering walk counts, not signed spectra, for ell up to a bound set by g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
 from . import digraphs
 from .algebra import basis_exponents, coprime_basis, power_sums_from_charpoly
 from .errors import ConsistencyError
-from .graphs import connected_subgraph_census, connected_subgraph_classes
+from .graphs import connected_subgraph_classes
 from .signed import char_poly_of_squares, enumerate_signings, spectral_radius
 from .walks import covering_parity_profile, parity_closed_profile
 
@@ -104,22 +105,36 @@ def _to_mpf(value):
 
 
 # ---------------------------------------------------------------------------
-# spectral moments
+# the motif census and the spectral moments
 
 
-def _power_moments(g, k, top):
-    """[S_k, S_2k, ..., S_{top k}] of the k-power of g from one motif census
-    to min(top, |E|) edges and one covering profile per motif."""
+@lru_cache(maxsize=64)
+def _motif_spectra(g):
+    """The connected edge subsets of g grouped by motif class, the
+    `char_poly_of_squares` of each class's switching classes, and their
+    gcd-free basis Sigma; memoised per graph, all immutable."""
+    classes = connected_subgraph_classes(g, g.m) if g.m else ()
+    squares = tuple(
+        tuple(
+            tuple(char_poly_of_squares(sg))
+            for sg in enumerate_signings(motif.graph, up_to_switching=True)
+        )
+        for motif, _ in classes
+    )
+    basis = tuple(map(tuple, coprime_basis(q for qs in squares for q in qs)))
+    return classes, squares, basis
+
+
+def _power_moments(g, k, top, classes):
+    """[S_k, S_2k, ..., S_{top k}] of the k-power of g from its motif classes
+    (all those of at most top edges) and one covering profile per motif."""
     totals = [Fraction(0)] * top
-    max_edges = min(top, g.m)
-    if max_edges:
-        for motif, count in connected_subgraph_census(g, max_edges).entries:
-            profile = covering_parity_profile(motif.graph, 2 * top)
-            weight = digraphs.power_moment_prefactor(motif.v_count, motif.e_count, k)
-            for ell in range(1, top + 1):
-                p = profile[2 * ell]
-                if p:
-                    totals[ell - 1] += weight * p * count
+    for motif, subsets in classes:
+        if motif.e_count > top:
+            break
+        weight = digraphs.power_moment_prefactor(motif.v_count, motif.e_count, k)
+        profile = covering_parity_profile(motif.graph, 2 * top)[2::2]
+        totals = [t + weight * p * len(subsets) for t, p in zip(totals, profile)]
     prefactor = Fraction(k - 1) ** (g.n + g.m * (k - 2) - 1)
     return [prefactor * total for total in totals]
 
@@ -138,7 +153,9 @@ def script_S(g, d, k):
         return Fraction(size * (k - 1) ** (size - 1)) if size else Fraction(0)
     if d % k != 0:
         return Fraction(0)
-    return _power_moments(g, k, d // k)[-1]
+    # to d / k edges only, to reach graphs too large for the full census
+    classes = connected_subgraph_classes(g, min(d // k, g.m)) if g.m else ()
+    return _power_moments(g, k, d // k, classes)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +202,7 @@ def _exact_multiplicities(g, k):
     C whose vertices touch every edge of H, with sign (-1)^(|H|-|C|).
     Exchanging the sums gives mu(x) = scale * sum_C w(C) abar_C(x).
     """
-    classes = connected_subgraph_classes(g, g.m) if g.m else ()
-    squares = [
-        [
-            char_poly_of_squares(sg)
-            for sg in enumerate_signings(motif.graph, up_to_switching=True)
-        ]
-        for motif, _ in classes
-    ]
-    basis = coprime_basis(q for qs in squares for q in qs)
+    classes, squares, basis = _motif_spectra(g)
     scale = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
     mu = [Fraction(0)] * len(basis)
     for (_, subsets), qs in zip(classes, squares):
@@ -220,20 +229,22 @@ def _factors(pairs):
     return tuple(sorted(factors, key=lambda f: f.sigma_sq))
 
 
-def check_moment_identity(g, fsf, sigma_size):
+def check_moment_identity(g, fsf):
     """Check a factored result against the exact moments, in Fractions:
     k sum_b mu_b p_ell(b) = S_{ell k} for ell <= min(2 |Sigma|, 8) when
     k >= 3, and 2 sum_b mu_b p_ell(b) = P_{2 ell} for ell <= |Sigma| for beta,
-    where p_ell(b) is the ell-th power sum of the roots of b.  Raises
-    ConsistencyError on the first mismatch."""
+    where p_ell(b) is the ell-th power sum of the roots of b and |Sigma| the
+    total degree of the basis of g.  Raises ConsistencyError on a mismatch."""
     k = fsf.k
+    classes, _, basis = _motif_spectra(g)
+    sigma_size = sum(len(b) - 1 for b in basis)
     top = min(2 * sigma_size, 8) if k >= 3 else sigma_size
     mu_of = {f.b: Fraction(f.mu) for f in fsf.factors}
     sums = {b: power_sums_from_charpoly(b, top) for b in mu_of}
     if k == 2:
         moments = parity_closed_profile(g, 2 * top)[2::2]
     else:
-        moments = _power_moments(g, k, top)
+        moments = _power_moments(g, k, top, classes)
     for ell, rhs in enumerate(moments, start=1):
         lhs = k * sum(mu * sums[b][ell] for b, mu in mu_of.items())
         if lhs != rhs:
@@ -263,7 +274,7 @@ def char_poly_power(g, k):
     if mu0 < 0:
         raise ConsistencyError(f"negative zero-eigenvalue exponent {mu0}")
     result = FactoredSpectralFunction(k=k, mu0=mu0, factors=factors)
-    check_moment_identity(g, result, len(factors))
+    check_moment_identity(g, result)
     return result
 
 
@@ -284,7 +295,7 @@ def beta(g):
     factors = _factors((b, _exact(m)) for b, m in zip(basis, mu) if m)
     mu0 = _exact(g.n - 2 * sum(Fraction(f.mu) for f in factors))
     result = FactoredSpectralFunction(k=2, mu0=mu0, factors=factors)
-    check_moment_identity(g, result, sum(len(b) - 1 for b in basis))
+    check_moment_identity(g, result)
     if g.m and g.is_connected():
         expected = Fraction(1, 2 ** (g.m - g.n + 1))
         if Fraction(radius_cluster_exponent(result, g)) != expected:

@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 from .algebra import mat_power_traces
 from .errors import BudgetError, ConsistencyError
+from .signed import SIGNING_EDGE_LIMIT, enumerate_signings
 
 PARITY_DP_EDGE_LIMIT = 24
-SIGNED_MEAN_EDGE_LIMIT = 20
 COVERING_STATE_BUDGET = 40_000_000
 
 
@@ -83,18 +83,14 @@ def _parity_profile_dp(g, max_d):
 
 
 def _parity_profile_signed_mean(g, max_d):
-    if g.m > SIGNED_MEAN_EDGE_LIMIT:
+    if g.m > SIGNING_EDGE_LIMIT:
         raise BudgetError(
-            f"signed-mean enumeration supports at most {SIGNED_MEAN_EDGE_LIMIT} "
+            f"signed-mean enumeration supports at most {SIGNING_EDGE_LIMIT} "
             f"edges, got {g.m}"
         )
     totals = [0] * (max_d + 1)
-    for signs in itertools.product((1, -1), repeat=g.m):
-        a = [[0] * g.n for _ in range(g.n)]
-        for s, (u, v) in zip(signs, g.edges):
-            a[u][v] = s
-            a[v][u] = s
-        traces = mat_power_traces(a, max_d)
+    for sg in enumerate_signings(g):
+        traces = mat_power_traces(sg.matrix(), max_d)
         for t in range(max_d + 1):
             totals[t] += traces[t]
     scale = 1 << g.m
@@ -133,8 +129,7 @@ def covering_parity_profile(motif, max_d, state_budget=COVERING_STATE_BUDGET):
     if max_d < 2 * motif.m:
         # covering needs every edge at least twice
         return [0] * (max_d + 1)
-    cached = _covering_profile_cached(motif, max_d, state_budget)
-    return list(cached)
+    return list(_covering_profile_cached(motif, max_d, state_budget))
 
 
 @lru_cache(maxsize=4096)

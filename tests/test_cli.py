@@ -243,6 +243,14 @@ class TestErrors:
             cli.main(["walks", "--graph", "cycle:3", "--d", "2", "--nope"])
         assert err.value.code == 2
 
+    def test_negative_max_edges_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["census", "--graph", "cycle:3", "--max-edges", "-3"])
+        assert err.value.code == 2
+        # 0 still means every edge
+        _, out, _ = run_cli(capsys, "census", "--graph", "cycle:3", "--max-edges", "0")
+        assert len(out.splitlines()) == 3
+
     def test_computation_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "walks", "--graph", "3 2\\n0 1\\n1 1", "--d", "2")
         assert code == 1

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from hyperspectra import means
 from hyperspectra.algebra import poly_eval
-from hyperspectra.graphs import cycle_graph, path_graph
+from hyperspectra.errors import BudgetError
+from hyperspectra.graphs import complete_graph, cycle_graph, path_graph
 from hyperspectra.means import (
     amgm_check,
     geometric_mean_evaluate,
@@ -123,6 +125,29 @@ class TestAmGm:
     def test_precondition_unmet_is_skipped(self):
         report = amgm_check(C3, 1.5)
         assert report.status == "skipped"
+
+    def test_one_polynomial_per_signing(self, monkeypatch):
+        # the geometric mean reuses the values the arithmetic mean reads
+        calls = []
+
+        def counted(sg):
+            calls.append(sg)
+            return char_poly_exact(sg)
+
+        monkeypatch.setattr(means, "char_poly_exact", counted)
+        report = amgm_check(cycle_graph(4), 3.0)
+        assert len(calls) == 16
+        assert report.beta_value == geometric_mean_evaluate(cycle_graph(4), 3.0)
+
+    def test_signing_budget(self):
+        # K7 has 21 edges, one more than the signing enumeration allows
+        for call in (
+            lambda g: amgm_check(g, 3.0),
+            lambda g: geometric_mean_evaluate(g, 3.0),
+            lambda g: matching_polynomial(g, method="signed_mean"),
+        ):
+            with pytest.raises(BudgetError, match="supports at most 20 edges"):
+                call(complete_graph(7))
 
     def test_never_fails_on_corpus(self, small_corpus):
         for g in small_corpus:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperspectra import spectrum
+from hyperspectra import graphs, spectrum
 from hyperspectra.algebra import basis_exponents, coprime_basis, poly_divmod
 from hyperspectra.digraphs import power_moment_prefactor
 from hyperspectra.errors import ConsistencyError
@@ -50,6 +50,12 @@ class TestScriptS:
 
     def test_k_symmetry(self):
         assert script_S(K2, 4, 3) == 0
+
+    def test_low_order_past_the_certificate_limit(self):
+        # S_3 needs motifs of one edge only, so P12, whose connected
+        # subgraphs reach 12 vertices, is in reach (same value as the naive
+        # tensor trace of `hyperspectra oracle --graph path:12 --d 3`)
+        assert script_S(path_graph(12), 3, 3) == 103809024
 
     def test_k2_reduces_to_parity_counts(self, small_corpus):
         for g in small_corpus:
@@ -122,7 +128,7 @@ class TestCharPolyPower:
                 fsf = char_poly_power(g, k)
                 for f in fsf.factors:
                     assert isinstance(f.mu, int) and f.mu >= 0
-                check_moment_identity(g, fsf, len(fsf.factors))
+                check_moment_identity(g, fsf)
 
     def test_zero_clusters_retained(self):
         # the sigma^2 = 2 cluster of the triangle gets multiplicity 0 at k=3
@@ -171,9 +177,9 @@ class TestCharPolyPower:
         factors = tuple(
             replace(f, mu=f.mu + 1) if f.b == (-4, 1) else f for f in fsf.factors
         )
-        check_moment_identity(C3, fsf, len(fsf.factors))
+        check_moment_identity(C3, fsf)
         with pytest.raises(ConsistencyError):
-            check_moment_identity(C3, replace(fsf, factors=factors), len(factors))
+            check_moment_identity(C3, replace(fsf, factors=factors))
 
     def test_cycle4_multiplicities(self):
         # frozen pipeline output: C4 at k=3 has golden-ratio clusters with
@@ -210,19 +216,31 @@ class TestCharPolyPower:
             "λ^48 (λ^3 - 1)^48"
         )
 
-    def test_moment_check_builds_one_census(self, monkeypatch):
-        g = cycle_graph(8)
-        fsf = char_poly_power(g, 3)
+    def test_one_canonical_search_per_subgraph(self, monkeypatch):
+        # the multiplicities and their moment check share one census per
+        # graph: C8 has 8 * 7 + 1 = 57 connected edge subsets, and further
+        # k and beta on the same graph search no more
         calls = []
-        census = spectrum.connected_subgraph_census
+        form = graphs.canonical_form
 
-        def counted(*args):
-            calls.append(args)
-            return census(*args)
+        def counted(g, *args):
+            calls.append(g)
+            return form(g, *args)
 
-        monkeypatch.setattr(spectrum, "connected_subgraph_census", counted)
-        check_moment_identity(g, fsf, len(fsf.factors))
-        assert len(calls) == 1
+        monkeypatch.setattr(graphs, "canonical_form", counted)
+        spectrum._motif_spectra.cache_clear()
+        g = cycle_graph(8)
+        char_poly_power(g, 3)
+        assert len(calls) == 57
+        char_poly_power(g, 4)
+        beta(g)
+        assert len(calls) == 57
+
+    def test_moment_check_range_comes_from_the_graph(self):
+        # a result that lost its factors must not pass with nothing checked
+        fsf = char_poly_power(K2, 3)
+        with pytest.raises(ConsistencyError):
+            check_moment_identity(K2, replace(fsf, factors=(), mu0=12))
 
     def test_k2_rejected(self):
         with pytest.raises(ValueError):

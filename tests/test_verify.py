@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 from hyperspectra import spectrum, verify
-from hyperspectra.graphs import path_graph
+from hyperspectra.graphs import cycle_graph, path_graph
 
 P3 = path_graph(3)
 
@@ -27,3 +27,17 @@ def test_forest_check_expands_beta():
     wrong = replace(spectrum.beta(P3), mu0=3, factors=())
     status, detail = verify._check_beta_forest([P3], _FixedBeta(wrong))
     assert status == "fail", detail
+
+
+def test_decomposition_builds_one_census_per_graph(monkeypatch):
+    calls = []
+    census = verify.connected_subgraph_census
+
+    def counted(g, max_edges):
+        calls.append(max_edges)
+        return census(g, max_edges)
+
+    monkeypatch.setattr(verify, "connected_subgraph_census", counted)
+    status, detail = verify._check_decomposition([P3, cycle_graph(4)], None)
+    assert status == "pass", detail
+    assert calls == [2, 4]
