@@ -217,31 +217,6 @@ def parse_graph(text):
 # isomorphism certificates
 
 
-def _degree_class_permutations(g):
-    """Bijections old->new that send vertices into slots grouped by degree
-    (degree descending).  Minimizing over this family is isomorphism-safe
-    because the slot layout depends only on the degree multiset.
-    """
-    deg = g.degrees()
-    by_degree = {}
-    for v in range(g.n):
-        by_degree.setdefault(deg[v], []).append(v)
-    slot = 0
-    groups = []
-    for d in sorted(by_degree, reverse=True):
-        members = by_degree[d]
-        groups.append((members, list(range(slot, slot + len(members)))))
-        slot += len(members)
-    for assignment in itertools.product(
-        *(itertools.permutations(slots) for _, slots in groups)
-    ):
-        perm = [0] * g.n
-        for (members, _), slots in zip(groups, assignment):
-            for v, s in zip(members, slots):
-                perm[v] = s
-        yield perm
-
-
 def _encode_upper_triangle(g, perm):
     bits = 0
     adj = set()
@@ -256,18 +231,58 @@ def _encode_upper_triangle(g, perm):
 
 def canonical_form(g, max_vertices=CERTIFICATE_VERTEX_LIMIT):
     """The relabeled copy of g with the minimum upper-triangular adjacency
-    encoding over all degree-respecting relabelings (brute force; bounded by
-    max_vertices).  Isomorphic graphs get equal forms, and the form of a
-    form is the form itself.
+    encoding over all degree-respecting relabelings (slots grouped by degree,
+    descending; bounded by max_vertices).  Isomorphic graphs get equal forms,
+    and the form of a form is the form itself.
+
+    The search fills slots 0..n-1 in turn instead of trying permutations.  A
+    state is the vertices placed so far plus an ordered list of cells, masks
+    of unplaced vertices that each own the next consecutive block of slots;
+    it starts from the degree classes.  Slot i takes a vertex w of the first
+    cell, one per twin class (twins u, w have N(u)-{w} = N(w)-{u}, so the
+    transposition (u w) is an automorphism fixing the state).  Splitting
+    every cell into w's non-neighbours followed by its neighbours gives row i
+    of the encoding its unique minimum for that w, and only the children
+    whose row i is smallest over all states survive.  Rows compare in
+    encoding order, so every minimising relabeling survives every slot.
     """
     if g.n > max_vertices:
         raise BudgetError(
             f"canonical form supports at most {max_vertices} vertices, got {g.n}"
         )
-    best_perm = min(
-        _degree_class_permutations(g), key=lambda perm: _encode_upper_triangle(g, perm)
-    )
-    return g.relabel(best_perm)
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    by_degree = {}
+    for v in range(g.n):
+        d = nbr[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    states = [((), tuple(by_degree[d] for d in sorted(by_degree, reverse=True)))]
+    for _ in range(g.n):
+        best_row, children = None, []
+        for placed, cells in states:
+            first = cells[0]
+            tried = []
+            for w in (v for v in range(g.n) if first >> v & 1):
+                if any((nbr[u] ^ nbr[w]) & ~(1 << u | 1 << w) == 0 for u in tried):
+                    continue
+                tried.append(w)
+                row, split = 0, []
+                for cell in (first & ~(1 << w),) + cells[1:]:
+                    near = cell & nbr[w]
+                    far = cell ^ near
+                    row = (row << cell.bit_count()) | ((1 << near.bit_count()) - 1)
+                    split.extend(part for part in (far, near) if part)
+                if best_row is None or row < best_row:
+                    best_row, children = row, []
+                if row == best_row:
+                    children.append((placed + (w,), tuple(split)))
+        states = children
+    perm = [0] * g.n
+    for slot, v in enumerate(states[0][0]):
+        perm[v] = slot
+    return g.relabel(perm)
 
 
 def _form_certificate(form):
@@ -281,7 +296,8 @@ def _form_certificate(form):
 def canonical_certificate(g, max_vertices=CERTIFICATE_VERTEX_LIMIT):
     """Byte certificate equal for isomorphic graphs and distinct otherwise:
     the vertex count followed by the upper-triangular adjacency encoding of
-    `canonical_form(g)` (bounded by max_vertices).
+    `canonical_form(g)`, i.e. the minimum encoding over degree-respecting
+    relabelings that its slot-by-slot search finds (bounded by max_vertices).
     """
     if g.n > max_vertices:
         raise BudgetError(

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp
 
@@ -51,20 +52,31 @@ def matching_polynomial(g, method="direct"):
         return coeffs
     if method == "signed_mean":
         totals = [0] * (g.n + 1)
-        for sg in enumerate_signings(g):
-            for i, c in enumerate(char_poly_exact(sg)):
+        for poly in _signed_char_polys(g):
+            for i, c in enumerate(poly):
                 totals[i] += c
         scale = Fraction(1, 2**g.m)
         return [scale * c for c in totals]
     raise ValueError(f"unknown method {method!r}")
 
 
+@lru_cache(maxsize=64)
+def _signed_char_polys(g):
+    """char_poly_exact of every signing of g, in enumerate_signings order
+    (which refuses more than SIGNING_EDGE_LIMIT edges); memoised per graph,
+    with equal polynomials stored once and shared."""
+    interned = {}
+    return tuple(
+        interned.setdefault(poly, poly)
+        for poly in (tuple(char_poly_exact(sg)) for sg in enumerate_signings(g))
+    )
+
+
 def signed_char_poly_values(g, lambda0):
     """phi_pi(lambda0) for every signing, as exact rationals (lambda0 is
-    taken at its exact binary value); enumerate_signings refuses more than
-    SIGNING_EDGE_LIMIT edges."""
+    taken at its exact binary value)."""
     x = Fraction(lambda0)
-    return [poly_eval(char_poly_exact(sg), x) for sg in enumerate_signings(g)]
+    return [poly_eval(poly, x) for poly in _signed_char_polys(g)]
 
 
 def geometric_mean_evaluate(g, lambda0, precision_bits=256):

@@ -31,12 +31,13 @@ FULL_SCOPE_PIPELINE_EDGE_LIMIT = 8
 
 
 class _PipelineCache:
-    """Per-suite-run memo for the factored spectra, so the check groups can
-    share results without any cross-run state."""
+    """Per-suite-run memo for the factored spectra and the corpus digraphs,
+    so the check groups can share results without any cross-run state."""
 
     def __init__(self):
         self._charpoly = {}
         self._beta = {}
+        self._digraphs = {}
 
     def charpoly(self, g, k):
         key = (g, k)
@@ -48,6 +49,12 @@ class _PipelineCache:
         if g not in self._beta:
             self._beta[g] = spectrum.beta(g)
         return self._beta[g]
+
+    def corpus_digraphs(self, seeds):
+        key = tuple(seeds)
+        if key not in self._digraphs:
+            self._digraphs[key] = _corpus_digraphs(seeds)
+        return self._digraphs[key]
 
 
 def quick_corpus():
@@ -156,7 +163,7 @@ def _corpus_digraphs(seeds, max_vertices=4, max_arcs=10, max_per_motif=6):
 
 
 def _check_best_theorem(seeds, ctx):
-    cases = _synthetic_digraphs() + _corpus_digraphs(seeds)
+    cases = _synthetic_digraphs() + ctx.corpus_digraphs(seeds)
     for d in cases:
         formula = digraphs.eulerian_walk_count(d, method="best")
         brute = digraphs.eulerian_walk_count(d, method="brute")
@@ -184,7 +191,7 @@ def _check_tree_reduction(seeds, ctx):
     )
     cases = [d for d in _synthetic_digraphs() if _liftable(d)]
     cases.append(doubled_triangle)
-    cases.extend(d for d in _corpus_digraphs(seeds) if _liftable(d))
+    cases.extend(d for d in ctx.corpus_digraphs(seeds) if _liftable(d))
     count = 0
     for dstar in cases:
         for k in (3, 4, 5):

@@ -1,7 +1,21 @@
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from hyperspectra.graphs import all_connected_graphs
 from hyperspectra.verify import full_corpus, quick_corpus
+
+# the default run is deterministic and leaves no example database behind;
+# no deadline, since a brute-force oracle's time varies with the host
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    # even without a database, Hypothesis caches the constants it reads from
+    # the source under its home directory; keep that inside pytest's cache
+    if hasattr(config, "cache"):
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,15 @@
 import itertools
+import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperspectra.errors import BudgetError, GraphParseError
 from hyperspectra.graphs import (
     Graph,
+    _encode_upper_triangle,
     all_connected_graphs,
     are_isomorphic,
     canonical_certificate,
@@ -136,6 +141,107 @@ class TestCertificate:
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_form(g.relabel(perm)) == form
+
+
+def _degree_class_permutations(g):
+    """Bijections old->new that send vertices into slots grouped by degree
+    (degree descending), the family canonical_form minimises over."""
+    deg = g.degrees()
+    by_degree = {}
+    for v in range(g.n):
+        by_degree.setdefault(deg[v], []).append(v)
+    slot = 0
+    groups = []
+    for d in sorted(by_degree, reverse=True):
+        members = by_degree[d]
+        groups.append((members, list(range(slot, slot + len(members)))))
+        slot += len(members)
+    for assignment in itertools.product(
+        *(itertools.permutations(slots) for _, slots in groups)
+    ):
+        perm = [0] * g.n
+        for (members, _), slots in zip(groups, assignment):
+            for v, s in zip(members, slots):
+                perm[v] = s
+        yield perm
+
+
+def brute_force_form(g):
+    """Oracle: try every degree-respecting relabeling."""
+    best = min(
+        _degree_class_permutations(g), key=lambda perm: _encode_upper_triangle(g, perm)
+    )
+    return g.relabel(best)
+
+
+def _circulant(n, jumps):
+    return Graph(
+        n, tuple({tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
+    )
+
+
+def _to_nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    return out
+
+
+@st.composite
+def relabeled_graphs(draw):
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    perm = draw(st.permutations(range(n)))
+    g = Graph(n, tuple(e for e, keep in zip(pairs, chosen) if keep))
+    return g, perm
+
+
+class TestCanonicalSearch:
+    def test_matches_brute_force_up_to_five_vertices(self):
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                edges = tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
+                g = Graph(n, edges)
+                assert canonical_form(g) == brute_force_form(g), g
+
+    @settings(max_examples=200)
+    @given(relabeled_graphs())
+    def test_matches_brute_force_and_ignores_labels(self, case):
+        g, perm = case
+        form = canonical_form(g)
+        assert form == brute_force_form(g)
+        assert canonical_form(g.relabel(perm)) == form
+
+    def test_ten_vertices(self):
+        # past the oracle's reach: relabel invariance, and equal forms
+        # exactly for the pairs networkx finds isomorphic (C10(1,3) is
+        # K5,5 minus a perfect matching)
+        petersen = Graph(
+            10,
+            tuple((i, (i + 1) % 5) for i in range(5))
+            + tuple((i, i + 5) for i in range(5))
+            + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
+        )
+        five_k2 = Graph(10, tuple((2 * i, 2 * i + 1) for i in range(5)))
+        k55_minus_pm = Graph(
+            10, tuple((i, 5 + j) for i in range(5) for j in range(5) if i != j)
+        )
+        graphs = [petersen, five_k2, k55_minus_pm, _circulant(10, (1, 3))]
+        rng = random.Random(20240817)
+        forms = []
+        for g in graphs:
+            form = canonical_form(g)
+            assert nx.is_isomorphic(_to_nx(g), _to_nx(form))
+            for _ in range(3):
+                perm = list(range(10))
+                rng.shuffle(perm)
+                assert canonical_form(g.relabel(perm)) == form
+            forms.append(form)
+        for (a, fa), (b, fb) in itertools.combinations(zip(graphs, forms), 2):
+            assert (fa == fb) == nx.is_isomorphic(_to_nx(a), _to_nx(b))
+        assert forms[2] == forms[3]
 
 
 class TestCensus:

@@ -135,6 +135,7 @@ class TestAmGm:
             return char_poly_exact(sg)
 
         monkeypatch.setattr(means, "char_poly_exact", counted)
+        means._signed_char_polys.cache_clear()
         report = amgm_check(cycle_graph(4), 3.0)
         assert len(calls) == 16
         assert report.beta_value == geometric_mean_evaluate(cycle_graph(4), 3.0)

@@ -1,6 +1,6 @@
 from dataclasses import replace
 
-from hyperspectra import spectrum, verify
+from hyperspectra import means, spectrum, verify
 from hyperspectra.graphs import cycle_graph, path_graph
 
 P3 = path_graph(3)
@@ -41,3 +41,35 @@ def test_decomposition_builds_one_census_per_graph(monkeypatch):
     status, detail = verify._check_decomposition([P3, cycle_graph(4)], None)
     assert status == "pass", detail
     assert calls == [2, 4]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_signed_polynomials_computed_once_per_graph(monkeypatch):
+    # geometric-mean, godsil-gutman and am-gm read one set of 2^|E| signed
+    # polynomials per graph: sum of 2^|E| over the quick corpus is 166
+    calls = _count_calls(monkeypatch, means, "char_poly_exact")
+    means._signed_char_polys.cache_clear()
+    report = verify.run_verify_suite("quick")
+    assert report.ok
+    assert len(calls) == 2 + 4 + 8 + 8 + 16 + 32 + 32 + 64
+
+
+def test_corpus_digraphs_built_once_per_suite(monkeypatch):
+    # one census per graph for the decomposition check and one for the
+    # digraphs both BEST checks share: 16 on the 8 quick graphs (24 when
+    # each BEST check builds its own)
+    calls = _count_calls(monkeypatch, verify, "connected_subgraph_census")
+    report = verify.run_verify_suite("quick")
+    assert report.ok
+    assert len(calls) == 16
