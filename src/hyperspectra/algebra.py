@@ -1,14 +1,16 @@
-"""Exact polynomial and integer-matrix helpers.
+"""Exact polynomial and integer-matrix helpers, in integers only.
 
-Polynomials are plain lists of coefficients in ascending degree order
-([c0, c1, ...] stands for c0 + c1*x + ...).  Everything here is exact:
-integers or fractions.Fraction, never floats.
+Polynomials are plain lists of integer coefficients in ascending degree
+order ([c0, c1, ...] stands for c0 + c1*x + ...).  Gcds come from the
+primitive pseudo-remainder sequence and every division is exact, so no
+rational and no float is formed; the one float output is a real root,
+isolated by an integer Sturm sequence and bisected at dyadic points until
+its interval rounds to a single double.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -47,113 +49,6 @@ def poly_mul(a, b):
     return poly_trim(out)
 
 
-def poly_divmod(a, b):
-    """Division with remainder over the rationals."""
-    a = [Fraction(c) for c in poly_trim(a)]
-    b = [Fraction(c) for c in poly_trim(b)]
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    inv_lead = 1 / b[-1]
-    while len(r) >= len(b) and any(r):
-        shift = len(r) - len(b)
-        factor = r[-1] * inv_lead
-        q[shift] = factor
-        for i, cb in enumerate(b):
-            r[shift + i] -= factor * cb
-        r = poly_trim(r)
-        if not r:
-            break
-    return poly_trim(q), poly_trim(r)
-
-
-def poly_gcd(a, b):
-    """Monic gcd over the rationals."""
-    a = poly_trim(a)
-    b = poly_trim(b)
-    while b:
-        _, rem = poly_divmod(a, b)
-        a, b = b, rem
-    if not a:
-        return []
-    lead = Fraction(a[-1])
-    return [Fraction(c) / lead for c in a]
-
-
-def _primitive(p):
-    """A nonzero rational polynomial scaled to a primitive integer polynomial
-    with positive leading coefficient."""
-    denom = 1
-    for c in p:
-        denom = lcm(denom, Fraction(c).denominator)
-    ints = [int(c * denom) for c in p]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    if ints[-1] < 0:
-        content = -content
-    return [c // content for c in ints]
-
-
-def squarefree_part(p):
-    """Squarefree part of an integer polynomial, as a primitive integer
-    polynomial with positive leading coefficient."""
-    p = poly_trim(p)
-    if len(p) <= 1:
-        return list(p)
-    g = poly_gcd(p, poly_derivative(p))
-    q, rem = poly_divmod(p, g)
-    if poly_trim(rem):
-        raise ArithmeticError("gcd does not divide its polynomial")
-    return _primitive(q)
-
-
-def coprime_basis(polys):
-    """Gcd-free basis of the squarefree parts of nonzero integer polynomials:
-    pairwise coprime, squarefree, primitive integer polynomials such that
-    every input is a constant times a product of powers of basis elements.
-
-    Each squarefree part is split against the basis built so far: a shared
-    gcd g replaces b by g and b/g, and the part continues as p/g.
-    """
-    basis = []
-    for p in polys:
-        p = squarefree_part(p)
-        refined = []
-        for b in basis:
-            g = poly_gcd(b, p)
-            if len(g) <= 1:
-                refined.append(b)
-                continue
-            refined.append(_primitive(g))
-            rest = poly_divmod(b, g)[0]
-            if len(rest) > 1:
-                refined.append(_primitive(rest))
-            p = _primitive(poly_divmod(p, g)[0])
-        if len(p) > 1:
-            refined.append(p)
-        basis = refined
-    return basis
-
-
-def basis_exponents(p, basis):
-    """Exponents e_i with p = c * prod basis[i]^e_i for a constant c; raises
-    ArithmeticError when p does not factor over the basis."""
-    exponents = []
-    for b in basis:
-        e = 0
-        while len(p) >= len(b):
-            quotient, rem = poly_divmod(p, b)
-            if rem:
-                break
-            p, e = quotient, e + 1
-        exponents.append(e)
-    if len(poly_trim(p)) != 1:
-        raise ArithmeticError("polynomial does not factor over the basis")
-    return exponents
-
-
 def poly_pow(p, exponent):
     out = [1]
     for _ in range(exponent):
@@ -161,18 +56,244 @@ def poly_pow(p, exponent):
     return out
 
 
-def charpoly_from_power_sums(sums, n):
-    """Monic polynomial of degree n whose roots have the given power sums
-    s_1..s_n (inverse of the Girard-Newton recurrence); exact rationals."""
-    if len(sums) < n + 1:
-        raise ValueError("need power sums up to order n")
-    e = [Fraction(1)] + [Fraction(0)] * n
-    for j in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, j + 1):
-            acc += (-1) ** (i - 1) * e[j - i] * sums[i]
-        e[j] = acc / j
-    return [(-1) ** (n - i) * e[n - i] for i in range(n + 1)]
+def _poly_sub(a, b):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return poly_trim(out)
+
+
+def _content_free(p):
+    """p divided by its (positive) content; the signs are kept."""
+    content = gcd(*p)
+    return p if content == 1 else [c // content for c in p]
+
+
+def _primitive(p):
+    """The primitive integer polynomial with positive leading coefficient
+    that is a constant multiple of the nonzero p."""
+    p = _content_free(p)
+    return [-c for c in p] if p[-1] < 0 else p
+
+
+def _pseudo_remainder(a, b):
+    """A positive multiple of the remainder of a by the nonzero b: each
+    step scales by |lead(b)|, so every intermediate value is an integer."""
+    r = list(a)
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    db = len(b) - 1
+    while len(r) > db:
+        top = sign * r[-1]
+        shift = len(r) - 1 - db
+        if scale != 1:
+            r = [c * scale for c in r]
+        for i, cb in enumerate(b):
+            r[shift + i] -= top * cb
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _quotient(a, b):
+    """The quotient a / b for a primitive b that divides a, else None.
+
+    By Gauss's lemma the quotient of an integer polynomial by a primitive
+    divisor has integer coefficients, so a step whose leading coefficient
+    does not divide exactly proves that b does not divide a.
+    """
+    r = list(a)
+    lead = b[-1]
+    db = len(b) - 1
+    q = [0] * max(0, len(r) - db)
+    while len(r) > db:
+        c, rem = divmod(r[-1], lead)
+        if rem:
+            return None
+        shift = len(r) - 1 - db
+        q[shift] = c
+        for i, cb in enumerate(b):
+            r[shift + i] -= c * cb
+        while r and r[-1] == 0:
+            r.pop()
+    return None if r else q
+
+
+def _divide(a, b):
+    q = _quotient(a, b)
+    if q is None:
+        raise ArithmeticError("divisor does not divide its polynomial")
+    return q
+
+
+def poly_gcd(a, b):
+    """Primitive gcd with positive leading coefficient ([] when both are
+    zero), by the primitive pseudo-remainder sequence."""
+    a, b = poly_trim(a), poly_trim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return _primitive(a) if a else []
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def squarefree_decomposition(p):
+    """Yun's algorithm: [f1, f2, ...] with p = c * f1 * f2^2 * f3^3 ...,
+    each f_i primitive, squarefree, with positive leading coefficient, and
+    pairwise coprime ([1] for a multiplicity with no roots)."""
+    p = poly_trim(p)
+    if len(p) <= 1:
+        return []
+    p = _primitive(p)
+    dp = poly_derivative(p)
+    g = poly_gcd(p, dp)
+    c = _divide(p, g)
+    d = _poly_sub(_divide(dp, g), poly_derivative(c))
+    factors = []
+    while len(c) > 1:
+        a = poly_gcd(c, d)
+        c = _divide(c, a)
+        d = _poly_sub(_divide(d, a), poly_derivative(c))
+        factors.append(a)
+    return factors
+
+
+def coprime_basis(polys):
+    """Gcd-free basis of nonzero integer polynomials: pairwise coprime,
+    squarefree, primitive integer polynomials with positive leading
+    coefficient, such that every input is a constant times a product of
+    powers of basis elements.  When every input has leading coefficient
+    +-1, so does each divisor, so every element is monic.
+
+    Repeated inputs are dropped.  Each factor f of an input's squarefree
+    decomposition is split against the basis built so far: a shared gcd g
+    replaces b by g and b/g, and f continues as f/g.  The result groups the
+    roots of the inputs by their multiplicity in every input.
+    """
+    basis = []
+    for p in dict.fromkeys(map(tuple, polys)):
+        for f in squarefree_decomposition(p):
+            refined = []
+            for b in basis:
+                g = poly_gcd(b, f) if len(f) > 1 else [1]
+                if len(g) <= 1:
+                    refined.append(b)
+                    continue
+                refined.append(g)
+                rest = _divide(b, g)
+                if len(rest) > 1:
+                    refined.append(rest)
+                f = _divide(f, g)
+            if len(f) > 1:
+                refined.append(f)
+            basis = refined
+    return basis
+
+
+def basis_exponents(p, basis):
+    """Exponents e_i with p = c * prod basis[i]^e_i for a constant c; raises
+    ArithmeticError when p does not factor over the basis."""
+    p = poly_trim(p)
+    exponents = []
+    for b in basis:
+        e = 0
+        while len(p) >= len(b):
+            q = _quotient(p, b)
+            if q is None:
+                break
+            p, e = q, e + 1
+        exponents.append(e)
+    if len(p) != 1:
+        raise ArithmeticError("polynomial does not factor over the basis")
+    return exponents
+
+
+def _sign_at(p, m, s):
+    """Sign of p(m / 2^s), read off the integer 2^(s deg p) p(m / 2^s)."""
+    d = len(p) - 1
+    acc = p[d]
+    for i in range(d - 1, -1, -1):
+        acc = acc * m + (p[i] << (s * (d - i)))
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_sequence(p):
+    """p, p' and the negated remainders, each scaled by positive constants
+    only, so that sign variations count roots as in Sturm's theorem."""
+    seq = [p, poly_derivative(p)]
+    while len(seq[-1]) > 1:
+        r = _pseudo_remainder(seq[-2], seq[-1])
+        if not r:
+            raise ArithmeticError("polynomial is not squarefree")
+        seq.append([-c for c in _content_free(r)])
+    return seq
+
+
+def _variations(seq, m, s):
+    """Sign variations of the Sturm sequence at m / 2^s."""
+    count, last = 0, 0
+    for q in seq:
+        sign = _sign_at(q, m, s)
+        if sign:
+            if last and sign != last:
+                count += 1
+            last = sign
+    return count
+
+
+def _round_root(p, lo, hi, s):
+    """The double nearest the one root of p in (lo / 2^s, hi / 2^s]: halve
+    the interval until both ends round to the same double."""
+    top = _sign_at(p, hi, s)
+    while top and lo / (1 << s) != hi / (1 << s):
+        mid, lo, hi, s = lo + hi, 2 * lo, 2 * hi, s + 1
+        sign = _sign_at(p, mid, s)
+        if sign == top:
+            hi = mid
+        elif sign:
+            lo = mid
+        else:
+            hi, top = mid, 0
+    return hi / (1 << s)
+
+
+def real_roots(p):
+    """The roots of a squarefree integer polynomial whose roots are all
+    real, ascending, each as the double nearest to it (int / int division
+    rounds correctly).  Raises ArithmeticError for any other polynomial.
+
+    A Sturm sequence counts the roots in (lo, hi] for dyadic ends, starting
+    from a power of two above the Cauchy bound; intervals holding several
+    roots are halved until each holds one, which is then bisected by the
+    sign of p alone.
+    """
+    p = poly_trim(p)
+    degree = len(p) - 1
+    if degree < 1:
+        return []
+    seq = _sturm_sequence(p)
+    bound = 1 << (2 + max(map(abs, p[:-1])) // abs(p[-1])).bit_length()
+    v_lo, v_hi = _variations(seq, -bound, 0), _variations(seq, bound, 0)
+    if v_lo - v_hi != degree:
+        raise ArithmeticError("polynomial has non-real roots")
+    roots = []
+    stack = [(-bound, bound, 0, v_lo, v_hi)]
+    while stack:
+        lo, hi, s, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            roots.append(_round_root(p, lo, hi, s))
+        elif v_lo - v_hi > 1:
+            mid, lo, hi, s = lo + hi, 2 * lo, 2 * hi, s + 1
+            v_mid = _variations(seq, mid, s)
+            stack.append((mid, hi, s, v_mid, v_hi))
+            stack.append((lo, mid, s, v_lo, v_mid))
+    return roots
 
 
 def power_sums_from_charpoly(coeffs, d_max):

@@ -306,46 +306,6 @@ def canonical_certificate(g, max_vertices=CERTIFICATE_VERTEX_LIMIT):
     return _form_certificate(canonical_form(g, max_vertices))
 
 
-def are_isomorphic(a, b):
-    """Brute-force isomorphism test (independent of certificates)."""
-    if a.n != b.n or a.m != b.m:
-        return False
-    if sorted(a.degrees()) != sorted(b.degrees()):
-        return False
-    a_edges = set(a.edges)
-    b_edges = set(b.edges)
-    deg_a, deg_b = a.degrees(), b.degrees()
-    verts_b_by_degree = {}
-    for v in range(b.n):
-        verts_b_by_degree.setdefault(deg_b[v], []).append(v)
-    order = sorted(range(a.n), key=lambda v: (deg_a[v], v))
-
-    def extend(i, mapping, used):
-        if i == a.n:
-            return True
-        v = order[i]
-        for w in verts_b_by_degree[deg_a[v]]:
-            if w in used:
-                continue
-            ok = True
-            for u in order[:i]:
-                has = (min(u, v), max(u, v)) in a_edges
-                has_b = (min(mapping[u], w), max(mapping[u], w)) in b_edges
-                if has != has_b:
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1, mapping, used):
-                    return True
-                mapping[v] = None
-                used.remove(w)
-        return False
-
-    return extend(0, [None] * a.n, set())
-
-
 # ---------------------------------------------------------------------------
 # motif census
 
@@ -422,17 +382,6 @@ def connected_edge_subsets(g, max_edges):
                     nxt.append(grown)
         frontier = nxt
     return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-def connected_edge_subsets_brute(g, max_edges):
-    """Independent oracle: plain subset enumeration plus a connectivity check."""
-    out = []
-    for size in range(1, max_edges + 1):
-        for combo in itertools.combinations(range(g.m), size):
-            sub = g.subgraph_of_edges(combo)
-            if sub.is_connected():
-                out.append(frozenset(combo))
-    return out
 
 
 def connected_subgraph_classes(g, max_edges):

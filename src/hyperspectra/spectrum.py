@@ -9,10 +9,13 @@ inclusion-exclusion over parity-closed counts, which are signed-trace
 averages.  Each multiplicity mu(x) is therefore read off as a coefficient,
 with no linear system.  Squared eigenvalues are keyed exactly by the elements
 b of a gcd-free basis of the polynomials `char_poly_of_squares` of all
-connected signed subgraphs; every root of one b carries the same
-multiplicity mu_b, because all polynomials involved have integer
-coefficients.  The only floats are the displayed roots sigma^2 of each b.
-The census, its signed-spectra polynomials and their basis are memoised per
+connected signed subgraphs, built in integer arithmetic; every root of one
+b carries the same multiplicity mu_b, because all polynomials involved have
+integer coefficients.  The only floats are the roots sigma^2 of each b, each
+the double nearest to the exact root: an integer Sturm sequence isolates it
+and bisection at dyadic points narrows it until its interval rounds to one
+double, so no precision parameter is involved.  The census, the exponents of
+its signed-spectra polynomials over the basis, and the basis are memoised per
 graph; each result is checked against exact moments from the same census via
 covering walk counts, not signed spectra, for ell up to a bound set by g.
 """
@@ -26,7 +29,12 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from . import digraphs
-from .algebra import basis_exponents, coprime_basis, power_sums_from_charpoly
+from .algebra import (
+    basis_exponents,
+    coprime_basis,
+    power_sums_from_charpoly,
+    real_roots,
+)
 from .errors import ConsistencyError
 from .graphs import connected_subgraph_classes
 from .signed import char_poly_of_squares, enumerate_signings, spectral_radius
@@ -110,19 +118,25 @@ def _to_mpf(value):
 
 @lru_cache(maxsize=64)
 def _motif_spectra(g):
-    """The connected edge subsets of g grouped by motif class, the
-    `char_poly_of_squares` of each class's switching classes, and their
-    gcd-free basis Sigma; memoised per graph, all immutable."""
+    """The connected edge subsets of g grouped by motif class, the gcd-free
+    basis Sigma of the `char_poly_of_squares` of every class's switching
+    classes, and per class the number of switching classes and the sum of
+    their exponent vectors over Sigma; memoised per graph, all immutable."""
     classes = connected_subgraph_classes(g, g.m) if g.m else ()
-    squares = tuple(
-        tuple(
+    squares = [
+        [
             tuple(char_poly_of_squares(sg))
             for sg in enumerate_signings(motif.graph, up_to_switching=True)
-        )
+        ]
         for motif, _ in classes
-    )
+    ]
     basis = tuple(map(tuple, coprime_basis(q for qs in squares for q in qs)))
-    return classes, squares, basis
+    over_basis = {q: basis_exponents(q, basis) for qs in squares for q in qs}
+    exponents = tuple(
+        (len(qs), tuple(map(sum, zip(*(over_basis[q] for q in qs)))))
+        for qs in squares
+    )
+    return classes, exponents, basis
 
 
 def _power_moments(g, k, top, classes):
@@ -202,30 +216,22 @@ def _exact_multiplicities(g, k):
     C whose vertices touch every edge of H, with sign (-1)^(|H|-|C|).
     Exchanging the sums gives mu(x) = scale * sum_C w(C) abar_C(x).
     """
-    classes, squares, basis = _motif_spectra(g)
+    classes, exponents, basis = _motif_spectra(g)
     scale = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
     mu = [Fraction(0)] * len(basis)
-    for (_, subsets), qs in zip(classes, squares):
-        weight = scale * sum(_covering_weight(g, s, k) for s in subsets) / len(qs)
-        if not weight:
-            continue
-        for q in qs:
-            for i, e in enumerate(basis_exponents(q, basis)):
-                mu[i] += weight * e
+    for (_, subsets), (signings, sums) in zip(classes, exponents):
+        weight = scale * sum(_covering_weight(g, s, k) for s in subsets) / signings
+        if weight:
+            mu = [m + weight * e for m, e in zip(mu, sums)]
     return basis, mu
 
 
 def _factors(pairs):
-    """One SpectralFactor per root of each (b, mu) pair, by ascending root."""
-    factors = []
-    with mp.workprec(DEFAULT_PRECISION_BITS):
-        for b, mu in pairs:
-            roots = mp.polyroots(
-                list(reversed(b)), maxsteps=200, extraprec=DEFAULT_PRECISION_BITS
-            )
-            factors.extend(
-                SpectralFactor(float(mp.re(root)), mu, tuple(b)) for root in roots
-            )
+    """One SpectralFactor per root of each (b, mu) pair, by ascending root;
+    each root is the double nearest to the exact sigma^2."""
+    factors = [
+        SpectralFactor(root, mu, tuple(b)) for b, mu in pairs for root in real_roots(b)
+    ]
     return tuple(sorted(factors, key=lambda f: f.sigma_sq))
 
 

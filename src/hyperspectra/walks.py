@@ -5,16 +5,14 @@ order, matching trace(A^d) semantics.  A parity-closed walk uses every edge
 of the host graph an even number of times; a covering one additionally uses
 every edge at least once (hence at least twice).
 
-Every counter here has an independent twin so the two can cross-check each
-other: the bitmask dynamic program against the signed-trace average, and the
-three-state covering dynamic program against subset inclusion-exclusion.
+The bitmask dynamic program has an independent twin, the signed-trace
+average, so the two can cross-check each other; the three-state covering
+dynamic program is checked in the tests against subset inclusion-exclusion.
 All arithmetic is arbitrary-precision integer; no floats appear anywhere.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -160,17 +158,3 @@ def _covering_profile_cached(motif, max_d, state_budget):
             states = nxt
             profile[t] += states.get((start, accept), 0)
     return tuple(profile)
-
-
-def covering_parity_closed_by_subsets(motif, d):
-    """Inclusion-exclusion oracle over edge subsets:
-    sum over F of (-1)^(|E|-|F|) times parity-closed walks restricted to F."""
-    if not motif.is_connected():
-        raise ValueError("covering counts are defined for connected motifs")
-    total = 0
-    for size in range(motif.m + 1):
-        for combo in itertools.combinations(range(motif.m), size):
-            restricted = replace(motif, edges=tuple(motif.edges[i] for i in combo))
-            count = parity_closed_count(restricted, d, method="dp").value
-            total += (-1) ** (motif.m - size) * count
-    return WalkCount(d, total)

@@ -1,20 +1,24 @@
+import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from hyperspectra.algebra import (
     basis_exponents,
-    charpoly_from_power_sums,
     coprime_basis,
     det_bareiss,
     mat_power_traces,
-    poly_divmod,
     poly_eval,
     poly_gcd,
     poly_mul,
     poly_pow,
     power_sums_from_charpoly,
-    squarefree_part,
+    real_roots,
+    squarefree_decomposition,
 )
 
 
@@ -28,25 +32,46 @@ class TestPolynomials:
         assert poly_mul([1, 1], [1, -1]) == [1, 0, -1]
 
     def test_divmod(self):
-        q, r = poly_divmod([-1, 0, 1], [1, 1])  # (x^2 - 1) / (x + 1)
+        q, r = oracles.poly_divmod([-1, 0, 1], [1, 1])  # (x^2 - 1) / (x + 1)
         assert q == [-1, 1]
         assert r == []
 
     def test_gcd(self):
         # gcd(x^2 - 1, x^2 + 2x + 1) = x + 1
         assert poly_gcd([-1, 0, 1], [1, 2, 1]) == [1, 1]
+        assert oracles.poly_gcd([-1, 0, 1], [1, 2, 1]) == [1, 1]
+        # primitive, with positive leading coefficient: gcd(2x - 2, 4 - 4x^2)
+        assert poly_gcd([-2, 2], [4, 0, -4]) == [-1, 1]
+        assert poly_gcd([1, 1], [-1, 1]) == [1]
+        assert poly_gcd([], []) == []
 
     def test_squarefree(self):
         # (x - 1)^2 (x + 2) = x^3 - 3x + 2 -> (x - 1)(x + 2)
-        assert squarefree_part([2, -3, 0, 1]) == [-2, 1, 1]
+        assert oracles.squarefree_part([2, -3, 0, 1]) == [-2, 1, 1]
+        assert squarefree_decomposition([2, -3, 0, 1]) == [[2, 1], [-1, 1]]
 
     def test_squarefree_of_squarefree(self):
-        assert squarefree_part([-2, 0, 1]) == [-2, 0, 1]
+        assert oracles.squarefree_part([-2, 0, 1]) == [-2, 0, 1]
+        assert squarefree_decomposition([-2, 0, 1]) == [[-2, 0, 1]]
+
+    def test_squarefree_decomposition_skips_absent_multiplicities(self):
+        # -2 (x - 1)^3: no simple or double roots
+        assert squarefree_decomposition([2, -6, 6, -2]) == [[1], [1], [-1, 1]]
 
     def test_coprime_basis(self):
         # (x - 1)(x - 2), (x - 2)^2 (x - 3), x^2 - 2: the shared root 2 splits off
         basis = coprime_basis([[2, -3, 1], [-12, 16, -7, 1], [-2, 0, 1]])
         assert sorted(basis) == [[-3, 1], [-2, 0, 1], [-2, 1], [-1, 1]]
+
+    def test_coprime_basis_refines_repeated_factors(self):
+        # -(x - 1)^2 (x - 4): the squarefree part alone would give one element
+        # (x - 1)(x - 4), over which the input does not factor
+        basis = coprime_basis([[4, -9, 6, -1]])
+        assert sorted(basis) == [[-4, 1], [-1, 1]]
+        assert basis_exponents([4, -9, 6, -1], sorted(basis)) == [1, 2]
+
+    def test_coprime_basis_drops_repeated_inputs(self):
+        assert coprime_basis([[-2, 1], [-2, 1], (-2, 1)]) == [[-2, 1]]
 
     def test_basis_exponents(self):
         basis = [[-1, 1], [-2, 1]]
@@ -69,11 +94,91 @@ class TestPolynomials:
         for poly in ([0, 6, -5, -2, 1], [-2, -3, 0, 1], [1, 0, -3, 0, 1]):
             n = len(poly) - 1
             sums = power_sums_from_charpoly(poly, n)
-            assert charpoly_from_power_sums(sums, n) == [Fraction(c) for c in poly]
+            assert oracles.charpoly_from_power_sums(sums, n) == [
+                Fraction(c) for c in poly
+            ]
 
     def test_poly_pow(self):
         assert poly_pow([1, 1], 3) == [1, 3, 3, 1]
         assert poly_pow([2], 0) == [1]
+
+
+class TestRealRoots:
+    def test_nearest_doubles(self):
+        assert real_roots([-2, 0, 1]) == [-math.sqrt(2), math.sqrt(2)]
+        assert real_roots([6, -5, 1]) == [2.0, 3.0]
+        # x^2 - 3x + 1: the golden-ratio squares (3 -+ sqrt 5) / 2, where
+        # float arithmetic would lose the last bit of the smaller one
+        with localcontext(Context(prec=60)):
+            root5 = Decimal(5).sqrt()
+            expected = [float((3 - root5) / 2), float((3 + root5) / 2)]
+        assert real_roots([1, -3, 1]) == expected
+        assert expected[0] != (3 - math.sqrt(5)) / 2
+
+    def test_roots_on_dyadic_points(self):
+        # 0, 1/2 and -4 are midpoints of the bisection
+        assert real_roots([0, -4, 7, 2]) == [-4.0, 0.0, 0.5]
+
+    def test_close_roots(self):
+        # (x - 1)(2^40 x - 2^40 - 1): two roots 2^-40 apart
+        b = poly_mul([-1, 1], [-(2**40 + 1), 2**40])
+        assert real_roots(b) == [1.0, 1.0 + 2.0**-40]
+
+    def test_refuses_non_real_or_repeated_roots(self):
+        with pytest.raises(ArithmeticError):
+            real_roots([1, 0, 1])
+        with pytest.raises(ArithmeticError):
+            real_roots([1, -2, 1])
+
+    def test_constant(self):
+        assert real_roots([3]) == []
+
+
+def _linear_factors():
+    return st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=1, max_size=3
+    )
+
+
+def _product(factors):
+    """prod (x - r)^e, times x^2 - 2 when asked: an irreducible quadratic."""
+    out = [1]
+    for r, e in factors:
+        out = poly_mul(out, poly_pow([-r, 1], e))
+    return out
+
+
+@st.composite
+def _polynomial_families(draw):
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        p = _product(draw(_linear_factors()))
+        if draw(st.booleans()):
+            p = poly_mul(p, poly_pow([-2, 0, 1], draw(st.integers(1, 2))))
+        polys.append([draw(st.sampled_from([1, -1, 2, -3])) * c for c in p])
+    return polys
+
+
+class TestIntegerBasisAgainstFractionOracle:
+    @given(_polynomial_families())
+    def test_same_basis_and_exponents(self, polys):
+        basis = sorted(coprime_basis(polys))
+        assert basis == sorted(oracles.coprime_basis(polys))
+        for p in polys:
+            assert basis_exponents(p, basis) == oracles.basis_exponents(p, basis)
+
+    @given(_polynomial_families())
+    def test_every_input_factors_over_the_basis(self, polys):
+        basis = coprime_basis(polys)
+        for i, a in enumerate(basis):
+            for b in basis[i + 1 :]:
+                assert poly_gcd(a, b) == [1]
+        for p in polys:
+            exponents = basis_exponents(p, basis)
+            product = [1]
+            for b, e in zip(basis, exponents):
+                product = poly_mul(product, poly_pow(b, e))
+            assert [c * product[-1] for c in p] == [c * p[-1] for c in product]
 
 
 class TestMatrices:

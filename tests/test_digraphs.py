@@ -350,11 +350,8 @@ class TestFullPolynomialClosure:
         # entire degree-12 characteristic polynomial; reconstructing through
         # the inverse Newton recurrence must reproduce the expansion of the
         # factored pipeline output x^3 (x^3 - 1)^3
-        from hyperspectra.algebra import (
-            charpoly_from_power_sums,
-            poly_mul,
-            poly_pow,
-        )
+        from hyperspectra.algebra import poly_mul, poly_pow
+        from oracles import charpoly_from_power_sums
         from hyperspectra.spectrum import char_poly_power
 
         h = power_hypergraph(path_graph(2), 3)

@@ -1,11 +1,13 @@
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from hyperspectra import graphs, spectrum
-from hyperspectra.algebra import basis_exponents, coprime_basis, poly_divmod
+from hyperspectra.algebra import poly_eval
+from hyperspectra.algebra import basis_exponents, coprime_basis
 from hyperspectra.digraphs import power_moment_prefactor
 from hyperspectra.errors import ConsistencyError
 from hyperspectra.graphs import (
@@ -29,6 +31,7 @@ from hyperspectra.spectrum import (
     spectral_radius_multiplicity,
 )
 from hyperspectra.walks import covering_parity_profile, parity_closed_profile
+from oracles import poly_divmod
 
 K2 = path_graph(2)
 P3 = path_graph(3)
@@ -251,6 +254,40 @@ class TestCharPolyPower:
         assert fsf.mu0 == 1
         assert fsf.factors == ()
         assert fsf.to_text() == "λ"
+
+
+PETERSEN = Graph(
+    10,
+    tuple((i, (i + 1) % 5) for i in range(5))
+    + tuple((i, i + 5) for i in range(5))
+    + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
+)
+
+
+def _assert_correctly_rounded(g):
+    """Every root r that _factors returns for the basis of g is the double
+    nearest to a root of its b: b changes sign strictly between the exact
+    midpoints from r to the neighbouring doubles."""
+    basis = spectrum._motif_spectra(g)[2]
+    factors = spectrum._factors((b, 1) for b in basis)
+    assert len(factors) == sum(len(b) - 1 for b in basis)
+    for f in factors:
+        r = Fraction(f.sigma_sq)
+        below = (r + Fraction(math.nextafter(f.sigma_sq, -math.inf))) / 2
+        above = (r + Fraction(math.nextafter(f.sigma_sq, math.inf))) / 2
+        assert poly_eval(f.b, below) * poly_eval(f.b, above) < 0, (g, f)
+
+
+class TestCorrectlyRoundedRoots:
+    def test_corpus_and_k5(self, desk_corpus):
+        # every connected graph on at most 5 vertices, K5 included
+        for g in desk_corpus:
+            _assert_correctly_rounded(g)
+
+    @pytest.mark.slow
+    def test_petersen(self):
+        # 877 roots of 179 basis polynomials
+        _assert_correctly_rounded(PETERSEN)
 
 
 class TestRadiusMultiplicity:

@@ -12,12 +12,12 @@ from hyperspectra.graphs import (
 from hyperspectra.walks import (
     closed_walk_count,
     closed_walk_profile,
-    covering_parity_closed_by_subsets,
     covering_parity_closed_count,
     covering_parity_profile,
     parity_closed_count,
     parity_closed_profile,
 )
+from oracles import covering_parity_closed_by_subsets
 
 K2 = path_graph(2)
 P3 = path_graph(3)
