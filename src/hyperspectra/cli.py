@@ -339,7 +339,12 @@ def build_parser():
         "--method", choices=("dp", "signed_mean", "closed"), default="dp"
     )
     p.add_argument("--covering", action="store_true")
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=walks.COVERING_STATE_BUDGET,
+        help="covering-walk DP states (default %(default)s)",
+    )
     p.set_defaults(func=_cmd_walks)
 
     p = sub.add_parser("census", parents=[common], help="connected motif census")
@@ -362,7 +367,12 @@ def build_parser():
         help="also compare the Eulerian-walk formula against backtracking "
         "on the graph's digraph structures",
     )
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=digraphs.TRACE_TERM_BUDGET,
+        help="naive-trace terms (default %(default)s)",
+    )
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser(

@@ -28,15 +28,18 @@ from .algebra import poly_eval, poly_mul, poly_pow
 
 SAMPLE_POINTS = (3.0, -3.0, 2.5, -2.5, 1.7, -1.7, 0.3)
 FULL_SCOPE_PIPELINE_EDGE_LIMIT = 8
+DECOMPOSITION_MAX_D = 10
 
 
 class _PipelineCache:
-    """Per-suite-run memo for the factored spectra and the corpus digraphs,
-    so the check groups can share results without any cross-run state."""
+    """Per-suite-run memo for the factored spectra, the motif censuses and
+    the corpus digraphs, so the check groups can share results without any
+    cross-run state."""
 
     def __init__(self):
         self._charpoly = {}
         self._beta = {}
+        self._census = {}
         self._digraphs = {}
 
     def charpoly(self, g, k):
@@ -50,10 +53,18 @@ class _PipelineCache:
             self._beta[g] = spectrum.beta(g)
         return self._beta[g]
 
+    def census(self, g):
+        """The census of g to the edge count the decomposition check needs,
+        which also holds every motif the corpus digraphs come from."""
+        if g not in self._census:
+            max_edges = min(DECOMPOSITION_MAX_D // 2, g.m)
+            self._census[g] = connected_subgraph_census(g, max_edges)
+        return self._census[g]
+
     def corpus_digraphs(self, seeds):
         key = tuple(seeds)
         if key not in self._digraphs:
-            self._digraphs[key] = _corpus_digraphs(seeds)
+            self._digraphs[key] = _corpus_digraphs(seeds, self)
         return self._digraphs[key]
 
 
@@ -117,14 +128,13 @@ def _check_walk_methods(seeds, ctx, max_d=10):
     return "pass", f"{len(seeds)} graphs, d <= {max_d}"
 
 
-def _check_decomposition(seeds, ctx, max_d=10):
+def _check_decomposition(seeds, ctx):
+    max_d = DECOMPOSITION_MAX_D
     for g in seeds:
         profile = walks.parity_closed_profile(g, max_d)
         totals = [0] * (max_d + 1)
         if g.m:
-            for motif, count in connected_subgraph_census(
-                g, min(max_d // 2, g.m)
-            ).entries:
+            for motif, count in ctx.census(g).entries:
                 covering = walks.covering_parity_profile(motif.graph, max_d)
                 totals = [t + c * count for t, c in zip(totals, covering)]
         for d in range(2, max_d + 1, 2):
@@ -141,15 +151,18 @@ def _synthetic_digraphs():
     ]
 
 
-def _corpus_digraphs(seeds, max_vertices=4, max_arcs=10, max_per_motif=6):
-    """Eulerian digraph structures taken from seed motifs."""
+def _corpus_digraphs(seeds, ctx, max_edges=3, max_vertices=4, max_arcs=10,
+                     max_per_motif=6):
+    """Eulerian digraph structures taken from the seed motifs of at most
+    max_edges edges, read from the suite's census of each seed."""
     out = []
     seen = set()
     for g in seeds:
         if g.m == 0:
             continue
-        census = connected_subgraph_census(g, min(3, g.m))
-        for motif, _ in census.entries:
+        for motif, _ in ctx.census(g).entries:
+            if motif.e_count > max_edges:
+                break
             if motif.v_count > max_vertices or motif.certificate in seen:
                 continue
             seen.add(motif.certificate)

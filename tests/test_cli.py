@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperspectra import cli, digraphs, spectrum
+from hyperspectra import cli, digraphs, spectrum, walks
 from hyperspectra.graphs import path_graph
 
 
@@ -224,6 +224,15 @@ class TestVerifyCommand:
         by_name = {c["name"]: c for c in payload["checks"]}
         assert by_name["digraphs/best-vs-brute"]["status"] == "pass"
         assert by_name["digraphs/tree-reduction"]["status"] == "pass"
+
+
+class TestBudgetDefaults:
+    def test_budgets_default_to_the_library_constants(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["walks", "--d", "2"])
+        assert args.budget == walks.COVERING_STATE_BUDGET == 40_000_000
+        args = parser.parse_args(["oracle", "--d", "3"])
+        assert args.budget == digraphs.TRACE_TERM_BUDGET
 
 
 class TestJsonWriter:

@@ -38,7 +38,8 @@ def test_decomposition_builds_one_census_per_graph(monkeypatch):
         return census(g, max_edges)
 
     monkeypatch.setattr(verify, "connected_subgraph_census", counted)
-    status, detail = verify._check_decomposition([P3, cycle_graph(4)], None)
+    ctx = verify._PipelineCache()
+    status, detail = verify._check_decomposition([P3, cycle_graph(4)], ctx)
     assert status == "pass", detail
     assert calls == [2, 4]
 
@@ -66,10 +67,11 @@ def test_signed_polynomials_computed_once_per_graph(monkeypatch):
 
 
 def test_corpus_digraphs_built_once_per_suite(monkeypatch):
-    # one census per graph for the decomposition check and one for the
-    # digraphs both BEST checks share: 16 on the 8 quick graphs (24 when
-    # each BEST check builds its own)
+    # one census per graph, built for the decomposition check, from which
+    # the digraphs both BEST checks share are taken: 8 on the 8 quick graphs
+    # (16 with a second census for the digraphs, 24 when each BEST check
+    # builds its own)
     calls = _count_calls(monkeypatch, verify, "connected_subgraph_census")
     report = verify.run_verify_suite("quick")
     assert report.ok
-    assert len(calls) == 16
+    assert len(calls) == 8
