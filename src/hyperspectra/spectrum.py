@@ -264,7 +264,8 @@ def char_poly_power(g, k):
     may be disconnected or have isolated vertices.
 
     Every multiplicity is an exact coefficient of the trace formula; the
-    exponent of lambda follows from the total-degree identity.
+    exponent of lambda follows from the total-degree identity.  Roots with
+    multiplicity zero are dropped from the factor list, as in beta.
     """
     if k < 3:
         raise ValueError("power hypergraphs need k >= 3; use beta for k = 2")
@@ -274,7 +275,7 @@ def char_poly_power(g, k):
             raise ConsistencyError(
                 f"multiplicity {m} of the roots of {b} is not a non-negative integer"
             )
-    factors = _factors(zip(basis, map(int, mu)))
+    factors = _factors((b, int(m)) for b, m in zip(basis, mu) if m)
     size = g.n + (k - 2) * g.m
     mu0 = size * (k - 1) ** (size - 1) - k * sum(f.mu for f in factors)
     if mu0 < 0:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hyperspectra import spectrum
 from hyperspectra.algebra import (
     basis_exponents,
     coprime_basis,
@@ -206,7 +207,7 @@ def _connected_subgraphs(g):
 class TestSigmaBasis:
     """Sigma, the squared nonzero eigenvalues of all connected signed
     subgraphs, keyed exactly by a gcd-free basis; char_poly_power keeps one
-    factor per root of every basis element."""
+    factor per root of every basis element of nonzero multiplicity."""
 
     def test_k2(self):
         assert _basis(_connected_subgraphs(K2)) == {(-1, 1)}
@@ -214,7 +215,10 @@ class TestSigmaBasis:
     def test_cycle3(self):
         expected = {(-1, 1), (-2, 1), (-4, 1)}
         assert _basis(_connected_subgraphs(C3)) == expected
-        assert {f.b for f in char_poly_power(C3, 3).factors} == expected
+        assert set(spectrum._motif_spectra(C3)[2]) == expected
+        # sigma^2 = 2 comes from P3 alone, which is not induced: mu = 0 at k=3
+        assert {f.b for f in char_poly_power(C3, 3).factors} == expected - {(-2, 1)}
+        assert {f.b for f in char_poly_power(C3, 4).factors} == expected
 
     def test_path3(self):
         expected = {(-1, 1), (-2, 1)}
@@ -238,7 +242,8 @@ class TestSigmaBasis:
 
     def test_every_signed_subgraph_factors_over_the_basis(self):
         g = complete_graph(4)
-        basis = sorted({f.b for f in char_poly_power(g, 3).factors})
+        basis = spectrum._motif_spectra(g)[2]
+        assert {f.b for f in char_poly_power(g, 3).factors} <= set(basis)
         for h in _connected_subgraphs(g):
             for sg in enumerate_signings(h):
                 exponents = basis_exponents(char_poly_of_squares(sg), basis)

@@ -133,12 +133,13 @@ class TestCharPolyPower:
                     assert isinstance(f.mu, int) and f.mu >= 0
                 check_moment_identity(g, fsf)
 
-    def test_zero_clusters_retained(self):
-        # the sigma^2 = 2 cluster of the triangle gets multiplicity 0 at k=3
+    def test_zero_clusters_dropped(self):
+        # sigma^2 = 2, from the triangle's non-induced P3, gets multiplicity 0
+        # at k=3 and is left out of the factors, as beta leaves out its own
         fsf = char_poly_power(C3, 3)
-        zero = [f for f in fsf.factors if f.mu == 0]
-        assert len(zero) == 1
-        assert zero[0].sigma_sq == pytest.approx(2.0, abs=1e-9)
+        assert (-2, 1) in spectrum._motif_spectra(C3)[2]
+        assert all(f.mu > 0 for f in fsf.factors)
+        assert all(f.sigma_sq != pytest.approx(2.0, abs=1e-9) for f in fsf.factors)
 
     def test_positive_k3_clusters_come_from_induced_subgraphs(self, builtin_corpus):
         # at k=3 only squared eigenvalues of induced signed subgraphs can
@@ -185,17 +186,12 @@ class TestCharPolyPower:
             check_moment_identity(C3, replace(fsf, factors=factors))
 
     def test_cycle4_multiplicities(self):
-        # frozen pipeline output: C4 at k=3 has golden-ratio clusters with
-        # multiplicity 0 and integer ones 24, 126, 27 summing to degree 1024
+        # frozen pipeline output: C4 at k=3 has integer clusters 24, 126, 27
+        # summing to degree 1024; the golden-ratio squares of its non-induced
+        # P4 have multiplicity 0 and are dropped
         fsf = char_poly_power(cycle_graph(4), 3)
         got = [(round(f.sigma_sq, 6), f.mu) for f in fsf.factors]
-        assert got == [
-            (0.381966, 0),
-            (1.0, 24),
-            (2.0, 126),
-            (2.618034, 0),
-            (4.0, 27),
-        ]
+        assert got == [(1.0, 24), (2.0, 126), (4.0, 27)]
         assert fsf.mu0 == 493
 
     def test_disconnected_product_rule(self):
