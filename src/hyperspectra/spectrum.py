@@ -123,13 +123,13 @@ def _motif_spectra(g):
     classes, and per class the number of switching classes and the sum of
     their exponent vectors over Sigma; memoised per graph, all immutable."""
     classes = connected_subgraph_classes(g, g.m) if g.m else ()
-    squares = [
-        [
+    squares = tuple(
+        tuple(
             tuple(char_poly_of_squares(sg))
             for sg in enumerate_signings(motif.graph, up_to_switching=True)
-        ]
+        )
         for motif, _ in classes
-    ]
+    )
     basis = tuple(map(tuple, coprime_basis(q for qs in squares for q in qs)))
     over_basis = {q: basis_exponents(q, basis) for qs in squares for q in qs}
     exponents = tuple(

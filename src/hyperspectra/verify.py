@@ -151,8 +151,9 @@ def _synthetic_digraphs():
     ]
 
 
-def _corpus_digraphs(seeds, ctx, max_edges=3, max_vertices=4, max_arcs=10,
-                     max_per_motif=6):
+def _corpus_digraphs(
+    seeds, ctx, max_edges=3, max_vertices=4, max_arcs=10, max_per_motif=6
+):
     """Eulerian digraph structures taken from the seed motifs of at most
     max_edges edges, read from the suite's census of each seed."""
     out = []
