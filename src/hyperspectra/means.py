@@ -7,13 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from mpmath import mp
 
 from .errors import ConsistencyError
-from .signed import char_poly_exact, enumerate_signings
-from .algebra import poly_eval
+from .signed import signing_polynomials
 
 
 def matchings_by_size(g):
@@ -42,8 +40,10 @@ def matching_polynomial(g, method="direct"):
     """sum_r (-1)^r m_r lambda^(n-2r), exact rational coefficients ascending.
 
     direct counts matchings; signed_mean averages the characteristic
-    polynomials of all 2^|E| signings coefficient-wise (the two agree by the
-    arithmetic-mean identity and cross-check each other in the test suite).
+    polynomials of all 2^|E| signings coefficient-wise, as a sum over the
+    distinct polynomials (one per switching class or fewer) weighted by how
+    many signings share each.  The two agree by the arithmetic-mean identity
+    and cross-check each other in the test suite.
     """
     if method == "direct":
         coeffs = [Fraction(0)] * (g.n + 1)
@@ -52,51 +52,58 @@ def matching_polynomial(g, method="direct"):
         return coeffs
     if method == "signed_mean":
         totals = [0] * (g.n + 1)
-        for poly in _signed_char_polys(g):
-            for i, c in enumerate(poly):
-                totals[i] += c
+        for poly, count in signing_polynomials(g):
+            totals = [t + count * c for t, c in zip(totals, poly)]
         scale = Fraction(1, 2**g.m)
         return [scale * c for c in totals]
     raise ValueError(f"unknown method {method!r}")
 
 
-@lru_cache(maxsize=64)
-def _signed_char_polys(g):
-    """char_poly_exact of every signing of g, in enumerate_signings order
-    (which refuses more than SIGNING_EDGE_LIMIT edges); memoised per graph,
-    with equal polynomials stored once and shared."""
-    interned = {}
-    return tuple(
-        interned.setdefault(poly, poly)
-        for poly in (tuple(char_poly_exact(sg)) for sg in enumerate_signings(g))
-    )
+def _scaled_value(poly, p, q):
+    """q^deg(poly) * poly(p / q), by Horner's rule in integers."""
+    acc, q_power = poly[-1], 1
+    for c in reversed(poly[:-1]):
+        q_power *= q
+        acc = acc * p + c * q_power
+    return acc
 
 
 def signed_char_poly_values(g, lambda0):
-    """phi_pi(lambda0) for every signing, as exact rationals (lambda0 is
-    taken at its exact binary value)."""
+    """(phi(lambda0), count) for each distinct characteristic polynomial phi
+    of a signing of g and the number of signings that have it; the values
+    are exact rationals, lambda0 being taken at its exact binary value p/q,
+    each from one integer Horner pass over q^n phi(p/q)."""
     x = Fraction(lambda0)
-    return [poly_eval(poly, x) for poly in _signed_char_polys(g)]
+    p, q = x.numerator, x.denominator
+    scale = q**g.n
+    return tuple(
+        (Fraction(_scaled_value(poly, p, q), scale), count)
+        for poly, count in signing_polynomials(g)
+    )
 
 
 def geometric_mean_evaluate(g, lambda0, precision_bits=256):
     """(prod_pi phi_pi(lambda0))^(2^-|E|).
 
-    The product is computed exactly; a negative product contradicts the
-    geometric-mean identity and is reported as an inconsistency rather than
-    silently truncated.  A zero product (lambda0 hits a root of some
-    signing) evaluates to exactly 0.
+    The product is computed exactly, over the distinct signed polynomials,
+    each value raised to its number of signings; a negative product
+    contradicts the geometric-mean identity and is reported as an
+    inconsistency rather than silently truncated.  A zero product (lambda0
+    hits a root of some signing) evaluates to exactly 0.
     """
     values = signed_char_poly_values(g, lambda0)
     return _geometric_mean(values, lambda0, precision_bits)
 
 
 def _geometric_mean(values, lambda0, precision_bits=256):
-    """The 2^|E|-th root of the product of the 2^|E| values phi_pi(lambda0)."""
+    """The 2^|E|-th root of the product of the 2^|E| values phi_pi(lambda0),
+    from (value, count) pairs: the exact product of value^count."""
     product = Fraction(1)
-    for v in values:
-        product *= v
-    if len(values) == 1:
+    signings = 0
+    for v, count in values:
+        product *= v**count
+        signings += count
+    if signings == 1:
         # a single signing: the mean is the polynomial value itself
         return float(product)
     if product < 0:
@@ -110,7 +117,7 @@ def _geometric_mean(values, lambda0, precision_bits=256):
         return 0.0
     with mp.workprec(precision_bits):
         value = mp.mpf(product.numerator) / mp.mpf(product.denominator)
-        return float(mp.root(value, len(values)))
+        return float(mp.root(value, signings))
 
 
 @dataclass(frozen=True)
@@ -126,11 +133,12 @@ class AmgmReport:
 def amgm_check(g, lambda0, tolerance=1e-9):
     """Arithmetic versus geometric mean of the signed characteristic
     polynomials at lambda0: alpha(lambda0) >= beta(lambda0), with equality
-    exactly when all signings agree there.  Skipped (not failed) when some
-    phi_pi(lambda0) is negative, since the comparison is conditional on
-    non-negative values."""
+    exactly when all signings agree there.  Both means run over the distinct
+    polynomials weighted by their numbers of signings.  Skipped (not failed)
+    when some phi_pi(lambda0) is negative, since the comparison is
+    conditional on non-negative values."""
     values = signed_char_poly_values(g, lambda0)
-    if any(v < 0 for v in values):
+    if any(v < 0 for v, _ in values):
         return AmgmReport(
             status="skipped",
             lambda0=float(lambda0),
@@ -139,9 +147,9 @@ def amgm_check(g, lambda0, tolerance=1e-9):
             equality=None,
             detail="some signed characteristic polynomial is negative here",
         )
-    alpha_value = sum(values, Fraction(0)) / 2**g.m
+    alpha_value = sum((v * count for v, count in values), Fraction(0)) / 2**g.m
     beta_value = _geometric_mean(values, lambda0)
-    spread = float(max(values) - min(values))
+    spread = float(max(v for v, _ in values) - min(v for v, _ in values))
     all_equal = spread <= tolerance
     gap = float(alpha_value) - beta_value
     if gap < -tolerance:

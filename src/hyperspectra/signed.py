@@ -1,5 +1,7 @@
 """Signed graphs: signing enumeration, exact characteristic polynomials and
-the polynomials of their squared eigenvalues, numeric spectra, and balance.
+the polynomials of their squared eigenvalues, the table of distinct signed
+characteristic polynomials that every average over signings reads, numeric
+spectra, and balance.
 
 The eigensolver is a cyclic Jacobi iteration written out by hand: it is
 deterministic, dependency-free, and converges to machine precision on the
@@ -10,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import mat_identity, mat_mul, mat_trace, poly_mul
 from .errors import BudgetError, ConsistencyError
@@ -73,10 +77,7 @@ def enumerate_signings(g, up_to_switching=False):
         ]
     tree = spanning_forest_edges(g)
     free = [i for i in range(g.m) if i not in tree]
-    if len(free) > SIGNING_EDGE_LIMIT:
-        raise BudgetError(
-            f"cycle space dimension {len(free)} exceeds {SIGNING_EDGE_LIMIT}"
-        )
+    check_cycle_space(len(free))
     reps = []
     for combo in itertools.product((1, -1), repeat=len(free)):
         signs = [1] * g.m
@@ -84,6 +85,39 @@ def enumerate_signings(g, up_to_switching=False):
             signs[idx] = s
         reps.append(SignedGraph(g, tuple(signs)))
     return reps
+
+
+def check_cycle_space(dimension):
+    """Refuse a cycle space too large to list its 2^dimension switching
+    classes."""
+    if dimension > SIGNING_EDGE_LIMIT:
+        raise BudgetError(
+            f"cycle space dimension {dimension} exceeds {SIGNING_EDGE_LIMIT}"
+        )
+
+
+def largest_cycle_rank(g):
+    """The largest cycle rank |E(C)| - |V(C)| + 1 over the components C of g
+    (0 for a forest), which bounds the cycle rank of every connected
+    subgraph of g."""
+    root = list(range(g.n))
+    extra = [0] * g.n  # edges closing a cycle, exact at each current root
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for u, v in g.edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            extra[ru] += 1
+        else:
+            root[ru] = rv
+            extra[rv] += extra[ru]
+    # a merged-away root keeps a count no larger than its new root's
+    return max(extra, default=0)
 
 
 def spanning_forest_edges(g):
@@ -178,6 +212,29 @@ def char_poly_of_squares(sg):
     q = [a - b for a, b in itertools.zip_longest(even, odd, fillvalue=0)]
     zeros = next(i for i, c in enumerate(q) if c)
     return q[zeros:]
+
+
+@lru_cache(maxsize=64)
+def signing_polynomials(g):
+    """The distinct characteristic polynomials of the 2^|E| signings of g,
+    each with the number of signings that have it: a tuple of
+    (ascending integer coefficients, count) pairs whose counts sum to 2^|E|.
+
+    Switching is a +-1 diagonal similarity, so the 2^|F| signings of a
+    switching class (F a spanning forest) share one polynomial, and one
+    representative per class is expanded.  Memoised per graph; refuses more
+    than SIGNING_EDGE_LIMIT edges, as the enumeration of all signings does.
+    """
+    if g.m > SIGNING_EDGE_LIMIT:
+        raise BudgetError(
+            f"signing enumeration supports at most {SIGNING_EDGE_LIMIT} edges"
+        )
+    per_class = 1 << len(spanning_forest_edges(g))
+    table = Counter(
+        tuple(char_poly_exact(sg))
+        for sg in enumerate_signings(g, up_to_switching=True)
+    )
+    return tuple((poly, count * per_class) for poly, count in table.items())
 
 
 def signed_spectral_moment(sg, d):

@@ -37,7 +37,13 @@ from .algebra import (
 )
 from .errors import ConsistencyError
 from .graphs import connected_subgraph_classes
-from .signed import char_poly_of_squares, enumerate_signings, spectral_radius
+from .signed import (
+    char_poly_of_squares,
+    check_cycle_space,
+    enumerate_signings,
+    largest_cycle_rank,
+    spectral_radius,
+)
 from .walks import covering_parity_profile, parity_closed_profile
 
 DEFAULT_PRECISION_BITS = 256
@@ -121,7 +127,12 @@ def _motif_spectra(g):
     """The connected edge subsets of g grouped by motif class, the gcd-free
     basis Sigma of the `char_poly_of_squares` of every class's switching
     classes, and per class the number of switching classes and the sum of
-    their exponent vectors over Sigma; memoised per graph, all immutable."""
+    their exponent vectors over Sigma; memoised per graph, all immutable.
+
+    A component whose cycle space is too large for its switching classes
+    to be listed is refused before the census, which would list them last.
+    """
+    check_cycle_space(largest_cycle_rank(g))
     classes = connected_subgraph_classes(g, g.m) if g.m else ()
     squares = tuple(
         tuple(
@@ -265,7 +276,10 @@ def char_poly_power(g, k):
 
     Every multiplicity is an exact coefficient of the trace formula; the
     exponent of lambda follows from the total-degree identity.  Roots with
-    multiplicity zero are dropped from the factor list, as in beta.
+    multiplicity zero are dropped from the factor list, as in beta.  For a
+    connected g with an edge, the largest root is rho(G)^2 (no signed
+    subgraph has an eigenvalue beyond rho(G)), and its multiplicity is
+    checked exactly against spectral_radius_multiplicity.
     """
     if k < 3:
         raise ValueError("power hypergraphs need k >= 3; use beta for k = 2")
@@ -280,6 +294,13 @@ def char_poly_power(g, k):
     mu0 = size * (k - 1) ** (size - 1) - k * sum(f.mu for f in factors)
     if mu0 < 0:
         raise ConsistencyError(f"negative zero-eigenvalue exponent {mu0}")
+    if g.m and g.is_connected():
+        expected = spectral_radius_multiplicity(g, k)
+        if not factors or factors[-1].mu != expected:
+            raise ConsistencyError(
+                "spectral-radius multiplicity is not "
+                f"k^(|E|(k-3)+|V|-1) = {expected}"
+            )
     result = FactoredSpectralFunction(k=k, mu0=mu0, factors=factors)
     check_moment_identity(g, result)
     return result

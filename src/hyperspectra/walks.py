@@ -6,9 +6,12 @@ of the host graph an even number of times; a covering one additionally uses
 every edge at least once (hence at least twice).
 
 The bitmask dynamic program has an independent twin, the signed-trace
-average, so the two can cross-check each other; the three-state covering
-dynamic program is checked in the tests against subset inclusion-exclusion.
-All arithmetic is arbitrary-precision integer; no floats appear anywhere.
+average: the mean over all 2^|E| signings of trace(A_signed^d), read from
+the power sums of each distinct signed characteristic polynomial, weighted
+by the number of signings (a whole switching class, or several) that share
+it.  The two cross-check each other; the three-state covering dynamic
+program is checked in the tests against subset inclusion-exclusion.  All
+arithmetic is arbitrary-precision integer; no floats appear anywhere.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import mat_power_traces
+from .algebra import mat_power_traces, power_sums_from_charpoly
 from .errors import BudgetError, ConsistencyError
-from .signed import SIGNING_EDGE_LIMIT, enumerate_signings
+from .signed import SIGNING_EDGE_LIMIT, signing_polynomials
 
 PARITY_DP_EDGE_LIMIT = 24
 COVERING_STATE_BUDGET = 40_000_000
@@ -87,10 +90,9 @@ def _parity_profile_signed_mean(g, max_d):
             f"edges, got {g.m}"
         )
     totals = [0] * (max_d + 1)
-    for sg in enumerate_signings(g):
-        traces = mat_power_traces(sg.matrix(), max_d)
-        for t in range(max_d + 1):
-            totals[t] += traces[t]
+    for poly, count in signing_polynomials(g):
+        traces = power_sums_from_charpoly(poly, max_d)
+        totals = [t + count * s for t, s in zip(totals, traces)]
     scale = 1 << g.m
     profile = []
     for t, total in enumerate(totals):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperspectra import means
+from hyperspectra import signed
 from hyperspectra.algebra import poly_eval
 from hyperspectra.errors import BudgetError
 from hyperspectra.graphs import complete_graph, cycle_graph, path_graph
@@ -127,17 +127,18 @@ class TestAmGm:
         assert report.status == "skipped"
 
     def test_one_polynomial_per_signing(self, monkeypatch):
-        # the geometric mean reuses the values the arithmetic mean reads
+        # the geometric mean reuses the values the arithmetic mean reads,
+        # one polynomial per switching class: 2 on C4 (16 signings)
         calls = []
 
         def counted(sg):
             calls.append(sg)
             return char_poly_exact(sg)
 
-        monkeypatch.setattr(means, "char_poly_exact", counted)
-        means._signed_char_polys.cache_clear()
+        monkeypatch.setattr(signed, "char_poly_exact", counted)
+        signed.signing_polynomials.cache_clear()
         report = amgm_check(cycle_graph(4), 3.0)
-        assert len(calls) == 16
+        assert len(calls) == 2
         assert report.beta_value == geometric_mean_evaluate(cycle_graph(4), 3.0)
 
     def test_signing_budget(self):

@@ -1,6 +1,10 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperspectra import spectrum
 from hyperspectra.algebra import (
@@ -9,6 +13,7 @@ from hyperspectra.algebra import (
     poly_eval,
     power_sums_from_charpoly,
 )
+from hyperspectra.errors import BudgetError
 from hyperspectra.graphs import (
     Graph,
     complete_graph,
@@ -25,11 +30,14 @@ from hyperspectra.signed import (
     eigenvalues,
     enumerate_signings,
     is_balanced,
+    largest_cycle_rank,
     signed_spectral_moment,
+    signing_polynomials,
     spanning_forest_edges,
     spectral_radius,
 )
 from hyperspectra.spectrum import beta, char_poly_power
+from hyperspectra.walks import parity_closed_profile
 
 K2 = path_graph(2)
 P3 = path_graph(3)
@@ -71,6 +79,46 @@ class TestSignings:
             for rep in enumerate_signings(g, up_to_switching=True):
                 vectors.add(tuple(rep.signs[i] for i in free))
             assert len(vectors) == 2 ** len(free)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 6 vertices with at most 8 edges, disconnected ones
+    and isolated vertices included."""
+    n = draw(st.integers(0, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    if not pairs:
+        return Graph(n, ())
+    return Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))))
+
+
+class TestSigningTable:
+    @given(small_graphs())
+    def test_table_counts_every_signing(self, g):
+        table = signing_polynomials(g)
+        assert dict(table) == Counter(
+            tuple(char_poly_exact(sg)) for sg in enumerate_signings(g)
+        )
+        assert sum(count for _, count in table) == 2**g.m
+        assert parity_closed_profile(g, 10, "dp") == parity_closed_profile(
+            g, 10, "signed_mean"
+        )
+
+    def test_cycle3(self):
+        # the balanced class (all signs +1 up to switching) and its negation
+        assert signing_polynomials(C3) == (((-2, -3, 0, 1), 4), ((2, -3, 0, 1), 4))
+
+    def test_edge_budget(self):
+        with pytest.raises(BudgetError, match="supports at most 20 edges"):
+            signing_polynomials(Graph(22, tuple((0, i) for i in range(1, 22))))
+
+    def test_largest_cycle_rank(self):
+        assert largest_cycle_rank(Graph(0, ())) == 0
+        assert largest_cycle_rank(path_graph(4)) == 0
+        # C3 and K4 side by side: the largest component rank, not the sum
+        c3_k4 = Graph(7, C3.edges + tuple((u + 3, v + 3) for u, v in complete_graph(4).edges))
+        assert largest_cycle_rank(c3_k4) == 3
+        assert largest_cycle_rank(complete_graph(8)) == 21
 
 
 class TestCharPoly:

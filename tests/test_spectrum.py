@@ -7,11 +7,12 @@ import pytest
 
 from hyperspectra import graphs, spectrum
 from hyperspectra.algebra import poly_eval
-from hyperspectra.algebra import basis_exponents, coprime_basis
+from hyperspectra.algebra import basis_exponents, coprime_basis, real_roots
 from hyperspectra.digraphs import power_moment_prefactor
-from hyperspectra.errors import ConsistencyError
+from hyperspectra.errors import BudgetError, ConsistencyError
 from hyperspectra.graphs import (
     Graph,
+    complete_graph,
     connected_edge_subsets,
     connected_induced_subgraph_classes,
     connected_subgraph_census,
@@ -241,6 +242,13 @@ class TestCharPolyPower:
         with pytest.raises(ConsistencyError):
             check_moment_identity(K2, replace(fsf, factors=(), mu0=12))
 
+    def test_hopeless_cycle_rank_refused_before_the_census(self):
+        # K8 has cycle rank 28 - 8 + 1 = 21, past the signing limit of 20;
+        # the census of its connected edge subsets never starts
+        for call in (lambda g: char_poly_power(g, 3), beta):
+            with pytest.raises(BudgetError, match="cycle space dimension 21 exceeds 20"):
+                call(complete_graph(8))
+
     def test_k2_rejected(self):
         with pytest.raises(ValueError):
             char_poly_power(K2, 2)
@@ -309,6 +317,20 @@ class TestRadiusMultiplicity:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             spectral_radius_multiplicity(Graph(4, ((0, 1), (2, 3))), 3)
+
+    def test_corrupted_radius_multiplicity_fails(self, monkeypatch):
+        # one less at the basis element holding rho(G)^2, the largest root
+        exact = spectrum._exact_multiplicities
+
+        def corrupted(g, k):
+            basis, mu = exact(g, k)
+            top = max(range(len(basis)), key=lambda i: max(real_roots(basis[i])))
+            return basis, [m - (i == top) for i, m in enumerate(mu)]
+
+        monkeypatch.setattr(spectrum, "_exact_multiplicities", corrupted)
+        for g in (K2, C3, cycle_graph(4)):
+            with pytest.raises(ConsistencyError, match="spectral-radius multiplicity"):
+                char_poly_power(g, 3)
 
 
 class TestBeta:

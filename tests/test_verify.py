@@ -1,6 +1,6 @@
 from dataclasses import replace
 
-from hyperspectra import means, spectrum, verify
+from hyperspectra import signed, spectrum, verify
 from hyperspectra.graphs import cycle_graph, path_graph
 
 P3 = path_graph(3)
@@ -57,13 +57,17 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_signed_polynomials_computed_once_per_graph(monkeypatch):
-    # geometric-mean, godsil-gutman and am-gm read one set of 2^|E| signed
-    # polynomials per graph: sum of 2^|E| over the quick corpus is 166
-    calls = _count_calls(monkeypatch, means, "char_poly_exact")
-    means._signed_char_polys.cache_clear()
+    # methods-agree, geometric-mean, godsil-gutman and am-gm read one table
+    # of signed polynomials per graph, one polynomial per switching class:
+    # the sum of 2^(|E|-|V|+1) over the quick corpus is 21 (166 for one per
+    # signing).  A first run fills the motif spectra, whose signed
+    # polynomials also come from char_poly_exact.
+    assert verify.run_verify_suite("quick").ok
+    calls = _count_calls(monkeypatch, signed, "char_poly_exact")
+    signed.signing_polynomials.cache_clear()
     report = verify.run_verify_suite("quick")
     assert report.ok
-    assert len(calls) == 2 + 4 + 8 + 8 + 16 + 32 + 32 + 64
+    assert len(calls) == 1 + 1 + 1 + 2 + 2 + 2 + 4 + 8
 
 
 def test_corpus_digraphs_built_once_per_suite(monkeypatch):
