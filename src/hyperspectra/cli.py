@@ -341,7 +341,7 @@ def build_parser():
     p.add_argument("--covering", action="store_true")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_count,
         default=walks.COVERING_STATE_BUDGET,
         help="covering-walk DP states (default %(default)s)",
     )
@@ -369,7 +369,7 @@ def build_parser():
     )
     p.add_argument(
         "--budget",
-        type=int,
+        type=_count,
         default=digraphs.TRACE_TERM_BUDGET,
         help="naive-trace terms (default %(default)s)",
     )

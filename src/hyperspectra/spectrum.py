@@ -187,6 +187,18 @@ def script_S(g, d, k):
 # exact multiplicities
 
 
+@lru_cache(maxsize=256)
+def _weight_factor(k, t):
+    """The factor of w(C) for one further edge inside V(C) (t = 0) or for
+    one outside vertex joined to V(C) by t >= 1 edges."""
+    base = digraphs.power_moment_prefactor(1, 1, k)
+    per_vertex = digraphs.power_moment_prefactor(2, 1, k) / base
+    per_edge = digraphs.power_moment_prefactor(1, 2, k) / base
+    if t == 0:
+        return 1 - per_edge
+    return 1 - per_vertex + per_vertex * (1 - per_edge) ** t
+
+
 def _covering_weight(g, subset, k):
     """w(C) = sum over S of (-1)^|S| D_k(C + S), where S ranges over the sets
     of edges of g outside the connected edge subset C that touch V(C).
@@ -197,22 +209,23 @@ def _covering_weight(g, subset, k):
     induced C weigh in; at k = 2, r = s = 1 and only whole components do.
     """
     verts = {x for i in subset for x in g.edges[i]}
-    v, e = len(verts), len(subset)
-    weight = digraphs.power_moment_prefactor(v, e, k)
-    per_vertex = digraphs.power_moment_prefactor(v + 1, e, k) / weight
-    per_edge = digraphs.power_moment_prefactor(v, e + 1, k) / weight
+    weight = Fraction(1)
     joins = {}
     for i, (a, b) in enumerate(g.edges):
         if i in subset:
             continue
         if a in verts and b in verts:
-            weight *= 1 - per_edge
+            weight *= _weight_factor(k, 0)
+            if not weight:
+                return weight
         elif a in verts or b in verts:
             outside = b if a in verts else a
             joins[outside] = joins.get(outside, 0) + 1
     for t in joins.values():
-        weight *= 1 - per_vertex + per_vertex * (1 - per_edge) ** t
-    return weight
+        weight *= _weight_factor(k, t)
+        if not weight:
+            return weight
+    return weight * digraphs.power_moment_prefactor(len(verts), len(subset), k)
 
 
 def _exact_multiplicities(g, k):

@@ -5,13 +5,33 @@ order, matching trace(A^d) semantics.  A parity-closed walk uses every edge
 of the host graph an even number of times; a covering one additionally uses
 every edge at least once (hence at least twice).
 
-The bitmask dynamic program has an independent twin, the signed-trace
-average: the mean over all 2^|E| signings of trace(A_signed^d), read from
-the power sums of each distinct signed characteristic polynomial, weighted
-by the number of signings (a whole switching class, or several) that share
-it.  The two cross-check each other; the three-state covering dynamic
-program is checked in the tests against subset inclusion-exclusion.  All
-arithmetic is arbitrary-precision integer; no floats appear anywhere.
+Both dynamic programs keep one dict per vertex, from an integer state key
+to the number of walks from the start that end there with that key.
+
+The parity DP keys a walk by the mask of edges it used an odd number of
+times.  A parity-closed walk of length 2L from s splits at step L into two
+walks of length L from s (the second one reversed) that end at the same
+vertex with the same mask, so P_s(2L) = sum over (v, mask) of
+N_L(s; v, mask)^2: the DP runs to max_d // 2 only.  Odd lengths are 0.
+
+The covering DP keys a walk by used | odd << m over the m edge bits; a
+step along edge bit b gives (key | b) ^ (b << m), and the walk is accepted
+back at its start with every edge used and none odd.  A state can still be
+accepted by length max_d only if 2 |unused| + |odd| <= max_d - t: every
+unused edge takes two more steps and every odd one at least one.  Each step
+lowers that need by one, except a step along a used, even edge, which
+raises it by one; so a state takes that step only while its slack, the
+steps left minus the need, is at least 2.  The states this skips could not
+be accepted at any length <= max_d, so every count is exact.  The state
+budget still bounds n * 3^m, every state the DP could hold.
+
+The parity DP has an independent twin, the signed-trace average: the mean
+over all 2^|E| signings of trace(A_signed^d), read from the power sums of
+each distinct signed characteristic polynomial, weighted by the number of
+signings (a whole switching class, or several) that share it.  The two
+cross-check each other; the covering DP is checked in the tests against
+subset inclusion-exclusion.  All arithmetic is arbitrary-precision
+integer; no floats appear anywhere.
 """
 
 from __future__ import annotations
@@ -71,15 +91,20 @@ def _parity_profile_dp(g, max_d):
     profile = [0] * (max_d + 1)
     profile[0] = g.n
     for start in range(g.n):
-        states = {(start, 0): 1}
-        for t in range(1, max_d + 1):
-            nxt = {}
-            for (v, mask), cnt in states.items():
-                for w, bit in moves[v]:
-                    key = (w, mask ^ bit)
-                    nxt[key] = nxt.get(key, 0) + cnt
+        # states[v]: parity mask -> walks of length t from start ending at v;
+        # a parity-closed walk of length 2t is two of them with equal ends
+        states = [{} for _ in range(g.n)]
+        states[start][0] = 1
+        for t in range(1, max_d // 2 + 1):
+            nxt = [{} for _ in range(g.n)]
+            for v, row in enumerate(states):
+                for mask, cnt in row.items():
+                    for w, bit in moves[v]:
+                        target = nxt[w]
+                        key = mask ^ bit
+                        target[key] = target.get(key, 0) + cnt
             states = nxt
-            profile[t] += states.get((start, 0), 0)
+            profile[2 * t] += sum(cnt * cnt for row in states for cnt in row.values())
     return profile
 
 
@@ -139,24 +164,34 @@ def _covering_profile_cached(motif, max_d, state_budget):
         raise BudgetError(
             f"covering DP needs {n * 3 ** m} states, budget is {state_budget}"
         )
-    # per-edge state digit: 0 unused, 1 odd, 2 even; accept when all digits == 2
-    pow3 = [3**i for i in range(m)]
-    moves = [[] for _ in range(n)]
+    # key = used | odd << m over edge bits; accept when all used, none odd
+    full = (1 << m) - 1
+    moves = [[] for _ in range(n)]  # vertex -> [(neighbor, edge bit, odd bit)]
     for i, (u, v) in enumerate(motif.edges):
-        moves[u].append((v, i))
-        moves[v].append((u, i))
-    accept = 3**m - 1  # all digits equal to 2
+        moves[u].append((v, 1 << i, 1 << (i + m)))
+        moves[v].append((u, 1 << i, 1 << (i + m)))
     profile = [0] * (max_d + 1)
+    if m == 0:
+        profile[0] = n  # the length-0 walk covers the empty edge set
     for start in range(n):
-        states = {(start, 0): 1}
+        states = [{} for _ in range(n)]
+        states[start][0] = 1
         for t in range(1, max_d + 1):
-            nxt = {}
-            for (v, code), cnt in states.items():
-                for w, e in moves[v]:
-                    digit = code // pow3[e] % 3
-                    step = pow3[e] if digit < 2 else -pow3[e]
-                    key = (w, code + step)
-                    nxt[key] = nxt.get(key, 0) + cnt
+            nxt = [{} for _ in range(n)]
+            for v, row in enumerate(states):
+                for key, cnt in row.items():
+                    # slack: the steps left minus 2 |unused| + |odd|; a
+                    # step along a used, even edge costs two, others none
+                    used, odd_bits = key & full, key >> m
+                    slack = max_d - t + 1 - 2 * (m - used.bit_count())
+                    slack -= odd_bits.bit_count()
+                    blocked = used & ~odd_bits if slack < 2 else 0
+                    for w, bit, odd in moves[v]:
+                        if bit & blocked:
+                            continue
+                        target = nxt[w]
+                        new = (key | bit) ^ odd
+                        target[new] = target.get(new, 0) + cnt
             states = nxt
-            profile[t] += states.get((start, accept), 0)
+            profile[t] += states[start].get(full, 0)
     return tuple(profile)

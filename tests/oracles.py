@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from hyperspectra.algebra import poly_derivative, poly_trim
-from hyperspectra.walks import WalkCount, parity_closed_count
+from hyperspectra.walks import WalkCount, parity_closed_profile
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +206,22 @@ def connected_edge_subsets_brute(g, max_edges):
     return out
 
 
-def covering_parity_closed_by_subsets(motif, d):
-    """Inclusion-exclusion oracle over edge subsets:
-    sum over F of (-1)^(|E|-|F|) times parity-closed walks restricted to F."""
+def covering_parity_profile_by_subsets(motif, max_d):
+    """Inclusion-exclusion oracle over edge subsets, for every length
+    0..max_d: sum over F of (-1)^(|E|-|F|) times the parity-closed walks
+    restricted to F."""
     if not motif.is_connected():
         raise ValueError("covering counts are defined for connected motifs")
-    total = 0
+    totals = [0] * (max_d + 1)
     for size in range(motif.m + 1):
+        sign = (-1) ** (motif.m - size)
         for combo in itertools.combinations(range(motif.m), size):
             restricted = replace(motif, edges=tuple(motif.edges[i] for i in combo))
-            count = parity_closed_count(restricted, d, method="dp").value
-            total += (-1) ** (motif.m - size) * count
-    return WalkCount(d, total)
+            profile = parity_closed_profile(restricted, max_d, method="dp")
+            totals = [t + sign * p for t, p in zip(totals, profile)]
+    return totals
+
+
+def covering_parity_closed_by_subsets(motif, d):
+    """The inclusion-exclusion oracle at one length d."""
+    return WalkCount(d, covering_parity_profile_by_subsets(motif, d)[d])

@@ -260,6 +260,18 @@ class TestErrors:
         _, out, _ = run_cli(capsys, "census", "--graph", "cycle:3", "--max-edges", "0")
         assert len(out.splitlines()) == 3
 
+    def test_negative_budgets_exit_2(self, capsys):
+        for argv in (
+            ["walks", "--graph", "path:3", "--d", "4", "--covering", "--budget", "-5"],
+            ["oracle", "--graph", "path:3", "--d", "3", "--budget", "-5"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+            assert err.value.code == 2, argv
+        # the defaults still apply
+        code, out, _ = run_cli(capsys, "walks", "--graph", "path:3", "--d", "4", "--covering")
+        assert code == 0 and out.strip().endswith(": 4")
+
     def test_computation_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "walks", "--graph", "3 2\\n0 1\\n1 1", "--d", "2")
         assert code == 1

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperspectra.errors import BudgetError
 from hyperspectra.graphs import (
@@ -17,7 +21,10 @@ from hyperspectra.walks import (
     parity_closed_count,
     parity_closed_profile,
 )
-from oracles import covering_parity_closed_by_subsets
+from oracles import (
+    covering_parity_closed_by_subsets,
+    covering_parity_profile_by_subsets,
+)
 
 K2 = path_graph(2)
 P3 = path_graph(3)
@@ -110,10 +117,73 @@ class TestCovering:
                     == covering_parity_closed_by_subsets(g, d).value
                 )
 
+    def test_edgeless_motif_at_length_zero(self):
+        # the length-0 walk covers the empty edge set of a single vertex
+        point = Graph(1, ())
+        assert covering_parity_profile(point, 3) == [
+            covering_parity_closed_by_subsets(point, d).value for d in range(4)
+        ] == [1, 0, 0, 0]
+
     def test_disconnected_rejected(self):
         disconnected = Graph(4, ((0, 1), (2, 3)))
         with pytest.raises(ValueError):
             covering_parity_closed_count(disconnected, 4)
+
+
+@st.composite
+def connected_graphs(draw, max_n=6, max_m=7):
+    """Connected graphs on 1..max_n vertices with at most max_m edges: a
+    random spanning tree plus random further edges, randomly labelled."""
+    n = draw(st.integers(1, max_n))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    rest = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    extra = draw(
+        st.lists(st.sampled_from(rest), unique=True, max_size=max_m - len(tree))
+        if rest
+        else st.just([])
+    )
+    perm = draw(st.permutations(range(n)))
+    edges = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in (*tree, *extra)))
+    return Graph(n, edges)
+
+
+@st.composite
+def graphs_with_components(draw):
+    """Disjoint unions of up to three connected graphs on at most 3 vertices
+    and up to two isolated vertices, randomly labelled."""
+    n, edges = 0, []
+    for piece in draw(st.lists(connected_graphs(max_n=3, max_m=3), max_size=3)):
+        edges.extend((u + n, v + n) for u, v in piece.edges)
+        n += piece.n
+    n += draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges)))
+
+
+class TestWalkDPProperties:
+    @given(connected_graphs())
+    def test_covering_matches_inclusion_exclusion(self, g):
+        # the pruning cuts hardest near 2m; the slack max_d - 2m keeps its
+        # parity, so 2m + 2 is the first D where a state can have slack 2
+        top = 2 * g.m + 3
+        expected = covering_parity_profile_by_subsets(g, top)
+        for D in (2 * g.m - 1, 2 * g.m, 2 * g.m + 1, 2 * g.m + 2, top):
+            if D >= 0:
+                assert covering_parity_profile(g, D) == expected[: D + 1], (g, D)
+
+    @given(connected_graphs(), st.integers(0, 3))
+    def test_covering_profile_is_a_prefix(self, g, extra):
+        D = 2 * g.m - 1 + extra
+        if D >= 0:
+            longer = covering_parity_profile(g, D + 3)
+            assert covering_parity_profile(g, D) == longer[: D + 1]
+
+    @given(graphs_with_components())
+    def test_parity_methods_agree(self, g):
+        for D in (0, 1, 2 * g.m, 2 * g.m + 1):
+            assert parity_closed_profile(g, D, "dp") == parity_closed_profile(
+                g, D, "signed_mean"
+            ), (g, D)
 
 
 class TestDecomposition:
