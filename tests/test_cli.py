@@ -261,15 +261,14 @@ class TestErrors:
         assert len(out.splitlines()) == 3
 
     def test_negative_budgets_exit_2(self, capsys):
-        for argv in (
-            ["walks", "--graph", "path:3", "--d", "4", "--covering", "--budget", "-5"],
-            ["oracle", "--graph", "path:3", "--d", "3", "--budget", "-5"],
-        ):
+        walks = ["walks", "--graph", "path:3", "--d", "4", "--covering"]
+        oracle = ["oracle", "--graph", "path:3", "--d", "3"]
+        for argv in (walks, oracle):
             with pytest.raises(SystemExit) as err:
-                cli.main(argv)
+                cli.main([*argv, "--budget", "-5"])
             assert err.value.code == 2, argv
         # the defaults still apply
-        code, out, _ = run_cli(capsys, "walks", "--graph", "path:3", "--d", "4", "--covering")
+        code, out, _ = run_cli(capsys, *walks)
         assert code == 0 and out.strip().endswith(": 4")
 
     def test_computation_error_exits_1(self, capsys):
