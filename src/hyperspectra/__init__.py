@@ -31,7 +31,6 @@ from .walks import (
     parity_closed_profile,
 )
 from .signed import (
-    RealSpectrum,
     SignedGraph,
     char_poly_exact,
     eigenvalues,
@@ -70,7 +69,6 @@ __all__ = [
     "Motif",
     "MotifCensus",
     "Multidigraph",
-    "RealSpectrum",
     "SignedGraph",
     "TraceTerm",
     "WalkCount",

@@ -321,10 +321,6 @@ def power_sums_from_charpoly(coeffs, d_max):
 # integer matrices (lists of lists)
 
 
-def mat_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b):
     n = len(a)
     m = len(b[0]) if b else 0

@@ -148,20 +148,20 @@ def _cmd_signed(args):
     payload = []
     lines = []
     for sg in reps:
-        spec = eigenvalues(sg, tol=args.tol)
+        eigs = eigenvalues(sg)
         poly = char_poly_exact(sg)
         payload.append(
             {
                 "signs": list(sg.signs),
                 "balanced": is_balanced(sg),
-                "eigenvalues": list(spec.eigenvalues),
+                "eigenvalues": list(eigs),
                 "char_poly": [str(c) for c in poly],
             }
         )
         lines.append(
             f"signs {''.join('+' if s > 0 else '-' for s in sg.signs)}  "
             f"balanced={is_balanced(sg)}  "
-            f"eigs {[round(x, 6) for x in spec.eigenvalues]}"
+            f"eigs {[round(x, 6) for x in eigs]}"
         )
     _emit(args, payload, "\n".join(lines))
     return 0
@@ -242,9 +242,7 @@ def _cmd_matching(args):
 
 def _cmd_geomean(args):
     g = _load_graph(args.graph)
-    value = means.geometric_mean_evaluate(
-        g, args.at, precision_bits=args.precision_bits
-    )
+    value = means.geometric_mean_evaluate(g, args.at)
     payload = {"at": args.at, "value": value}
     _emit(args, payload, f"geometric mean at {args.at}: {value!r}")
     return 0
@@ -353,7 +351,6 @@ def build_parser():
 
     p = sub.add_parser("signed", parents=[common], help="signings and spectra")
     p.add_argument("--up-to-switching", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_signed)
 
     p = sub.add_parser(
@@ -394,7 +391,6 @@ def build_parser():
         "geomean", parents=[common], help="geometric mean of signed char polys"
     )
     p.add_argument("--at", type=float, required=True)
-    p.add_argument("--precision-bits", type=int, default=256)
     p.set_defaults(func=_cmd_geomean)
 
     p = sub.add_parser("amgm", parents=[common], help="AM-GM comparison")

@@ -12,6 +12,9 @@ from mpmath import mp
 
 from .errors import ConsistencyError
 from .signed import signing_polynomials
+from .spectrum import WORKING_PRECISION_BITS
+
+AMGM_TOLERANCE = 1e-9  # beta is a double, so alpha - beta is compared to this
 
 
 def matchings_by_size(g):
@@ -82,7 +85,7 @@ def signed_char_poly_values(g, lambda0):
     )
 
 
-def geometric_mean_evaluate(g, lambda0, precision_bits=256):
+def geometric_mean_evaluate(g, lambda0):
     """(prod_pi phi_pi(lambda0))^(2^-|E|).
 
     The product is computed exactly, over the distinct signed polynomials,
@@ -92,10 +95,10 @@ def geometric_mean_evaluate(g, lambda0, precision_bits=256):
     hits a root of some signing) evaluates to exactly 0.
     """
     values = signed_char_poly_values(g, lambda0)
-    return _geometric_mean(values, lambda0, precision_bits)
+    return _geometric_mean(values, lambda0)
 
 
-def _geometric_mean(values, lambda0, precision_bits=256):
+def _geometric_mean(values, lambda0):
     """The 2^|E|-th root of the product of the 2^|E| values phi_pi(lambda0),
     from (value, count) pairs: the exact product of value^count."""
     product = Fraction(1)
@@ -115,7 +118,7 @@ def _geometric_mean(values, lambda0, precision_bits=256):
         )
     if product == 0:
         return 0.0
-    with mp.workprec(precision_bits):
+    with mp.workprec(WORKING_PRECISION_BITS):
         value = mp.mpf(product.numerator) / mp.mpf(product.denominator)
         return float(mp.root(value, signings))
 
@@ -130,7 +133,7 @@ class AmgmReport:
     detail: str
 
 
-def amgm_check(g, lambda0, tolerance=1e-9):
+def amgm_check(g, lambda0):
     """Arithmetic versus geometric mean of the signed characteristic
     polynomials at lambda0: alpha(lambda0) >= beta(lambda0), with equality
     exactly when all signings agree there.  Both means run over the distinct
@@ -150,12 +153,12 @@ def amgm_check(g, lambda0, tolerance=1e-9):
     alpha_value = sum((v * count for v, count in values), Fraction(0)) / 2**g.m
     beta_value = _geometric_mean(values, lambda0)
     spread = float(max(v for v, _ in values) - min(v for v, _ in values))
-    all_equal = spread <= tolerance
+    all_equal = spread <= AMGM_TOLERANCE
     gap = float(alpha_value) - beta_value
-    if gap < -tolerance:
+    if gap < -AMGM_TOLERANCE:
         status = "fail"
         detail = f"alpha - beta = {gap:.3e} is negative"
-    elif all_equal != (abs(gap) <= tolerance):
+    elif all_equal != (abs(gap) <= AMGM_TOLERANCE):
         status = "fail"
         detail = (
             f"equality case mismatch: spread {spread:.3e} but gap {gap:.3e}"

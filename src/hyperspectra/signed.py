@@ -1,26 +1,32 @@
 """Signed graphs: signing enumeration, exact characteristic polynomials and
 the polynomials of their squared eigenvalues, the table of distinct signed
-characteristic polynomials that every average over signings reads, numeric
+characteristic polynomials that every average over signings reads, real
 spectra, and balance.
 
-The eigensolver is a cyclic Jacobi iteration written out by hand: it is
-deterministic, dependency-free, and converges to machine precision on the
-small dense symmetric matrices this package works with.
+Real spectra come from the exact integer characteristic polynomial: each
+eigenvalue is a root of one factor of its squarefree decomposition, isolated
+by `algebra.real_roots` and rounded to the nearest double, so no iterative
+solver and no tolerance is involved.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import mat_identity, mat_mul, mat_trace, poly_mul
+from .algebra import (
+    mat_mul,
+    mat_power_traces,
+    mat_trace,
+    poly_mul,
+    real_roots,
+    squarefree_decomposition,
+)
 from .errors import BudgetError, ConsistencyError
 
 SIGNING_EDGE_LIMIT = 20
-JACOBI_SWEEP_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -67,10 +73,7 @@ def enumerate_signings(g, up_to_switching=False):
     (cycle-space) edges, giving 2^(|E|-|V|+c) classes for c components.
     """
     if not up_to_switching:
-        if g.m > SIGNING_EDGE_LIMIT:
-            raise BudgetError(
-                f"signing enumeration supports at most {SIGNING_EDGE_LIMIT} edges"
-            )
+        check_signing_edges(g)
         return [
             SignedGraph(g, signs)
             for signs in itertools.product((1, -1), repeat=g.m)
@@ -85,6 +88,15 @@ def enumerate_signings(g, up_to_switching=False):
             signs[idx] = s
         reps.append(SignedGraph(g, tuple(signs)))
     return reps
+
+
+def check_signing_edges(g):
+    """Refuse a graph with too many edges to list its 2^|E| signings."""
+    if g.m > SIGNING_EDGE_LIMIT:
+        raise BudgetError(
+            f"signing enumeration supports at most {SIGNING_EDGE_LIMIT} edges, "
+            f"got {g.m}"
+        )
 
 
 def check_cycle_space(dimension):
@@ -225,10 +237,7 @@ def signing_polynomials(g):
     representative per class is expanded.  Memoised per graph; refuses more
     than SIGNING_EDGE_LIMIT edges, as the enumeration of all signings does.
     """
-    if g.m > SIGNING_EDGE_LIMIT:
-        raise BudgetError(
-            f"signing enumeration supports at most {SIGNING_EDGE_LIMIT} edges"
-        )
+    check_signing_edges(g)
     per_class = 1 << len(spanning_forest_edges(g))
     table = Counter(
         tuple(char_poly_exact(sg))
@@ -241,94 +250,31 @@ def signed_spectral_moment(sg, d):
     """Exact trace of the d-th power of the signed adjacency matrix."""
     if d < 0:
         raise ValueError("moment order must be non-negative")
-    a = sg.matrix()
-    acc = mat_identity(len(a))
-    for _ in range(d):
-        acc = mat_mul(acc, a)
-    return mat_trace(acc)
+    return mat_power_traces(sg.matrix(), d)[d]
 
 
 # ---------------------------------------------------------------------------
-# numeric spectra (cyclic Jacobi)
+# real spectra, from the exact characteristic polynomial
 
 
-@dataclass(frozen=True)
-class RealSpectrum:
-    eigenvalues: tuple  # descending
-    residual_bound: float
-
-
-def _jacobi(a):
-    """Cyclic Jacobi rotations; returns (eigenvalues, eigenvector columns)."""
-    n = len(a)
-    mat = [[float(x) for x in row] for row in a]
-    vecs = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for _ in range(JACOBI_SWEEP_LIMIT):
-        off = math.sqrt(
-            sum(mat[i][j] ** 2 for i in range(n) for j in range(n) if i != j)
+def eigenvalues(sg):
+    """Full real spectrum of the signed adjacency matrix, descending, each
+    value the double nearest the exact eigenvalue: the roots of each factor
+    of the squarefree decomposition of char_poly_exact, repeated by that
+    factor's multiplicity."""
+    eigs = [
+        root
+        for multiplicity, factor in enumerate(
+            squarefree_decomposition(char_poly_exact(sg)), start=1
         )
-        if off < 1e-15 * max(1.0, n):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(mat[p][q]) < 1e-18:
-                    continue
-                theta = (mat[q][q] - mat[p][p]) / (2.0 * mat[p][q])
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for i in range(n):
-                    aip, aiq = mat[i][p], mat[i][q]
-                    mat[i][p] = c * aip - s * aiq
-                    mat[i][q] = s * aip + c * aiq
-                for i in range(n):
-                    api, aqi = mat[p][i], mat[q][i]
-                    mat[p][i] = c * api - s * aqi
-                    mat[q][i] = s * api + c * aqi
-                for i in range(n):
-                    vip, viq = vecs[i][p], vecs[i][q]
-                    vecs[i][p] = c * vip - s * viq
-                    vecs[i][q] = s * vip + c * viq
-    eigs = [mat[i][i] for i in range(n)]
-    return eigs, vecs
+        for root in real_roots(factor)
+        for _ in range(multiplicity)
+    ]
+    return tuple(sorted(eigs, reverse=True))
 
 
-def eigenvalues(sg, tol=1e-9):
-    """Full real spectrum of the signed adjacency matrix, descending order.
-
-    Verifies the eigenpair residuals and the first two exact moment checks
-    (sum 0, sum of squares 2|E|) against the requested tolerance.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    a = sg.matrix()
-    n = len(a)
-    if n == 0:
-        return RealSpectrum((), 0.0)
-    eigs, vecs = _jacobi(a)
-    residual = 0.0
-    for j in range(n):
-        vec = [vecs[i][j] for i in range(n)]
-        err = 0.0
-        for i in range(n):
-            av = sum(a[i][t] * vec[t] for t in range(n))
-            err += (av - eigs[j] * vec[i]) ** 2
-        residual = max(residual, math.sqrt(err))
-    if residual > tol:
-        raise ConsistencyError(
-            f"Jacobi residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    if abs(sum(eigs)) > tol:
-        raise ConsistencyError("eigenvalue sum should vanish")
-    if abs(sum(x * x for x in eigs) - 2 * sg.base.m) > tol * max(1, 2 * sg.base.m):
-        raise ConsistencyError("eigenvalue square sum should equal 2|E|")
-    return RealSpectrum(tuple(sorted(eigs, reverse=True)), residual)
-
-
+@lru_cache(maxsize=64)
 def spectral_radius(g):
-    """Spectral radius of the underlying (all-positive) graph."""
-    if g.m == 0:
-        return 0.0
-    return max(abs(x) for x in eigenvalues(all_positive(g)).eigenvalues)
+    """Spectral radius of the underlying (all-positive) graph; memoised per
+    graph, since each radius check and convergence ratio reads it."""
+    return max(map(abs, eigenvalues(all_positive(g))), default=0.0)

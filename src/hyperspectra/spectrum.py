@@ -46,7 +46,7 @@ from .signed import (
 )
 from .walks import covering_parity_profile, parity_closed_profile
 
-DEFAULT_PRECISION_BITS = 256
+WORKING_PRECISION_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,11 @@ class FactoredSpectralFunction:
                 return f.mu
         raise KeyError(f"no factor near sigma^2 = {sigma_sq}")
 
-    def evaluate_abs(self, x, precision_bits=DEFAULT_PRECISION_BITS):
+    def evaluate_abs(self, x):
         """prod |x^k - sigma^2|^mu * |x|^mu0; the absolute value of the
         function wherever fractional exponents would otherwise need a
         complex branch choice."""
-        with mp.workprec(precision_bits):
+        with mp.workprec(WORKING_PRECISION_BITS):
             acc = mp.mpf(1)
             xk = mp.mpf(x) ** self.k
             for f in self.factors:
@@ -380,7 +380,7 @@ def convergence_ratio(g, k, ell):
         raise ValueError("defined for connected graphs")
     counts = parity_closed_profile(g, 2 * ell)
     rho = spectral_radius(g)
-    with mp.workprec(DEFAULT_PRECISION_BITS):
+    with mp.workprec(WORKING_PRECISION_BITS):
         value = (
             mpf(2) ** (g.m - g.n)
             * mpf(k) ** (g.m * (k - 3) + g.n)

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .algebra import mat_power_traces, power_sums_from_charpoly
 from .errors import BudgetError, ConsistencyError
-from .signed import SIGNING_EDGE_LIMIT, signing_polynomials
+from .signed import signing_polynomials
 
 PARITY_DP_EDGE_LIMIT = 24
 COVERING_STATE_BUDGET = 40_000_000
@@ -109,11 +109,6 @@ def _parity_profile_dp(g, max_d):
 
 
 def _parity_profile_signed_mean(g, max_d):
-    if g.m > SIGNING_EDGE_LIMIT:
-        raise BudgetError(
-            f"signed-mean enumeration supports at most {SIGNING_EDGE_LIMIT} "
-            f"edges, got {g.m}"
-        )
     totals = [0] * (max_d + 1)
     for poly, count in signing_polynomials(g):
         traces = power_sums_from_charpoly(poly, max_d)

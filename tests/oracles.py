@@ -3,11 +3,13 @@
 Each is a slow or rational-arithmetic twin of a production routine: Euclid
 over `Fraction` polynomials for the integer gcd-free basis of
 `hyperspectra.algebra`, the inverse Newton recurrence, a brute-force
-isomorphism test and subset enumeration for the motif census, and subset
-inclusion-exclusion for the covering walk counts.
+isomorphism test and subset enumeration for the motif census, subset
+inclusion-exclusion for the covering walk counts, and cyclic Jacobi
+rotations in floats for the real spectra read off exact polynomials.
 """
 
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -225,3 +227,33 @@ def covering_parity_profile_by_subsets(motif, max_d):
 def covering_parity_closed_by_subsets(motif, d):
     """The inclusion-exclusion oracle at one length d."""
     return WalkCount(d, covering_parity_profile_by_subsets(motif, d)[d])
+
+
+# ---------------------------------------------------------------------------
+# real spectra
+
+
+def jacobi_eigenvalues(a):
+    """Eigenvalues of a real symmetric matrix, descending, by cyclic Jacobi
+    rotations in floats: each rotation zeroes one off-diagonal pair."""
+    n = len(a)
+    mat = [[float(x) for x in row] for row in a]
+    for _ in range(60):  # sweeps; each takes the off-diagonal norm down quadratically
+        off = math.sqrt(sum(mat[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
+        if off < 1e-15 * max(1.0, n):
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(mat[p][q]) < 1e-18:
+                    continue
+                theta = (mat[q][q] - mat[p][p]) / (2.0 * mat[p][q])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for row in mat:
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                mat[p], mat[q] = (
+                    [c * x - s * y for x, y in zip(mat[p], mat[q])],
+                    [s * x + c * y for x, y in zip(mat[p], mat[q])],
+                )
+    return tuple(sorted((mat[i][i] for i in range(n)), reverse=True))

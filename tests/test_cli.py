@@ -129,6 +129,19 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert len(payload) == 2
         assert {p["balanced"] for p in payload} == {True, False}
+        # the doubles nearest the exact eigenvalues, with no float noise
+        assert [p["eigenvalues"] for p in payload] == [[2.0, -1.0, -1.0], [1.0, 1.0, -2.0]]
+
+    def test_signed_equal_polynomials_print_equal_eigenvalues(self, capsys):
+        code, out, _ = run_cli(capsys, "signed", "--graph", "complete:4", "--format", "json")
+        assert code == 0
+        printed = {}
+        for p in json.loads(out):
+            printed.setdefault(tuple(p["char_poly"]), set()).add(
+                cli._json_dump(p["eigenvalues"])
+            )
+        assert len(printed) == 3
+        assert all(len(lists) == 1 for lists in printed.values()), printed
 
     def test_oracle(self, capsys):
         code, out, _ = run_cli(
@@ -251,6 +264,14 @@ class TestErrors:
         with pytest.raises(SystemExit) as err:
             cli.main(["walks", "--graph", "cycle:3", "--d", "2", "--nope"])
         assert err.value.code == 2
+
+    def test_removed_numeric_flags_exit_2(self, capsys):
+        signed = ["signed", "--graph", "cycle:3", "--tol", "1e-8"]
+        geomean = ["geomean", "--graph", "cycle:3", "--at", "3", "--precision-bits", "64"]
+        for argv in (signed, geomean):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+            assert err.value.code == 2, argv
 
     def test_negative_max_edges_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

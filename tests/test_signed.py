@@ -38,6 +38,7 @@ from hyperspectra.signed import (
 )
 from hyperspectra.spectrum import beta, char_poly_power
 from hyperspectra.walks import parity_closed_profile
+from oracles import jacobi_eigenvalues
 
 K2 = path_graph(2)
 P3 = path_graph(3)
@@ -155,12 +156,11 @@ class TestCharPoly:
 
 class TestEigenvalues:
     def test_cycle3_balanced(self):
-        eigs = eigenvalues(all_positive(C3)).eigenvalues
-        assert eigs == pytest.approx((2.0, -1.0, -1.0), abs=1e-9)
+        assert eigenvalues(all_positive(C3)) == (2.0, -1.0, -1.0)
 
     def test_cycle3_unbalanced_matches_cosine_form(self):
         # 2 cos((2i-1) pi / 3) for i = 1..3, sorted descending
-        eigs = eigenvalues(SignedGraph(C3, (-1, 1, 1))).eigenvalues
+        eigs = eigenvalues(SignedGraph(C3, (-1, 1, 1)))
         expected = sorted(
             (2 * math.cos((2 * i - 1) * math.pi / 3) for i in (1, 2, 3)),
             reverse=True,
@@ -168,13 +168,25 @@ class TestEigenvalues:
         assert eigs == pytest.approx(tuple(expected), abs=1e-9)
 
     def test_k2(self):
-        assert eigenvalues(all_positive(K2)).eigenvalues == pytest.approx(
-            (1.0, -1.0), abs=1e-12
-        )
+        assert eigenvalues(all_positive(K2)) == (1.0, -1.0)
 
-    def test_residual_bound_reported(self):
-        spec = eigenvalues(all_positive(complete_graph(5)))
-        assert spec.residual_bound <= 1e-9
+    def test_nearest_doubles(self):
+        assert eigenvalues(all_positive(cycle_graph(4))) == (2.0, 0.0, 0.0, -2.0)
+        assert eigenvalues(all_positive(Graph(0, ()))) == ()
+        # two signings of K4 with x^4 - 6x^2 + 5 give the same doubles
+        one = SignedGraph(complete_graph(4), (1, 1, 1, 1, 1, -1))
+        other = SignedGraph(complete_graph(4), (-1, 1, 1, 1, 1, 1))
+        assert char_poly_exact(one) == char_poly_exact(other) == [5, 0, -6, 0, 1]
+        assert eigenvalues(one) == eigenvalues(other) == (math.sqrt(5), 1.0, -1.0, -math.sqrt(5))
+
+    def test_agrees_with_jacobi_oracle(self, desk_corpus):
+        classes = 0
+        for g in desk_corpus:
+            for sg in enumerate_signings(g, up_to_switching=True):
+                exact = eigenvalues(sg)
+                assert exact == pytest.approx(jacobi_eigenvalues(sg.matrix()), abs=1e-12)
+                classes += 1
+        assert classes == 216
 
     def test_switching_invariance(self, small_corpus):
         for g in small_corpus:
@@ -225,9 +237,10 @@ class TestRadiusLemma:
         for g in small_corpus:
             if g.m == 0 or not g.is_connected():
                 continue
-            rho = spectral_radius(g)
+            rho = max(jacobi_eigenvalues(g.adjacency()))
+            assert spectral_radius(g) == pytest.approx(rho, abs=1e-12)
             for sg in enumerate_signings(g):
-                eigs = eigenvalues(sg).eigenvalues
+                eigs = jacobi_eigenvalues(sg.matrix())
                 assert max(abs(x) for x in eigs) <= rho + 1e-8
                 hits_top = abs(max(eigs) - rho) <= 1e-8
                 assert hits_top == is_balanced(sg)
@@ -282,7 +295,7 @@ class TestSigmaBasis:
             lam * lam
             for h in _connected_subgraphs(g)
             for sg in enumerate_signings(h, up_to_switching=True)
-            for lam in eigenvalues(sg).eigenvalues
+            for lam in jacobi_eigenvalues(sg.matrix())
         ]
         for f in char_poly_power(g, 3).factors:
             assert min(abs(x - f.sigma_sq) for x in squares) < 1e-9
@@ -296,7 +309,7 @@ class TestSigmaBasis:
             for sg in enumerate_signings(h):
                 exponents = basis_exponents(char_poly_of_squares(sg), basis)
                 nonzero = sum(e * (len(b) - 1) for e, b in zip(exponents, basis))
-                zeros = sum(1 for lam in eigenvalues(sg).eigenvalues if lam * lam < 1e-9)
+                zeros = sum(1 for lam in eigenvalues(sg) if lam == 0)
                 assert nonzero + zeros == h.n
 
     def test_empty_graph(self):

@@ -73,7 +73,7 @@ class TestParityClosed:
 
     def test_signed_mean_budget(self):
         wide = Graph(22, tuple((0, i) for i in range(1, 22)))
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="supports at most 20 edges, got 21"):
             parity_closed_count(wide, 2, method="signed_mean")
 
 
