@@ -26,7 +26,7 @@ def poly_trim(p):
 
 
 def poly_eval(p, x):
-    """Horner evaluation; works for int, Fraction, float and mpf inputs."""
+    """Horner evaluation; works for int, Fraction and float inputs."""
     acc = 0 * x
     for c in reversed(p):
         acc = acc * x + c

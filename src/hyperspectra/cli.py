@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -69,6 +70,17 @@ def _count(text):
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text!r}")
     return int(text)
+
+
+def _finite(text):
+    """argparse type: a malformed, infinite or NaN point is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _load_graph(spec):
@@ -332,7 +344,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("walks", parents=[common], help="exact walk counts")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_count, required=True)
     p.add_argument(
         "--method", choices=("dp", "signed_mean", "closed"), default="dp"
     )
@@ -357,7 +369,7 @@ def build_parser():
         "oracle", parents=[common], help="naive trace-formula cross-check"
     )
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_count, required=True)
     p.add_argument(
         "--best-check",
         action="store_true",
@@ -390,11 +402,11 @@ def build_parser():
     p = sub.add_parser(
         "geomean", parents=[common], help="geometric mean of signed char polys"
     )
-    p.add_argument("--at", type=float, required=True)
+    p.add_argument("--at", type=_finite, required=True)
     p.set_defaults(func=_cmd_geomean)
 
     p = sub.add_parser("amgm", parents=[common], help="AM-GM comparison")
-    p.add_argument("--at", type=float, required=True)
+    p.add_argument("--at", type=_finite, required=True)
     p.set_defaults(func=_cmd_amgm)
 
     p = sub.add_parser(

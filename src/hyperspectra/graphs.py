@@ -217,23 +217,20 @@ def parse_graph(text):
 # isomorphism certificates
 
 
-def _encode_upper_triangle(g, perm):
+def _encode_upper_triangle(g):
     bits = 0
-    adj = set()
-    for u, v in g.edges:
-        pu, pv = perm[u], perm[v]
-        adj.add((min(pu, pv), max(pu, pv)))
+    adj = set(g.edges)
     for i in range(g.n):
         for j in range(i + 1, g.n):
-            bits = (bits << 1) | (1 if (i, j) in adj else 0)
+            bits = (bits << 1) | ((i, j) in adj)
     return bits
 
 
-def canonical_form(g, max_vertices=CERTIFICATE_VERTEX_LIMIT):
+def canonical_form(g):
     """The relabeled copy of g with the minimum upper-triangular adjacency
     encoding over all degree-respecting relabelings (slots grouped by degree,
-    descending; bounded by max_vertices).  Isomorphic graphs get equal forms,
-    and the form of a form is the form itself.
+    descending; at most CERTIFICATE_VERTEX_LIMIT vertices).  Isomorphic
+    graphs get equal forms, and the form of a form is the form itself.
 
     The search fills slots 0..n-1 in turn instead of trying permutations.  A
     state is the vertices placed so far plus an ordered list of cells, masks
@@ -246,9 +243,10 @@ def canonical_form(g, max_vertices=CERTIFICATE_VERTEX_LIMIT):
     whose row i is smallest over all states survive.  Rows compare in
     encoding order, so every minimising relabeling survives every slot.
     """
-    if g.n > max_vertices:
+    if g.n > CERTIFICATE_VERTEX_LIMIT:
         raise BudgetError(
-            f"canonical form supports at most {max_vertices} vertices, got {g.n}"
+            f"canonical form supports at most {CERTIFICATE_VERTEX_LIMIT} "
+            f"vertices, got {g.n}"
         )
     nbr = [0] * g.n
     for u, v in g.edges:
@@ -289,21 +287,17 @@ def _form_certificate(form):
     """The vertex count followed by the upper-triangular adjacency encoding
     of a graph already in canonical form."""
     nbytes = (form.n * (form.n - 1) // 2 + 7) // 8
-    encoding = _encode_upper_triangle(form, range(form.n))
+    encoding = _encode_upper_triangle(form)
     return bytes([form.n]) + encoding.to_bytes(nbytes, "big")
 
 
-def canonical_certificate(g, max_vertices=CERTIFICATE_VERTEX_LIMIT):
+def canonical_certificate(g):
     """Byte certificate equal for isomorphic graphs and distinct otherwise:
     the vertex count followed by the upper-triangular adjacency encoding of
     `canonical_form(g)`, i.e. the minimum encoding over degree-respecting
-    relabelings that its slot-by-slot search finds (bounded by max_vertices).
+    relabelings that its slot-by-slot search finds.
     """
-    if g.n > max_vertices:
-        raise BudgetError(
-            f"certificate supports at most {max_vertices} vertices, got {g.n}"
-        )
-    return _form_certificate(canonical_form(g, max_vertices))
+    return _form_certificate(canonical_form(g))
 
 
 # ---------------------------------------------------------------------------

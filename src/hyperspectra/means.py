@@ -1,20 +1,21 @@
 """Matching polynomial, the arithmetic-mean identity relating it to signed
 characteristic polynomials, the geometric-mean evaluation of the
 pseudo-characteristic function, and the AM-GM comparison between the two.
+
+All exact, except the geometric mean: an integer product over signings,
+whose 2^|E|-th root is taken by nested integer square roots, to a double.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
 from .errors import ConsistencyError
 from .signed import signing_polynomials
-from .spectrum import WORKING_PRECISION_BITS
 
-AMGM_TOLERANCE = 1e-9  # beta is a double, so alpha - beta is compared to this
+ROOT_BITS = 128  # working width of the integer roots: 53 bits and 75 guard bits
 
 
 def matchings_by_size(g):
@@ -71,22 +72,24 @@ def _scaled_value(poly, p, q):
     return acc
 
 
-def signed_char_poly_values(g, lambda0):
-    """(phi(lambda0), count) for each distinct characteristic polynomial phi
-    of a signing of g and the number of signings that have it; the values
-    are exact rationals, lambda0 being taken at its exact binary value p/q,
-    each from one integer Horner pass over q^n phi(p/q)."""
+def _scaled_values(g, lambda0):
+    """q^n and, per distinct signed characteristic polynomial phi of g, the
+    pair (q^n phi(p/q), number of signings with phi), where p/q is the exact
+    binary value of lambda0; each value is one integer Horner pass."""
     x = Fraction(lambda0)
     p, q = x.numerator, x.denominator
-    scale = q**g.n
-    return tuple(
-        (Fraction(_scaled_value(poly, p, q), scale), count)
-        for poly, count in signing_polynomials(g)
-    )
+    return q**g.n, [(_scaled_value(phi, p, q), c) for phi, c in signing_polynomials(g)]
+
+
+def signed_char_poly_values(g, lambda0):
+    """The pairs (phi(lambda0), count) of `_scaled_values`, with each value
+    an exact rational."""
+    scale, values = _scaled_values(g, lambda0)
+    return tuple((Fraction(v, scale), count) for v, count in values)
 
 
 def geometric_mean_evaluate(g, lambda0):
-    """(prod_pi phi_pi(lambda0))^(2^-|E|).
+    """(prod_pi phi_pi(lambda0))^(2^-|E|), as the nearest double.
 
     The product is computed exactly, over the distinct signed polynomials,
     each value raised to its number of signings; a negative product
@@ -94,21 +97,16 @@ def geometric_mean_evaluate(g, lambda0):
     inconsistency rather than silently truncated.  A zero product (lambda0
     hits a root of some signing) evaluates to exactly 0.
     """
-    values = signed_char_poly_values(g, lambda0)
-    return _geometric_mean(values, lambda0)
+    scale, values = _scaled_values(g, lambda0)
+    product = math.prod(v**count for v, count in values)
+    return _geometric_mean(product, scale, 2**g.m, lambda0)
 
 
-def _geometric_mean(values, lambda0):
-    """The 2^|E|-th root of the product of the 2^|E| values phi_pi(lambda0),
-    from (value, count) pairs: the exact product of value^count."""
-    product = Fraction(1)
-    signings = 0
-    for v, count in values:
-        product *= v**count
-        signings += count
+def _geometric_mean(product, scale, signings, lambda0):
+    """The signings-th root of product / scale^signings, as a double."""
     if signings == 1:
         # a single signing: the mean is the polynomial value itself
-        return float(product)
+        return product / scale
     if product < 0:
         # impossible for |E| >= 1: each switching class contributes its
         # value an even number 2^(|V|-c) of times
@@ -118,9 +116,25 @@ def _geometric_mean(values, lambda0):
         )
     if product == 0:
         return 0.0
-    with mp.workprec(WORKING_PRECISION_BITS):
-        value = mp.mpf(product.numerator) / mp.mpf(product.denominator)
-        return float(mp.root(value, signings))
+    return _root(product, scale**signings, signings)
+
+
+def _root(num, den, n):
+    """The double nearest (num / den)^(1/n), for positive integers num, den
+    and n a power of two, unless the root is within a relative 2^-126 of a
+    midpoint between doubles: a * 2^e starts as the quotient with 2 ROOT_BITS
+    bits in a, and each integer square root, of a shifted left to an even
+    exponent, keeps ROOT_BITS bits, so a * 2^e is short by under 2^-127."""
+    e = num.bit_length() - den.bit_length() - 2 * ROOT_BITS
+    a = (num << -e) // den if e < 0 else num // (den << e)
+    for _ in range(n.bit_length() - 1):
+        shift = 2 * ROOT_BITS + 2 - a.bit_length()
+        shift += (e - shift) % 2
+        a, e = math.isqrt(a << shift), (e - shift) // 2
+    try:
+        return math.ldexp(a, e)
+    except OverflowError:  # past the largest double, as float arithmetic gives
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -140,7 +154,7 @@ def amgm_check(g, lambda0):
     polynomials weighted by their numbers of signings.  Skipped (not failed)
     when some phi_pi(lambda0) is negative, since the comparison is
     conditional on non-negative values."""
-    values = signed_char_poly_values(g, lambda0)
+    scale, values = _scaled_values(g, lambda0)
     if any(v < 0 for v, _ in values):
         return AmgmReport(
             status="skipped",
@@ -150,22 +164,21 @@ def amgm_check(g, lambda0):
             equality=None,
             detail="some signed characteristic polynomial is negative here",
         )
-    alpha_value = sum((v * count for v, count in values), Fraction(0)) / 2**g.m
-    beta_value = _geometric_mean(values, lambda0)
-    spread = float(max(v for v, _ in values) - min(v for v, _ in values))
-    all_equal = spread <= AMGM_TOLERANCE
+    signings = 2**g.m
+    total = sum(v * count for v, count in values)
+    product = math.prod(v**count for v, count in values)
+    alpha_value = Fraction(total, scale * signings)
+    beta_value = _geometric_mean(product, scale, signings, lambda0)
+    # alpha^N >= prod phi^count, both sides times (N scale)^N, N^N = 2^(|E| N)
+    lhs, rhs = total**signings, product << (g.m * signings)
+    all_equal = len({v for v, _ in values}) == 1
     gap = float(alpha_value) - beta_value
-    if gap < -AMGM_TOLERANCE:
-        status = "fail"
-        detail = f"alpha - beta = {gap:.3e} is negative"
-    elif all_equal != (abs(gap) <= AMGM_TOLERANCE):
-        status = "fail"
-        detail = (
-            f"equality case mismatch: spread {spread:.3e} but gap {gap:.3e}"
-        )
+    if lhs < rhs:
+        status, detail = "fail", f"alpha < beta, alpha - beta = {gap:.3e}"
+    elif all_equal != (lhs == rhs):
+        status, detail = "fail", "equality does not match equal signed values"
     else:
-        status = "pass"
-        detail = "equality" if all_equal else f"strict by {gap:.6g}"
+        status, detail = "pass", "equality" if all_equal else f"strict by {gap:.6g}"
     return AmgmReport(
         status=status,
         lambda0=float(lambda0),

@@ -11,13 +11,15 @@ with no linear system.  Squared eigenvalues are keyed exactly by the elements
 b of a gcd-free basis of the polynomials `char_poly_of_squares` of all
 connected signed subgraphs, built in integer arithmetic; every root of one
 b carries the same multiplicity mu_b, because all polynomials involved have
-integer coefficients.  The only floats are the roots sigma^2 of each b, each
-the double nearest to the exact root: an integer Sturm sequence isolates it
-and bisection at dyadic points narrows it until its interval rounds to one
-double, so no precision parameter is involved.  The census, the exponents of
-its signed-spectra polynomials over the basis, and the basis are memoised per
-graph; each result is checked against exact moments from the same census via
-covering walk counts, not signed spectra, for ell up to a bound set by g.
+integer coefficients.  The only floats are the convergence ratio, an exact
+rational rounded once, and the roots sigma^2 of each b, each the double
+nearest to the exact root: an integer Sturm sequence isolates it and
+bisection at dyadic points narrows it until its interval rounds to one
+double.  `abs_power` evaluates |f(x)|^n exactly, so beta's identities are
+checked in rationals.  The census, the exponents of its signed-spectra
+polynomials over the basis, and the basis are memoised per graph; each
+result is checked against exact moments from the same census via covering
+walk counts, not signed spectra, for ell up to a bound set by g.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp, mpf
-
 from . import digraphs
 from .algebra import (
     basis_exponents,
     coprime_basis,
+    poly_eval,
     power_sums_from_charpoly,
     real_roots,
 )
@@ -45,8 +46,6 @@ from .signed import (
     spectral_radius,
 )
 from .walks import covering_parity_profile, parity_closed_profile
-
-WORKING_PRECISION_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -76,23 +75,21 @@ class FactoredSpectralFunction:
                 return f.mu
         raise KeyError(f"no factor near sigma^2 = {sigma_sq}")
 
-    def evaluate_abs(self, x):
-        """prod |x^k - sigma^2|^mu * |x|^mu0; the absolute value of the
-        function wherever fractional exponents would otherwise need a
-        complex branch choice."""
-        with mp.workprec(WORKING_PRECISION_BITS):
-            acc = mp.mpf(1)
-            xk = mp.mpf(x) ** self.k
-            for f in self.factors:
-                base = abs(xk - mp.mpf(f.sigma_sq))
-                if base == 0:
-                    return 0.0
-                acc *= base ** _to_mpf(f.mu)
-            if self.mu0:
-                if x == 0:
-                    return 0.0
-                acc *= abs(mp.mpf(x)) ** _to_mpf(self.mu0)
-            return float(acc)
+    def abs_power(self, x, n):
+        """|f(x)|^n = |x|^(n mu0) prod_b |b(x^k)|^(n mu_b), a Fraction at the
+        exact binary value of x; b is monic, so b(x^k) = prod (x^k - sigma^2)
+        over its roots.  Raises ValueError when some n mu is not an integer."""
+        x = Fraction(x)
+        exponents = {f.b: f.mu for f in self.factors}
+        terms = [(poly_eval(b, x**self.k), mu) for b, mu in exponents.items()]
+        terms.append((x, self.mu0))
+        value = Fraction(1)
+        for base, mu in terms:
+            power = n * Fraction(mu)
+            if power.denominator != 1:
+                raise ValueError(f"{n} * {mu} is not an integer")
+            value *= abs(base) ** int(power)
+        return value
 
     def to_text(self):
         parts = []
@@ -110,12 +107,6 @@ def _format_number(x):
     if x == int(x):
         return str(int(x))
     return repr(x)
-
-
-def _to_mpf(value):
-    if isinstance(value, Fraction):
-        return mpf(value.numerator) / mpf(value.denominator)
-    return mpf(value)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +319,9 @@ def beta(g):
 
     The exponent of (lambda^2 - x) is half the number of eigenvalues with
     square x, averaged over the 2^|E| signings, so exponents are dyadic;
-    zero exponents are dropped from the factor list.
+    zero exponents are dropped from the factor list.  For a connected g with
+    an edge, the exponent of the largest root rho(G)^2 is checked exactly
+    against 2^-(|E|-|V|+1).
     """
     basis, mu = _exact_multiplicities(g, 2)
     if any(m < 0 for m in mu):
@@ -339,7 +332,7 @@ def beta(g):
     check_moment_identity(g, result)
     if g.m and g.is_connected():
         expected = Fraction(1, 2 ** (g.m - g.n + 1))
-        if Fraction(radius_cluster_exponent(result, g)) != expected:
+        if not factors or factors[-1].mu != expected:
             raise ConsistencyError(
                 "spectral-radius exponent of beta is not "
                 f"2^-(|E|-|V|+1) = {expected}"
@@ -370,7 +363,7 @@ def radius_total_multiplicity(g, k):
 def radius_cluster_exponent(fsf, g):
     """The pipeline multiplicity at the cluster containing rho(G)^2."""
     rho_sq = spectral_radius(g) ** 2
-    return fsf.exponent_near(rho_sq, rel_tol=1e-6)
+    return fsf.exponent_near(rho_sq)
 
 
 def convergence_ratio(g, k, ell):
@@ -379,12 +372,10 @@ def convergence_ratio(g, k, ell):
     if not g.is_connected():
         raise ValueError("defined for connected graphs")
     counts = parity_closed_profile(g, 2 * ell)
-    rho = spectral_radius(g)
-    with mp.workprec(WORKING_PRECISION_BITS):
-        value = (
-            mpf(2) ** (g.m - g.n)
-            * mpf(k) ** (g.m * (k - 3) + g.n)
-            * mpf(counts[2 * ell])
-            / mpf(rho) ** (2 * ell)
-        )
-        return float(value)
+    rho = Fraction(spectral_radius(g))
+    return float(
+        Fraction(2) ** (g.m - g.n)
+        * Fraction(k) ** (g.m * (k - 3) + g.n)
+        * counts[2 * ell]
+        / rho ** (2 * ell)
+    )

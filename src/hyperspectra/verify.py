@@ -8,6 +8,7 @@ beta checks are limited to graphs with at most 8 edges).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -240,25 +241,17 @@ def _check_trace_formula(_seeds, _ctx):
     return "pass", "K2 d=1..6 and P3 d=3,6 at k=3"
 
 
-def _check_multiplicities(seeds, ctx, ks=(3,)):
+def _check_multiplicities(seeds, ctx):
+    """Fails when a check that char_poly_power runs on its result raises."""
     checked = 0
     for g in seeds:
         if not g.is_connected() or g.m == 0:
             continue
-        for k in ks:
-            fsf = ctx.charpoly(g, k)
-            expected = (g.n + (k - 2) * g.m) * (k - 1) ** (
-                g.n + (k - 2) * g.m - 1
-            )
-            if fsf.total_degree() != expected:
-                return "fail", f"degree identity broken on {g} at k={k}"
-            if any(f.mu < 0 for f in fsf.factors):
-                return "fail", f"negative multiplicity on {g} at k={k}"
-            try:
-                spectrum.check_moment_identity(g, fsf)
-            except ConsistencyError as exc:
-                return "fail", f"{exc} on {g} at k={k}"
-            checked += 1
+        try:
+            ctx.charpoly(g, 3)
+        except ConsistencyError as exc:
+            return "fail", f"{exc} on {g} at k=3"
+        checked += 1
     return "pass", f"{checked} (graph, k) systems"
 
 
@@ -281,18 +274,16 @@ def _check_radius_multiplicity(seeds, ctx, ks=(3, 4)):
 
 
 def _check_beta_geometric_mean(seeds, ctx):
+    """|beta(x)|^(2^|E|) = prod over the 2^|E| signings of phi(x), exactly."""
     checked = 0
     for g in seeds:
         if g.m == 0:
             continue
         fsf = ctx.beta(g)
         for x in SAMPLE_POINTS:
-            gm = means.geometric_mean_evaluate(g, x)
-            if gm == 0.0:
-                continue  # lands on a root of some signing; identity is 0=0
-            bv = fsf.evaluate_abs(x)
-            if abs(gm - bv) > 1e-9 * max(1.0, abs(bv)):
-                return "fail", f"geometric mean off at {x} on {g}: {gm} vs {bv}"
+            product = math.prod(v**c for v, c in means.signed_char_poly_values(g, x))
+            if product != fsf.abs_power(x, 2**g.m):
+                return "fail", f"geometric-mean identity fails at {x} on {g}"
             checked += 1
     return "pass", f"{checked} evaluations"
 
@@ -305,9 +296,7 @@ def _check_beta_cycle_identity(_seeds, ctx):
         fsf = ctx.beta(g)
         phi = char_poly_exact(all_positive(g))
         for x in SAMPLE_POINTS:
-            lhs = fsf.evaluate_abs(x) ** 2
-            rhs = abs(poly_eval(phi, Fraction(x) ** 2 - 2))
-            if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
+            if fsf.abs_power(x, 2) != abs(poly_eval(phi, Fraction(x) ** 2 - 2)):
                 return "fail", f"cycle identity off for C{n} at {x}"
     return "pass", "C3..C6 at the sample points, absolute values"
 

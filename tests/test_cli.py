@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import hyperspectra
 from hyperspectra import cli, digraphs, spectrum, walks
 from hyperspectra.graphs import path_graph
 
@@ -292,6 +297,25 @@ class TestErrors:
         code, out, _ = run_cli(capsys, *walks)
         assert code == 0 and out.strip().endswith(": 4")
 
+    def test_negative_lengths_exit_2(self, capsys):
+        walks = ["walks", "--graph", "path:3", "--d", "-1"]
+        oracle = ["oracle", "--graph", "path:3", "--d", "-2"]
+        for argv in (walks, oracle):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+            assert err.value.code == 2, argv
+        assert "expected a count" in capsys.readouterr().err
+
+    def test_non_finite_points_exit_2(self, capsys):
+        geomean = ["geomean", "--graph", "cycle:3", "--at", "nan"]
+        amgm = ["amgm", "--graph", "cycle:3", "--at", "inf"]
+        malformed = ["geomean", "--graph", "cycle:3", "--at", "three"]
+        for argv in (geomean, amgm, malformed):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+            assert err.value.code == 2, argv
+        assert "expected a finite number" in capsys.readouterr().err
+
     def test_computation_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "walks", "--graph", "3 2\\n0 1\\n1 1", "--d", "2")
         assert code == 1
@@ -301,3 +325,27 @@ class TestErrors:
         code, _, err = run_cli(capsys, "walks", "--d", "2")
         assert code == 1
         assert "graph" in err
+
+
+def test_runs_on_the_standard_library_alone():
+    # python -S leaves site-packages off sys.path, so no installed package
+    # can be imported: the package and these commands need none
+    script = textwrap.dedent(
+        """
+        import hyperspectra
+        from hyperspectra import cli
+        for argv in (
+            ["geomean", "--graph", "cycle:4", "--at", "2.5"],
+            ["amgm", "--graph", "cycle:3", "--at", "3", "--format", "json"],
+            ["verify", "--scope", "quick"],
+        ):
+            assert cli.main(argv) == 0, argv
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperspectra.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert "14 passed, 0 failed" in done.stdout

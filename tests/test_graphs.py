@@ -168,7 +168,8 @@ def _degree_class_permutations(g):
 def brute_force_form(g):
     """Oracle: try every degree-respecting relabeling."""
     best = min(
-        _degree_class_permutations(g), key=lambda perm: _encode_upper_triangle(g, perm)
+        _degree_class_permutations(g),
+        key=lambda perm: _encode_upper_triangle(g.relabel(perm)),
     )
     return g.relabel(best)
 

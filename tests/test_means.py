@@ -2,16 +2,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperspectra import signed
 from hyperspectra.algebra import poly_eval
 from hyperspectra.errors import BudgetError
 from hyperspectra.graphs import complete_graph, cycle_graph, path_graph
 from hyperspectra.means import (
+    _root,
     amgm_check,
     geometric_mean_evaluate,
     matching_polynomial,
     matchings_by_size,
+    signed_char_poly_values,
 )
 from hyperspectra.signed import all_positive, char_poly_exact
 from hyperspectra.spectrum import beta
@@ -74,16 +78,15 @@ class TestGeometricMean:
         assert geometric_mean_evaluate(P3, 2.0) == pytest.approx(4.0, rel=1e-12)
 
     def test_matches_beta_at_sample_points(self, small_corpus):
+        # |beta|^(2^|E|) is the product over signings, exactly, roots included
         for g in small_corpus:
             if g.m == 0:
                 continue
             fsf = beta(g)
             for x in SAMPLE_POINTS:
-                gm = geometric_mean_evaluate(g, x)
-                if gm == 0.0:
-                    continue  # x is a root of some signing
-                bv = fsf.evaluate_abs(x)
-                assert abs(gm - bv) <= 1e-9 * max(1.0, abs(bv)), (g, x)
+                values = signed_char_poly_values(g, x)
+                product = math.prod(v**count for v, count in values)
+                assert fsf.abs_power(x, 2**g.m) == product, (g, x)
 
     def test_exact_zero_at_signing_root(self):
         # 3 is the spectral radius of the all-positive K1,3 star: K1,3 has
@@ -97,6 +100,15 @@ class TestGeometricMean:
         assert geometric_mean_evaluate(Graph(3, ()), -2.0) == -8.0
 
 
+@given(st.integers(1, 10**40), st.integers(1, 10**40), st.integers(0, 12))
+def test_root_is_the_nearest_double(num, den, j):
+    # p = num/den lies between the 2^j-th powers of the midpoints from y to
+    # its neighbouring doubles, so no other double is nearer p^(2^-j)
+    y = _root(num, den, 2**j)
+    lo, hi = ((Fraction(y) + Fraction(math.nextafter(y, t))) / 2 for t in (0, math.inf))
+    assert lo ** 2**j <= Fraction(num, den) <= hi ** 2**j
+
+
 class TestCycleIdentity:
     def test_beta_squared_equals_shifted_char_poly(self):
         for n in range(3, 7):
@@ -104,9 +116,8 @@ class TestCycleIdentity:
             fsf = beta(g)
             phi = char_poly_exact(all_positive(g))
             for x in SAMPLE_POINTS:
-                lhs = fsf.evaluate_abs(x) ** 2
                 rhs = abs(poly_eval(phi, Fraction(x) ** 2 - 2))
-                assert abs(lhs - rhs) <= 1e-9 * max(1.0, rhs), (n, x)
+                assert fsf.abs_power(x, 2) == rhs, (n, x)
 
 
 class TestAmGm:
@@ -159,4 +170,10 @@ class TestAmGm:
                 report = amgm_check(g, x)
                 assert report.status in ("pass", "skipped"), (g, x, report.detail)
                 if report.status == "pass":
-                    assert float(report.alpha_value) >= report.beta_value - 1e-9
+                    # alpha^N >= prod phi^count, equal exactly when all agree
+                    values = signed_char_poly_values(g, x)
+                    product = math.prod(v**count for v, count in values)
+                    gap = report.alpha_value ** 2**g.m - product
+                    assert gap >= 0, (g, x)
+                    assert report.equality == (gap == 0), (g, x)
+                    assert report.equality == (len({v for v, _ in values}) == 1), (g, x)

@@ -370,6 +370,23 @@ class TestBeta:
                 1, 2 ** (g.m - g.n + 1)
             )
 
+    def test_corrupted_radius_exponent_fails(self, monkeypatch):
+        # half the exponent at the basis element holding rho(G)^2, the
+        # largest root; the moment identity, which would fail first, is
+        # stubbed so that the exact radius check is reached
+        exact = spectrum._exact_multiplicities
+
+        def corrupted(g, k):
+            basis, mu = exact(g, k)
+            top = max(range(len(basis)), key=lambda i: max(real_roots(basis[i])))
+            return basis, [m / (1 + (i == top)) for i, m in enumerate(mu)]
+
+        monkeypatch.setattr(spectrum, "_exact_multiplicities", corrupted)
+        monkeypatch.setattr(spectrum, "check_moment_identity", lambda g, fsf: None)
+        for g in (K2, C3, cycle_graph(4)):
+            with pytest.raises(ConsistencyError, match="spectral-radius exponent"):
+                beta(g)
+
     def test_exponents_are_dyadic(self, small_corpus):
         for g in small_corpus:
             if g.m == 0:

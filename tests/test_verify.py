@@ -1,9 +1,13 @@
 from dataclasses import replace
+from fractions import Fraction
+
+import pytest
 
 from hyperspectra import signed, spectrum, verify
 from hyperspectra.graphs import cycle_graph, path_graph
 
 P3 = path_graph(3)
+C4 = cycle_graph(4)
 
 
 class _FixedBeta:
@@ -27,6 +31,39 @@ def test_forest_check_expands_beta():
     wrong = replace(spectrum.beta(P3), mu0=3, factors=())
     status, detail = verify._check_beta_forest([P3], _FixedBeta(wrong))
     assert status == "fail", detail
+
+
+def test_geometric_mean_check_is_exact():
+    # the top exponent of beta(C4) is 1/2; lowered by 1/2^|E| the product
+    # identity fails, and lowered by 1/2^(|E|+1) |beta|^(2^|E|) is no longer
+    # a rational function of x, which abs_power refuses
+    true = spectrum.beta(C4)
+    top = true.factors[-1]
+    assert verify._check_beta_geometric_mean([C4], _FixedBeta(true))[0] == "pass"
+    for delta, fails in ((Fraction(1, 16), True), (Fraction(1, 32), False)):
+        lowered = replace(top, mu=top.mu - delta)
+        wrong = _FixedBeta(replace(true, factors=true.factors[:-1] + (lowered,)))
+        if fails:
+            status, detail = verify._check_beta_geometric_mean([C4], wrong)
+            assert status == "fail", detail
+        else:
+            with pytest.raises(ValueError, match="not an integer"):
+                verify._check_beta_geometric_mean([C4], wrong)
+
+
+def test_multiplicity_check_fails_on_corrupted_multiplicities(monkeypatch):
+    # one more at the first basis element at k = 3; char_poly_power's own
+    # checks raise, and the check reports it
+    exact = spectrum._exact_multiplicities
+
+    def corrupted(g, k):
+        basis, mu = exact(g, k)
+        return basis, [m + (i == 0 and k == 3) for i, m in enumerate(mu)]
+
+    monkeypatch.setattr(spectrum, "_exact_multiplicities", corrupted)
+    report = verify.run_verify_suite("quick", seed_graphs=[C4])
+    check = next(c for c in report.checks if c.name == "spectrum/multiplicities")
+    assert check.status == "fail", check.detail
 
 
 def test_decomposition_builds_one_census_per_graph(monkeypatch):
