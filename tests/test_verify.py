@@ -34,21 +34,22 @@ def test_forest_check_expands_beta():
 
 
 def test_geometric_mean_check_is_exact():
-    # the top exponent of beta(C4) is 1/2; lowered by 1/2^|E| the product
-    # identity fails, and lowered by 1/2^(|E|+1) |beta|^(2^|E|) is no longer
-    # a rational function of x, which abs_power refuses
+    # the top exponent of beta(C4) is 1/2.  Lowered by 1/2^|E| the product
+    # identity fails; lowered by 1/2^(|E|+1), |beta|^(2^|E|) is no longer a
+    # rational function of x, and abs_power refuses it
     true = spectrum.beta(C4)
     top = true.factors[-1]
-    assert verify._check_beta_geometric_mean([C4], _FixedBeta(true))[0] == "pass"
-    for delta, fails in ((Fraction(1, 16), True), (Fraction(1, 32), False)):
-        lowered = replace(top, mu=top.mu - delta)
-        wrong = _FixedBeta(replace(true, factors=true.factors[:-1] + (lowered,)))
-        if fails:
-            status, detail = verify._check_beta_geometric_mean([C4], wrong)
-            assert status == "fail", detail
-        else:
-            with pytest.raises(ValueError, match="not an integer"):
-                verify._check_beta_geometric_mean([C4], wrong)
+
+    def lowered_by(delta):
+        factors = true.factors[:-1] + (replace(top, mu=top.mu - delta),)
+        return _FixedBeta(replace(true, factors=factors))
+
+    check = verify._check_beta_geometric_mean
+    assert check([C4], _FixedBeta(true))[0] == "pass"
+    status, detail = check([C4], lowered_by(Fraction(1, 16)))
+    assert status == "fail", detail
+    with pytest.raises(ValueError, match="not an integer"):
+        check([C4], lowered_by(Fraction(1, 32)))
 
 
 def test_multiplicity_check_fails_on_corrupted_multiplicities(monkeypatch):
