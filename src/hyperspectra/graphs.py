@@ -72,41 +72,30 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def is_connected(self):
-        if self.n <= 1:
-            return True
+    def components(self):
+        """Sorted vertex lists of the connected components, by least vertex."""
         nbrs = self.neighbors()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in nbrs[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        seen = set()
+        out = []
+        for root in range(self.n):
+            if root not in seen:
+                seen.add(root)
+                component = [root]
+                for u in component:  # read while it grows: breadth first
+                    fresh = [w for w in nbrs[u] if w not in seen]
+                    seen.update(fresh)
+                    component.extend(fresh)
+                out.append(sorted(component))
+        return out
+
+    def is_connected(self):
+        return len(self.components()) <= 1
 
     def is_tree(self):
         return self.is_connected() and self.m == self.n - 1
 
     def is_forest(self):
-        return not self._has_cycle()
-
-    def _has_cycle(self):
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return True
-            parent[ru] = rv
-        return False
+        return self.m == self.n - len(self.components())
 
     def relabel(self, mapping):
         """New graph with vertex i renamed mapping[i]."""

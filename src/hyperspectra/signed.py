@@ -112,24 +112,7 @@ def largest_cycle_rank(g):
     """The largest cycle rank |E(C)| - |V(C)| + 1 over the components C of g
     (0 for a forest), which bounds the cycle rank of every connected
     subgraph of g."""
-    root = list(range(g.n))
-    extra = [0] * g.n  # edges closing a cycle, exact at each current root
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            extra[ru] += 1
-        else:
-            root[ru] = rv
-            extra[rv] += extra[ru]
-    # a merged-away root keeps a count no larger than its new root's
-    return max(extra, default=0)
+    return max((h.m - h.n + 1 for h in map(g.induced, g.components())), default=0)
 
 
 def spanning_forest_edges(g):

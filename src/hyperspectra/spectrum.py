@@ -2,24 +2,23 @@
 eigenvalue multiplicities, the factored characteristic polynomial, the
 spectral-radius multiplicity, and the k=2 extrapolation beta.
 
-The trace formula k * sum_x mu(x) x^ell = S_{ell k} holds for every
-ell >= 1, and S_{ell k} is itself an exact finite sum of x^ell terms over the
+For k >= 3 the trace formula k * sum_x mu(x) x^ell = S_{ell k} holds for
+every ell >= 1, and S_{ell k} is an exact finite sum of x^ell terms over the
 squared eigenvalues x of signed subgraphs: covering walk counts are an
 inclusion-exclusion over parity-closed counts, which are signed-trace
 averages.  Each multiplicity mu(x) is therefore read off as a coefficient,
 with no linear system.  Squared eigenvalues are keyed exactly by the elements
 b of a gcd-free basis of the polynomials `char_poly_of_squares` of all
 connected signed subgraphs, built in integer arithmetic; every root of one
-b carries the same multiplicity mu_b, because all polynomials involved have
-integer coefficients.  The only floats are the convergence ratio, an exact
-rational rounded once, and the roots sigma^2 of each b, each the double
-nearest to the exact root: an integer Sturm sequence isolates it and
-bisection at dyadic points narrows it until its interval rounds to one
-double.  `abs_power` evaluates |f(x)|^n exactly, so beta's identities are
-checked in rationals.  The census, the exponents of its signed-spectra
-polynomials over the basis, and the basis are memoised per graph; each
-result is checked against exact moments from the same census via covering
-walk counts, not signed spectra, for ell up to a bound set by g.
+b carries the same multiplicity mu_b.  beta reads no census, only the
+switching classes of the components of g.  The only floats are the
+convergence ratio, an exact rational rounded once, and the roots sigma^2 of
+each b, each the double nearest to the exact root: an integer Sturm sequence
+isolates it and bisection at dyadic points narrows it until its interval
+rounds to one double.  `abs_power` evaluates |f(x)|^n exactly, so beta's
+identities are checked in rationals.  Bases and exponents are memoised per
+graph; each result is checked against exact moments from walk counts, not
+signed spectra, for ell up to a bound set by g.
 """
 
 from __future__ import annotations
@@ -113,24 +112,16 @@ def _format_number(x):
 # the motif census and the spectral moments
 
 
-@lru_cache(maxsize=64)
-def _motif_spectra(g):
-    """The connected edge subsets of g grouped by motif class, the gcd-free
-    basis Sigma of the `char_poly_of_squares` of every class's switching
-    classes, and per class the number of switching classes and the sum of
-    their exponent vectors over Sigma; memoised per graph, all immutable.
-
-    A component whose cycle space is too large for its switching classes
-    to be listed is refused before the census, which would list them last.
-    """
-    check_cycle_space(largest_cycle_rank(g))
-    classes = connected_subgraph_classes(g, g.m) if g.m else ()
+def _signing_spectra(graphs):
+    """The gcd-free basis Sigma of the `char_poly_of_squares` of every
+    switching class of the given graphs, and per graph the number of its
+    switching classes and the sum of their exponent vectors over Sigma."""
     squares = tuple(
         tuple(
             tuple(char_poly_of_squares(sg))
-            for sg in enumerate_signings(motif.graph, up_to_switching=True)
+            for sg in enumerate_signings(h, up_to_switching=True)
         )
-        for motif, _ in classes
+        for h in graphs
     )
     basis = tuple(map(tuple, coprime_basis(q for qs in squares for q in qs)))
     over_basis = {q: basis_exponents(q, basis) for qs in squares for q in qs}
@@ -138,6 +129,17 @@ def _motif_spectra(g):
         (len(qs), tuple(map(sum, zip(*(over_basis[q] for q in qs)))))
         for qs in squares
     )
+    return exponents, basis
+
+
+@lru_cache(maxsize=64)
+def _motif_spectra(g):
+    """The connected edge subsets of g grouped by motif class, and their
+    `_signing_spectra`; memoised per graph.  A component whose cycle space
+    is too large to list its switching classes is refused before the census."""
+    check_cycle_space(largest_cycle_rank(g))
+    classes = connected_subgraph_classes(g, g.m) if g.m else ()
+    exponents, basis = _signing_spectra(motif.graph for motif, _ in classes)
     return classes, exponents, basis
 
 
@@ -197,7 +199,7 @@ def _covering_weight(g, subset, k):
     The prefactor D_k(v, e) is c * r^v * s^e, so the sum factors into
     (1 - s) for each further edge inside V(C) and 1 - r + r (1 - s)^t for
     each outside vertex joined to V(C) by t edges.  At k = 3, s = 1 and only
-    induced C weigh in; at k = 2, r = s = 1 and only whole components do.
+    induced C weigh in.
     """
     verts = {x for i in subset for x in g.edges[i]}
     weight = Fraction(1)
@@ -221,7 +223,7 @@ def _covering_weight(g, subset, k):
 
 def _exact_multiplicities(g, k):
     """The gcd-free basis of Sigma and the exact multiplicity mu_b of each
-    element, for the k-power (for k = 2, the exponents of beta).
+    element, for the k-power (k >= 3).
 
     mu(x) = scale * sum over connected edge subsets H of D_k(H) times
     sum over F in H of (-1)^(|H|-|F|) abar_F(x), where abar_F(x) is the
@@ -241,6 +243,20 @@ def _exact_multiplicities(g, k):
     return basis, mu
 
 
+@lru_cache(maxsize=64)
+def _beta_exponents(g):
+    """The gcd-free basis of the switching classes of g's components with
+    an edge, and beta's exponent of each element: half the sum over those
+    components of its switching-class average, since the signings of g are
+    the independent signings of its components.  Memoised per graph."""
+    components = [h for h in map(g.induced, g.components()) if h.m]
+    exponents, basis = _signing_spectra(components)
+    mu = [Fraction(0)] * len(basis)
+    for classes, sums in exponents:
+        mu = [m + Fraction(e, 2 * classes) for m, e in zip(mu, sums)]
+    return basis, tuple(mu)
+
+
 def _factors(pairs):
     """One SpectralFactor per root of each (b, mu) pair, by ascending root;
     each root is the double nearest to the exact sigma^2."""
@@ -252,20 +268,24 @@ def _factors(pairs):
 
 def check_moment_identity(g, fsf):
     """Check a factored result against the exact moments, in Fractions:
-    k sum_b mu_b p_ell(b) = S_{ell k} for ell <= min(2 |Sigma|, 8) when
-    k >= 3, and 2 sum_b mu_b p_ell(b) = P_{2 ell} for ell <= |Sigma| for beta,
-    where p_ell(b) is the ell-th power sum of the roots of b and |Sigma| the
-    total degree of the basis of g.  Raises ConsistencyError on a mismatch."""
+    k sum_b mu_b p_ell(b) = S_{ell k} for ell <= min(2 D, 8) when k >= 3, and
+    2 sum_b mu_b p_ell(b) = P_{2 ell} for ell <= D for beta, where p_ell(b)
+    is the ell-th power sum of the roots of b and D the total degree of the
+    census basis of g, or of beta's own basis.  beta's D distinct nonzero
+    roots make [r^ell] (ell <= D) a nonsingular Vandermonde matrix times
+    diag(r), so its D moments pin every exponent.  Raises ConsistencyError
+    on a mismatch."""
     k = fsf.k
-    classes, _, basis = _motif_spectra(g)
-    sigma_size = sum(len(b) - 1 for b in basis)
-    top = min(2 * sigma_size, 8) if k >= 3 else sigma_size
-    mu_of = {f.b: Fraction(f.mu) for f in fsf.factors}
-    sums = {b: power_sums_from_charpoly(b, top) for b in mu_of}
     if k == 2:
+        basis = _beta_exponents(g)[0]
+        top = sum(len(b) - 1 for b in basis)
         moments = parity_closed_profile(g, 2 * top)[2::2]
     else:
+        classes, _, basis = _motif_spectra(g)
+        top = min(2 * sum(len(b) - 1 for b in basis), 8)
         moments = _power_moments(g, k, top, classes)
+    mu_of = {f.b: Fraction(f.mu) for f in fsf.factors}
+    sums = {b: power_sums_from_charpoly(b, top) for b in mu_of}
     for ell, rhs in enumerate(moments, start=1):
         lhs = k * sum(mu * sums[b][ell] for b, mu in mu_of.items())
         if lhs != rhs:
@@ -323,7 +343,7 @@ def beta(g):
     an edge, the exponent of the largest root rho(G)^2 is checked exactly
     against 2^-(|E|-|V|+1).
     """
-    basis, mu = _exact_multiplicities(g, 2)
+    basis, mu = _beta_exponents(g)
     if any(m < 0 for m in mu):
         raise ConsistencyError("negative beta exponent")
     factors = _factors((b, _exact(m)) for b, m in zip(basis, mu) if m)

@@ -85,6 +85,13 @@ class TestBetaCommand:
         assert code == 0
         assert out.strip() == "(λ^2 - 1) (λ^2 - 4)^1/2"
 
+    def test_cycle12_past_the_canonical_form_limit(self, capsys):
+        # beta reads no census, so the 10-vertex canonical form limit does
+        # not apply to it
+        code, out, _ = run_cli(capsys, "beta", "--graph", "cycle:12")
+        assert code == 0
+        assert out.strip().endswith("(λ^2 - 4)^1/2")
+
 
 class TestWalksCommand:
     def test_json_counts_are_strings(self, capsys):

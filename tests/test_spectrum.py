@@ -4,10 +4,17 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hyperspectra import graphs, spectrum
+from hyperspectra import graphs, means, spectrum, verify
 from hyperspectra.algebra import poly_eval
-from hyperspectra.algebra import basis_exponents, coprime_basis, real_roots
+from hyperspectra.algebra import (
+    basis_exponents,
+    coprime_basis,
+    power_sums_from_charpoly,
+    real_roots,
+)
 from hyperspectra.digraphs import power_moment_prefactor
 from hyperspectra.errors import BudgetError, ConsistencyError
 from hyperspectra.graphs import (
@@ -19,7 +26,12 @@ from hyperspectra.graphs import (
     cycle_graph,
     path_graph,
 )
-from hyperspectra.signed import char_poly_of_squares, enumerate_signings
+from hyperspectra.signed import (
+    all_positive,
+    char_poly_exact,
+    char_poly_of_squares,
+    enumerate_signings,
+)
 from hyperspectra.spectrum import (
     _covering_weight,
     beta,
@@ -33,6 +45,7 @@ from hyperspectra.spectrum import (
 )
 from hyperspectra.walks import covering_parity_profile, parity_closed_profile
 from oracles import poly_divmod
+from test_signed import small_graphs
 
 K2 = path_graph(2)
 P3 = path_graph(3)
@@ -374,14 +387,14 @@ class TestBeta:
         # half the exponent at the basis element holding rho(G)^2, the
         # largest root; the moment identity, which would fail first, is
         # stubbed so that the exact radius check is reached
-        exact = spectrum._exact_multiplicities
+        exact = spectrum._beta_exponents
 
-        def corrupted(g, k):
-            basis, mu = exact(g, k)
+        def corrupted(g):
+            basis, mu = exact(g)
             top = max(range(len(basis)), key=lambda i: max(real_roots(basis[i])))
             return basis, [m / (1 + (i == top)) for i, m in enumerate(mu)]
 
-        monkeypatch.setattr(spectrum, "_exact_multiplicities", corrupted)
+        monkeypatch.setattr(spectrum, "_beta_exponents", corrupted)
         monkeypatch.setattr(spectrum, "check_moment_identity", lambda g, fsf: None)
         for g in (K2, C3, cycle_graph(4)):
             with pytest.raises(ConsistencyError, match="spectral-radius exponent"):
@@ -409,6 +422,129 @@ class TestBeta:
         fsf = beta(g)
         assert fsf.mu0 == 1
         assert [(f.sigma_sq, f.mu) for f in fsf.factors] == [(1.0, 1)]
+
+
+def _kernel_vector(rows):
+    """A nonzero rational vector v with row . v = 0 for every row, for a
+    matrix with more columns than rows, by Gauss-Jordan elimination."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        at = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+        if at is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[at] = rows[at], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    free = next(c for c in range(len(rows[0])) if c not in pivots)
+    v = [Fraction(0)] * len(rows[0])
+    v[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        v[col] = -rows[r][free]
+    return v
+
+
+class TestBetaMomentCheck:
+    @pytest.mark.parametrize(
+        "g, size", [(complete_graph(4), 3), (complete_graph(5), 5), (PETERSEN, 6)]
+    )
+    def test_check_pins_every_exponent(self, g, size):
+        # exponents shifted along the kernel of the first |Sigma| - 1 moment
+        # rows [p_ell(b)] keep those moments; the check, which runs to the
+        # total degree of beta's basis, still refuses them
+        fsf = beta(g)
+        basis = list(dict.fromkeys(f.b for f in fsf.factors))
+        assert len(basis) == size
+        sums = {b: power_sums_from_charpoly(b, size) for b in basis}
+        shift = dict(zip(basis, _kernel_vector(
+            [[sums[b][ell] for b in basis] for ell in range(1, size)]
+        )))
+        mu = {f.b: Fraction(f.mu) + shift[f.b] for f in fsf.factors}
+        moments = parity_closed_profile(g, 2 * (size - 1))
+        for ell in range(1, size):
+            assert 2 * sum(mu[b] * sums[b][ell] for b in basis) == moments[2 * ell]
+        shifted = replace(
+            fsf, factors=tuple(replace(f, mu=mu[f.b]) for f in fsf.factors)
+        )
+        with pytest.raises(ConsistencyError, match=f"ell={size}:"):
+            check_moment_identity(g, shifted)
+
+
+BINARY_TREE_15 = Graph(15, tuple((i, c) for i in range(7) for c in (2 * i + 1, 2 * i + 2)))
+
+
+class TestBetaReach:
+    """beta reads only the switching classes of g's components, so neither
+    the census nor the canonical-form vertex limit applies to it."""
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_long_cycles_obey_the_cycle_identity(self, n):
+        g = cycle_graph(n)
+        fsf = beta(g)
+        phi = char_poly_exact(all_positive(g))
+        for x in verify.SAMPLE_POINTS:
+            assert fsf.abs_power(x, 2) == abs(poly_eval(phi, Fraction(x) ** 2 - 2))
+
+    @pytest.mark.parametrize("g", [path_graph(14), BINARY_TREE_15])
+    def test_large_trees_give_the_matching_polynomial(self, g):
+        assert verify._expand_beta(beta(g)) == means.matching_polynomial(g)
+
+    def test_reads_no_census(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("beta reached the motif census")
+
+        monkeypatch.setattr(graphs, "canonical_form", refused)
+        monkeypatch.setattr(graphs, "connected_edge_subsets", refused)
+        monkeypatch.setattr(spectrum, "_covering_weight", refused)
+        spectrum._motif_spectra.cache_clear()
+        spectrum._beta_exponents.cache_clear()
+        beta(cycle_graph(8))
+
+    def test_petersen_unchanged(self):
+        assert beta(PETERSEN).to_text() == (
+            "λ^17/16 (λ^2 - 0.0836184482550284)^15/64 (λ^2 - 1)^95/64 "
+            "(λ^2 - 2.4384471871911697)^15/32 (λ^2 - 4)^49/64 (λ^2 - 5)^9/16 "
+            "(λ^2 - 6.196557593744262)^15/64 (λ^2 - 6.56155281280883)^15/32 "
+            "(λ^2 - 7.71982395800071)^15/64 (λ^2 - 9)^1/64"
+        )
+
+    def test_k6_unchanged(self):
+        assert beta(complete_graph(6)).to_text() == (
+            "(λ^2 - 0.012081585130131757)^45/256 (λ^2 - 1)^1005/1024 "
+            "(λ^2 - 2.5278640450004204)^45/256 (λ^2 - 2.871644455048176)^15/256 "
+            "(λ^2 - 3.34314575050762)^45/1024 (λ^2 - 5)^9/16 "
+            "(λ^2 - 6.071796769724491)^15/1024 (λ^2 - 6.780167471650516)^45/256 "
+            "(λ^2 - 7.610814578664558)^15/256 (λ^2 - 9)^135/512 "
+            "(λ^2 - 11.47213595499958)^45/256 (λ^2 - 12.207750943219352)^45/256 "
+            "(λ^2 - 13)^5/256 (λ^2 - 14.65685424949238)^45/1024 "
+            "(λ^2 - 16.517540966287267)^15/256 (λ^2 - 19.92820323027551)^15/1024 "
+            "(λ^2 - 25)^1/1024"
+        )
+
+
+class TestBetaProperties:
+    """beta on random graphs with isolated vertices and several components."""
+
+    @given(small_graphs())
+    def test_geometric_mean_identity(self, g):
+        # the signing table of the whole graph, not its components; at x > 0
+        # the product is positive even for an edgeless g of odd order
+        fsf = beta(g)
+        for x in (Fraction(5, 2), Fraction(3, 4), Fraction(7, 3)):
+            expected = math.prod(
+                v**c for v, c in means.signed_char_poly_values(g, x)
+            )
+            assert fsf.abs_power(x, 2**g.m) == expected
+
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_relabelling_invariant(self, g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert beta(g.relabel(perm)).to_text() == beta(g).to_text()
 
 
 class TestConvergence:

@@ -1,8 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
 
-import pytest
-
 from hyperspectra import signed, spectrum, verify
 from hyperspectra.graphs import cycle_graph, path_graph
 
@@ -36,7 +34,8 @@ def test_forest_check_expands_beta():
 def test_geometric_mean_check_is_exact():
     # the top exponent of beta(C4) is 1/2.  Lowered by 1/2^|E| the product
     # identity fails; lowered by 1/2^(|E|+1), |beta|^(2^|E|) is no longer a
-    # rational function of x, and abs_power refuses it
+    # rational function of x, abs_power refuses it, and the check fails
+    # naming the graph and the point
     true = spectrum.beta(C4)
     top = true.factors[-1]
 
@@ -48,8 +47,21 @@ def test_geometric_mean_check_is_exact():
     assert check([C4], _FixedBeta(true))[0] == "pass"
     status, detail = check([C4], lowered_by(Fraction(1, 16)))
     assert status == "fail", detail
-    with pytest.raises(ValueError, match="not an integer"):
-        check([C4], lowered_by(Fraction(1, 32)))
+    status, detail = check([C4], lowered_by(Fraction(1, 32)))
+    assert status == "fail"
+    assert f"at {verify.SAMPLE_POINTS[0]} on {C4}" in detail
+    assert "not an integer" in detail
+
+
+def test_cycle_identity_check_names_the_cycle_and_point():
+    # a 1/4 exponent on beta(C3): |beta|^2 has an odd root of b(x^2) left
+    true = spectrum.beta(cycle_graph(3))
+    top = true.factors[-1]
+    wrong = replace(true, factors=true.factors[:-1] + (replace(top, mu=Fraction(1, 4)),))
+    status, detail = verify._check_beta_cycle_identity([], _FixedBeta(wrong))
+    assert status == "fail"
+    assert f"C3 at {verify.SAMPLE_POINTS[0]}" in detail
+    assert "not an integer" in detail
 
 
 def test_multiplicity_check_fails_on_corrupted_multiplicities(monkeypatch):
