@@ -367,11 +367,11 @@ def connected_edge_subsets(g, max_edges):
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def connected_subgraph_classes(g, max_edges):
-    """Connected edge subsets of g with 1..max_edges edges, grouped by
+def _grouped_by_class(g, subsets):
+    """Edge subsets of g that span connected subgraphs, grouped by
     isomorphism class: ((Motif, (subset, ...)), ...) in census order."""
     buckets = {}
-    for subset in connected_edge_subsets(g, max_edges):
+    for subset in subsets:
         form = canonical_form(g.subgraph_of_edges(subset))
         cert = _form_certificate(form)
         if cert in buckets:
@@ -387,6 +387,12 @@ def connected_subgraph_classes(g, max_edges):
     )
 
 
+def connected_subgraph_classes(g, max_edges):
+    """Connected edge subsets of g with 1..max_edges edges, grouped by
+    isomorphism class: ((Motif, (subset, ...)), ...) in census order."""
+    return _grouped_by_class(g, connected_edge_subsets(g, max_edges))
+
+
 def connected_subgraph_census(g, max_edges):
     """Count connected subgraphs of g with 1..max_edges edges, grouped by
     isomorphism class."""
@@ -397,17 +403,48 @@ def connected_subgraph_census(g, max_edges):
     return MotifCensus(entries=entries, max_edges=max_edges)
 
 
+def _connected_vertex_sets(g):
+    """Bitmasks of the connected vertex sets of g with at least 2 vertices,
+    by size, then by mask.
+
+    Grown breadth-first from single vertices, one neighbouring vertex at a
+    time; every set of one size is reached from a set one smaller, so each
+    appears exactly once and no disconnected set is ever tried (P9 has 36,
+    against 2^9 - 1 nonempty vertex subsets)."""
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    found, frontier = [], [1 << v for v in range(g.n)]
+    while frontier:
+        grown = set()
+        for mask in frontier:
+            reach = 0
+            for v in range(g.n):
+                if mask >> v & 1:
+                    reach |= nbr[v]
+            reach &= ~mask
+            while reach:
+                low = reach & -reach
+                grown.add(mask | low)
+                reach ^= low
+        frontier = sorted(grown)
+        found.extend(frontier)
+    return found
+
+
 def connected_induced_subgraph_classes(g):
-    """Isomorphism classes of connected induced subgraphs with >= 1 edge."""
-    classes = {}
-    for size in range(2, g.n + 1):
-        for vs in itertools.combinations(range(g.n), size):
-            sub = g.induced(vs)
-            if sub.m == 0 or not sub.is_connected():
-                continue
-            form = canonical_form(sub)
-            classes.setdefault(_form_certificate(form), form)
-    return [classes[c] for c in sorted(classes)]
+    """Connected induced subgraphs G[U] of g with at least one edge, grouped
+    by isomorphism class: ((Motif, (subset, ...)), ...) in census order, in
+    the shape of `connected_subgraph_classes`; each subset is the set of
+    edge indexes of G[U], one per connected vertex set U."""
+    subsets = (
+        frozenset(
+            i for i, (u, v) in enumerate(g.edges) if mask >> u & 1 and mask >> v & 1
+        )
+        for mask in _connected_vertex_sets(g)
+    )
+    return _grouped_by_class(g, subsets)
 
 
 def all_connected_graphs(n):

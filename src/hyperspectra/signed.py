@@ -196,12 +196,18 @@ def char_poly_exact(sg):
 def char_poly_of_squares(sg):
     """Integer polynomial in x whose roots are the squares of the nonzero
     eigenvalues, with multiplicity; ascending degree, leading coefficient +-1.
+    """
+    return poly_of_squares(char_poly_exact(sg))
+
+
+def poly_of_squares(phi):
+    """The polynomial in x whose roots are the squares of the nonzero roots
+    of the integer polynomial phi, with multiplicity; ascending degree.
 
     Writing phi(lambda) = E(lambda^2) + lambda O(lambda^2), the polynomial
     E(x)^2 - x O(x)^2 equals (-1)^n prod (x - lambda_i^2); its factor x^j from
-    the j zero eigenvalues is stripped.
+    the j zero roots is stripped.
     """
-    phi = char_poly_exact(sg)
     even = poly_mul(phi[0::2], phi[0::2])
     odd = [0] + poly_mul(phi[1::2], phi[1::2])
     q = [a - b for a, b in itertools.zip_longest(even, odd, fillvalue=0)]
@@ -210,23 +216,39 @@ def char_poly_of_squares(sg):
 
 
 @lru_cache(maxsize=64)
+def switching_class_polynomials(g):
+    """The distinct characteristic polynomials of the switching classes of
+    g, each with the number of classes that have it: a tuple of (ascending
+    integer coefficients, count) pairs whose counts sum to 2^(|E|-|V|+c)
+    for c components.
+
+    Switching is a +-1 diagonal similarity, so every signing of a class has
+    the class's polynomial, and one representative per class is expanded.
+    Memoised per graph; refuses a cycle space of dimension above
+    SIGNING_EDGE_LIMIT, as the enumeration of switching classes does.
+    """
+    table = Counter(
+        tuple(char_poly_exact(sg))
+        for sg in enumerate_signings(g, up_to_switching=True)
+    )
+    return tuple(table.items())
+
+
 def signing_polynomials(g):
     """The distinct characteristic polynomials of the 2^|E| signings of g,
     each with the number of signings that have it: a tuple of
     (ascending integer coefficients, count) pairs whose counts sum to 2^|E|.
 
-    Switching is a +-1 diagonal similarity, so the 2^|F| signings of a
-    switching class (F a spanning forest) share one polynomial, and one
-    representative per class is expanded.  Memoised per graph; refuses more
-    than SIGNING_EDGE_LIMIT edges, as the enumeration of all signings does.
+    A switching class holds 2^|F| signings (F a spanning forest), so this is
+    `switching_class_polynomials` with each count scaled by 2^|F|.  Refuses
+    more than SIGNING_EDGE_LIMIT edges, as the enumeration of all signings
+    does.
     """
     check_signing_edges(g)
     per_class = 1 << len(spanning_forest_edges(g))
-    table = Counter(
-        tuple(char_poly_exact(sg))
-        for sg in enumerate_signings(g, up_to_switching=True)
+    return tuple(
+        (poly, count * per_class) for poly, count in switching_class_polynomials(g)
     )
-    return tuple((poly, count * per_class) for poly, count in table.items())
 
 
 def signed_spectral_moment(sg, d):

@@ -10,15 +10,19 @@ averages.  Each multiplicity mu(x) is therefore read off as a coefficient,
 with no linear system.  Squared eigenvalues are keyed exactly by the elements
 b of a gcd-free basis of the polynomials `char_poly_of_squares` of all
 connected signed subgraphs, built in integer arithmetic; every root of one
-b carries the same multiplicity mu_b.  beta reads no census, only the
-switching classes of the components of g.  The only floats are the
-convergence ratio, an exact rational rounded once, and the roots sigma^2 of
-each b, each the double nearest to the exact root: an integer Sturm sequence
-isolates it and bisection at dyadic points narrows it until its interval
-rounds to one double.  `abs_power` evaluates |f(x)|^n exactly, so beta's
-identities are checked in rationals.  Bases and exponents are memoised per
-graph; each result is checked against exact moments from walk counts, not
-signed spectra, for ell up to a bound set by g.
+b carries the same multiplicity mu_b.  At k = 3 a subgraph that is not
+induced has weight zero, so the census there is of the connected induced
+subgraphs alone; at k >= 4 it is of all connected edge subsets.  beta reads
+no census, only the switching classes of the components of g.  The only
+floats are the convergence ratio, an exact rational rounded once, and the
+roots sigma^2 of each b, each the double nearest to the exact root: an
+integer Sturm sequence isolates it and bisection at dyadic points narrows it
+until its interval rounds to one double.  `abs_power` evaluates |f(x)|^n
+exactly, so beta's identities are checked in rationals.  Bases and exponents
+are memoised per graph; each result is checked against exact moments from
+walk counts, not signed spectra.  At k = 3 and for beta the check runs to
+the total degree D of the regime's basis, which pins every multiplicity; at
+k >= 4 it stops at ell <= min(2 D, 8), which does not.
 """
 
 from __future__ import annotations
@@ -36,13 +40,13 @@ from .algebra import (
     real_roots,
 )
 from .errors import ConsistencyError
-from .graphs import connected_subgraph_classes
+from .graphs import connected_induced_subgraph_classes, connected_subgraph_classes
 from .signed import (
-    char_poly_of_squares,
     check_cycle_space,
-    enumerate_signings,
     largest_cycle_rank,
+    poly_of_squares,
     spectral_radius,
+    switching_class_polynomials,
 )
 from .walks import covering_parity_profile, parity_closed_profile
 
@@ -115,19 +119,23 @@ def _format_number(x):
 def _signing_spectra(graphs):
     """The gcd-free basis Sigma of the `char_poly_of_squares` of every
     switching class of the given graphs, and per graph the number of its
-    switching classes and the sum of their exponent vectors over Sigma."""
-    squares = tuple(
-        tuple(
-            tuple(char_poly_of_squares(sg))
-            for sg in enumerate_signings(h, up_to_switching=True)
-        )
+    switching classes and the sum of their exponent vectors over Sigma.
+    Each graph's classes come from its memoised
+    `switching_class_polynomials`, which `signing_polynomials` also reads."""
+    tables = [
+        [(tuple(poly_of_squares(phi)), c) for phi, c in switching_class_polynomials(h)]
         for h in graphs
-    )
-    basis = tuple(map(tuple, coprime_basis(q for qs in squares for q in qs)))
-    over_basis = {q: basis_exponents(q, basis) for qs in squares for q in qs}
+    ]
+    basis = tuple(map(tuple, coprime_basis(q for table in tables for q, _ in table)))
+    over_basis = {q: basis_exponents(q, basis) for table in tables for q, _ in table}
     exponents = tuple(
-        (len(qs), tuple(map(sum, zip(*(over_basis[q] for q in qs)))))
-        for qs in squares
+        (
+            sum(c for _, c in table),
+            tuple(
+                sum(c * over_basis[q][i] for q, c in table) for i in range(len(basis))
+            ),
+        )
+        for table in tables
     )
     return exponents, basis
 
@@ -135,10 +143,22 @@ def _signing_spectra(graphs):
 @lru_cache(maxsize=64)
 def _motif_spectra(g):
     """The connected edge subsets of g grouped by motif class, and their
-    `_signing_spectra`; memoised per graph.  A component whose cycle space
-    is too large to list its switching classes is refused before the census."""
+    `_signing_spectra`: the census of k >= 4; memoised per graph.  A
+    component whose cycle space is too large to list its switching classes
+    is refused before the census."""
     check_cycle_space(largest_cycle_rank(g))
     classes = connected_subgraph_classes(g, g.m) if g.m else ()
+    exponents, basis = _signing_spectra(motif.graph for motif, _ in classes)
+    return classes, exponents, basis
+
+
+@lru_cache(maxsize=64)
+def _induced_spectra(g):
+    """The k = 3 twin of `_motif_spectra`: the connected induced subgraphs
+    of g with an edge grouped by motif class, and their `_signing_spectra`;
+    memoised per graph, refused as there before the census."""
+    check_cycle_space(largest_cycle_rank(g))
+    classes = connected_induced_subgraph_classes(g)
     exponents, basis = _signing_spectra(motif.graph for motif, _ in classes)
     return classes, exponents, basis
 
@@ -155,6 +175,32 @@ def _power_moments(g, k, top, classes):
         totals = [t + weight * p * len(subsets) for t, p in zip(totals, profile)]
     prefactor = Fraction(k - 1) ** (g.n + g.m * (k - 2) - 1)
     return [prefactor * total for total in totals]
+
+
+def _induced_moments(g, top, classes):
+    """[S_3, S_6, ..., S_{3 top}] of the 3-power of g by vertex deletion, from
+    its connected induced classes and one parity profile per class.
+
+    At k = 3 a parity-closed walk w weighs 2 (3/4)^|V(w)|, whatever its
+    edges.  Writing (3/4)^|V(w)| as the sum, over the vertex sets X that w
+    avoids, of (1/4)^|X| (3/4)^(n-|X|) gives S_{3 ell} =
+    2^(n+m) sum_X (1/4)^|X| (3/4)^(n-|X|) P_{G-X}(2 ell).  Grouped by the
+    components U of G-X, that is 2^(n+m) sum_U (3/4)^|U| (1/4)^|N(U)-U|
+    P_{G[U]}(2 ell) over the connected induced U (a single vertex has no
+    walk of positive length).
+    """
+    nbrs = g.neighbors()
+    totals = [Fraction(0)] * top
+    for motif, subsets in classes:
+        weight = Fraction(0)
+        for subset in subsets:
+            inside = {x for i in subset for x in g.edges[i]}
+            boundary = {w for v in inside for w in nbrs[v]} - inside
+            weight += Fraction(1, 4 ** len(boundary))
+        weight *= Fraction(3, 4) ** motif.v_count
+        profile = parity_closed_profile(motif.graph, 2 * top)[2::2]
+        totals = [t + weight * p for t, p in zip(totals, profile)]
+    return [2 ** (g.n + g.m) * total for total in totals]
 
 
 def script_S(g, d, k):
@@ -198,8 +244,9 @@ def _covering_weight(g, subset, k):
 
     The prefactor D_k(v, e) is c * r^v * s^e, so the sum factors into
     (1 - s) for each further edge inside V(C) and 1 - r + r (1 - s)^t for
-    each outside vertex joined to V(C) by t edges.  At k = 3, s = 1 and only
-    induced C weigh in.
+    each outside vertex joined to V(C) by t edges.  At k = 3, s = 1: any
+    further edge inside V(C) makes w(C) = 0, so the k = 3 census lists only
+    induced C, and each outside vertex gives 1 - r = 1/4.
     """
     verts = {x for i in subset for x in g.edges[i]}
     weight = Fraction(1)
@@ -209,15 +256,11 @@ def _covering_weight(g, subset, k):
             continue
         if a in verts and b in verts:
             weight *= _weight_factor(k, 0)
-            if not weight:
-                return weight
         elif a in verts or b in verts:
             outside = b if a in verts else a
             joins[outside] = joins.get(outside, 0) + 1
     for t in joins.values():
         weight *= _weight_factor(k, t)
-        if not weight:
-            return weight
     return weight * digraphs.power_moment_prefactor(len(verts), len(subset), k)
 
 
@@ -231,9 +274,11 @@ def _exact_multiplicities(g, k):
     summed over its components.  A connected C is a component of F exactly
     when no other edge of F touches V(C), so the inner sum keeps only those
     C whose vertices touch every edge of H, with sign (-1)^(|H|-|C|).
-    Exchanging the sums gives mu(x) = scale * sum_C w(C) abar_C(x).
+    Exchanging the sums gives mu(x) = scale * sum_C w(C) abar_C(x).  At
+    k = 3, w(C) = 0 unless C is induced, so C ranges over the connected
+    induced subgraphs alone.
     """
-    classes, exponents, basis = _motif_spectra(g)
+    classes, exponents, basis = (_induced_spectra if k == 3 else _motif_spectra)(g)
     scale = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
     mu = [Fraction(0)] * len(basis)
     for (_, subsets), (signings, sums) in zip(classes, exponents):
@@ -266,23 +311,36 @@ def _factors(pairs):
     return tuple(sorted(factors, key=lambda f: f.sigma_sq))
 
 
+def _total_degree(basis):
+    return sum(len(b) - 1 for b in basis)
+
+
 def check_moment_identity(g, fsf):
     """Check a factored result against the exact moments, in Fractions:
-    k sum_b mu_b p_ell(b) = S_{ell k} for ell <= min(2 D, 8) when k >= 3, and
-    2 sum_b mu_b p_ell(b) = P_{2 ell} for ell <= D for beta, where p_ell(b)
-    is the ell-th power sum of the roots of b and D the total degree of the
-    census basis of g, or of beta's own basis.  beta's D distinct nonzero
-    roots make [r^ell] (ell <= D) a nonsingular Vandermonde matrix times
-    diag(r), so its D moments pin every exponent.  Raises ConsistencyError
-    on a mismatch."""
+    k sum_b mu_b p_ell(b) = S_{ell k}, or 2 sum_b mu_b p_ell(b) = P_{2 ell}
+    for beta, where p_ell(b) is the ell-th power sum of the roots of b.
+
+    With D the total degree of the basis of g in the regime (the connected
+    induced classes at k = 3, beta's own basis at k = 2), the check runs to
+    ell <= D.  The basis roots are D distinct nonzero numbers, so the rows
+    [r^ell] (ell <= D) form a nonsingular Vandermonde matrix times diag(r),
+    and D moments pin every exponent.  At k = 3 the S_{3 ell} come from
+    `_induced_moments` (vertex deletion, one parity profile per class), for
+    beta from the parity DP of g.  At k >= 4 the S_{ell k} come from one
+    covering profile per motif of the full census, for ell <= min(2 D, 8)
+    with D that of the census basis; that cap does not pin every exponent.
+    Raises ConsistencyError on a mismatch."""
     k = fsf.k
     if k == 2:
-        basis = _beta_exponents(g)[0]
-        top = sum(len(b) - 1 for b in basis)
+        top = _total_degree(_beta_exponents(g)[0])
         moments = parity_closed_profile(g, 2 * top)[2::2]
+    elif k == 3:
+        classes, _, basis = _induced_spectra(g)
+        top = _total_degree(basis)
+        moments = _induced_moments(g, top, classes)
     else:
         classes, _, basis = _motif_spectra(g)
-        top = min(2 * sum(len(b) - 1 for b in basis), 8)
+        top = min(2 * _total_degree(basis), 8)
         moments = _power_moments(g, k, top, classes)
     mu_of = {f.b: Fraction(f.mu) for f in fsf.factors}
     sums = {b: power_sums_from_charpoly(b, top) for b in mu_of}

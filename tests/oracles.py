@@ -3,9 +3,11 @@
 Each is a slow or rational-arithmetic twin of a production routine: Euclid
 over `Fraction` polynomials for the integer gcd-free basis of
 `hyperspectra.algebra`, the inverse Newton recurrence, a brute-force
-isomorphism test and subset enumeration for the motif census, subset
-inclusion-exclusion for the covering walk counts, and cyclic Jacobi
-rotations in floats for the real spectra read off exact polynomials.
+isomorphism test and subset enumeration for the motif census, vertex
+subset enumeration for the induced census, subset inclusion-exclusion for
+the covering walk counts, the vertex-deletion sum over all vertex sets for
+the k=3 moments, and cyclic Jacobi rotations in floats for the real spectra
+read off exact polynomials.
 """
 
 import itertools
@@ -206,6 +208,31 @@ def connected_edge_subsets_brute(g, max_edges):
             if sub.is_connected():
                 out.append(frozenset(combo))
     return out
+
+
+def connected_vertex_sets_brute(g):
+    """Independent oracle: bitmasks of the vertex sets of at least 2
+    vertices whose induced subgraph is connected, by a scan of all 2^n."""
+    return [
+        sum(1 << v for v in vs)
+        for size in range(2, g.n + 1)
+        for vs in itertools.combinations(range(g.n), size)
+        if g.induced(vs).is_connected()
+    ]
+
+
+def vertex_deletion_moments(g, top):
+    """[S_3, S_6, ..., S_{3 top}] of the 3-power of g by the brute-force
+    vertex-deletion sum over all 2^n vertex sets X:
+    S_{3 ell} = 2^(n+m) sum_X (1/4)^|X| (3/4)^(n-|X|) P_{G-X}(2 ell)."""
+    totals = [Fraction(0)] * top
+    for size in range(g.n + 1):
+        weight = Fraction(1, 4) ** size * Fraction(3, 4) ** (g.n - size)
+        for removed in itertools.combinations(range(g.n), size):
+            rest = g.induced(set(range(g.n)) - set(removed))
+            profile = parity_closed_profile(rest, 2 * top)[2::2]
+            totals = [t + weight * p for t, p in zip(totals, profile)]
+    return [2 ** (g.n + g.m) * t for t in totals]
 
 
 def covering_parity_profile_by_subsets(motif, max_d):

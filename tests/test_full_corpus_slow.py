@@ -1,5 +1,6 @@
 """Heavy corpus sweeps: the multiplicity pipeline over every connected graph
-on at most 5 vertices.  Deselected by default; run with `pytest -m slow`.
+on at most 5 vertices.  Marked `slow`: a plain `pytest` run includes them,
+`pytest -m "not slow"` leaves them out and `pytest -m slow` runs them alone.
 """
 
 from fractions import Fraction

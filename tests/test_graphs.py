@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hyperspectra.errors import BudgetError, GraphParseError
 from hyperspectra.graphs import (
     Graph,
+    _connected_vertex_sets,
     _encode_upper_triangle,
     all_connected_graphs,
     canonical_certificate,
@@ -23,7 +24,11 @@ from hyperspectra.graphs import (
     power_hypergraph,
     star_graph,
 )
-from oracles import are_isomorphic, connected_edge_subsets_brute
+from oracles import (
+    are_isomorphic,
+    connected_edge_subsets_brute,
+    connected_vertex_sets_brute,
+)
 
 
 class TestParse:
@@ -309,8 +314,29 @@ class TestCensus:
 
     def test_induced_classes_on_cycle3(self):
         got = connected_induced_subgraph_classes(cycle_graph(3))
-        sizes = sorted((g.n, g.m) for g in got)
-        assert sizes == [(2, 1), (3, 3)]  # P3 is not induced in a triangle
+        shape = [(m.v_count, m.e_count, len(s)) for m, s in got]
+        assert shape == [(2, 1, 3), (3, 3, 1)]  # P3 is not induced in a triangle
+
+    def test_induced_classes_against_brute_vertex_sets(self, desk_corpus):
+        # the connected vertex sets grown from single vertices are those a
+        # scan of all 2^n vertex subsets finds, and each class holds the
+        # edge sets of its induced subgraphs
+        for g in desk_corpus + [path_graph(9), cycle_graph(8)]:
+            sets = connected_vertex_sets_brute(g)
+            assert sorted(_connected_vertex_sets(g)) == sorted(sets)
+            classes = connected_induced_subgraph_classes(g)
+            induced = {
+                frozenset(
+                    i for i, (u, v) in enumerate(g.edges) if mask >> u & mask >> v & 1
+                )
+                for mask in sets
+            }
+            listed = [s for _, subsets in classes for s in subsets]
+            assert len(listed) == len(induced) and set(listed) == induced
+            for motif, subsets in classes:
+                for s in subsets:
+                    assert canonical_form(g.subgraph_of_edges(s)) == motif.graph
+        assert len(_connected_vertex_sets(path_graph(9))) == 36
 
     def test_json_schema(self):
         census = connected_subgraph_census(cycle_graph(3), 2)

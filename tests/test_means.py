@@ -147,7 +147,7 @@ class TestAmGm:
             return char_poly_exact(sg)
 
         monkeypatch.setattr(signed, "char_poly_exact", counted)
-        signed.signing_polynomials.cache_clear()
+        signed.switching_class_polynomials.cache_clear()
         report = amgm_check(cycle_graph(4), 3.0)
         assert len(calls) == 2
         assert report.beta_value == geometric_mean_evaluate(cycle_graph(4), 3.0)

@@ -287,7 +287,9 @@ class TestSigmaBasis:
         assert {f.b for f in char_poly_power(P3, 3).factors} == expected
 
     def test_cycle3_induced_mode_drops_p3(self):
-        assert _basis(connected_induced_subgraph_classes(C3)) == {(-1, 1), (-4, 1)}
+        classes = connected_induced_subgraph_classes(C3)
+        assert _basis(motif.graph for motif, _ in classes) == {(-1, 1), (-4, 1)}
+        assert set(spectrum._induced_spectra(C3)[2]) == {(-1, 1), (-4, 1)}
 
     def test_factor_roots_are_subgraph_eigenvalues_squared(self):
         g = complete_graph(4)

@@ -23,6 +23,7 @@ from hyperspectra.graphs import (
     connected_edge_subsets,
     connected_induced_subgraph_classes,
     connected_subgraph_census,
+    connected_subgraph_classes,
     cycle_graph,
     path_graph,
 )
@@ -44,7 +45,7 @@ from hyperspectra.spectrum import (
     spectral_radius_multiplicity,
 )
 from hyperspectra.walks import covering_parity_profile, parity_closed_profile
-from oracles import poly_divmod
+from oracles import poly_divmod, vertex_deletion_moments
 from test_signed import small_graphs
 
 K2 = path_graph(2)
@@ -59,6 +60,22 @@ def _exponents(fsf, basis):
         for i, e in enumerate(basis_exponents(b, basis)):
             out[i] += mu * e
     return out
+
+
+def _assert_product_rule(g1, g2, k):
+    """Cooper & Dutle: the k-powers H1, H2 of G1, G2 on N1, N2 vertices give
+    phi(H1 + H2) = phi(H1)^((k-1)^N2) * phi(H2)^((k-1)^N1)."""
+    shifted = tuple((u + g1.n, v + g1.n) for u, v in g2.edges)
+    whole = char_poly_power(Graph(g1.n + g2.n, g1.edges + shifted), k)
+    f1, f2 = char_poly_power(g1, k), char_poly_power(g2, k)
+    p1 = (k - 1) ** (g2.n + (k - 2) * g2.m)
+    p2 = (k - 1) ** (g1.n + (k - 2) * g1.m)
+    basis = coprime_basis(f.b for fsf in (f1, f2, whole) for f in fsf.factors)
+    expected = [
+        p1 * a + p2 * b for a, b in zip(_exponents(f1, basis), _exponents(f2, basis))
+    ]
+    assert _exponents(whole, basis) == expected, (g1, g2, k)
+    assert whole.mu0 == p1 * f1.mu0 + p2 * f2.mu0, (g1, g2, k)
 
 
 class TestScriptS:
@@ -148,8 +165,9 @@ class TestCharPolyPower:
                 check_moment_identity(g, fsf)
 
     def test_zero_clusters_dropped(self):
-        # sigma^2 = 2, from the triangle's non-induced P3, gets multiplicity 0
-        # at k=3 and is left out of the factors, as beta leaves out its own
+        # sigma^2 = 2 comes only from the triangle's non-induced P3: it is in
+        # the basis of the full census (k >= 4) but carries no multiplicity
+        # at k=3, whose census is induced, and no factor shows it
         fsf = char_poly_power(C3, 3)
         assert (-2, 1) in spectrum._motif_spectra(C3)[2]
         assert all(f.mu > 0 for f in fsf.factors)
@@ -165,8 +183,8 @@ class TestCharPolyPower:
             fsf = char_poly_power(g, 3)
             induced = [
                 char_poly_of_squares(sg)
-                for h in connected_induced_subgraph_classes(g)
-                for sg in enumerate_signings(h, up_to_switching=True)
+                for motif, _ in connected_induced_subgraph_classes(g)
+                for sg in enumerate_signings(motif.graph, up_to_switching=True)
             ]
             for f in fsf.factors:
                 if f.mu > 0:
@@ -209,30 +227,17 @@ class TestCharPolyPower:
         assert fsf.mu0 == 493
 
     def test_disconnected_product_rule(self):
-        # Cooper & Dutle: the k-powers H1, H2 of G1, G2 on N1, N2 vertices
-        # give phi(H1 + H2) = phi(H1)^((k-1)^N2) * phi(H2)^((k-1)^N1)
-        cases = [(K2, K2, 3), (K2, K2, 4), (P3, K2, 3), (K2, Graph(1, ()), 3)]
-        for g1, g2, k in cases:
-            shifted = tuple((u + g1.n, v + g1.n) for u, v in g2.edges)
-            whole = char_poly_power(Graph(g1.n + g2.n, g1.edges + shifted), k)
-            f1, f2 = char_poly_power(g1, k), char_poly_power(g2, k)
-            p1 = (k - 1) ** (g2.n + (k - 2) * g2.m)
-            p2 = (k - 1) ** (g1.n + (k - 2) * g1.m)
-            basis = coprime_basis(f.b for fsf in (f1, f2, whole) for f in fsf.factors)
-            expected = [
-                p1 * a + p2 * b
-                for a, b in zip(_exponents(f1, basis), _exponents(f2, basis))
-            ]
-            assert _exponents(whole, basis) == expected, (g1, g2, k)
-            assert whole.mu0 == p1 * f1.mu0 + p2 * f2.mu0, (g1, g2, k)
+        for g1, g2, k in [(K2, K2, 3), (K2, K2, 4), (P3, K2, 3), (K2, Graph(1, ()), 3)]:
+            _assert_product_rule(g1, g2, k)
         assert char_poly_power(Graph(4, ((0, 1), (2, 3))), 3).to_text() == (
             "λ^48 (λ^3 - 1)^48"
         )
 
     def test_one_canonical_search_per_subgraph(self, monkeypatch):
-        # the multiplicities and their moment check share one census per
-        # graph: C8 has 8 * 7 + 1 = 57 connected edge subsets, and further
-        # k and beta on the same graph search no more
+        # k=3 and its moment check share one census of connected induced
+        # subgraphs: C8 has 8 * 6 + 1 = 49 connected vertex sets of at least
+        # 2 vertices.  k=4 adds the census of its 8 * 7 + 1 = 57 connected
+        # edge subsets, beta searches none, and repeats search no more
         calls = []
         form = graphs.canonical_form
 
@@ -241,13 +246,17 @@ class TestCharPolyPower:
             return form(g, *args)
 
         monkeypatch.setattr(graphs, "canonical_form", counted)
+        spectrum._induced_spectra.cache_clear()
         spectrum._motif_spectra.cache_clear()
         g = cycle_graph(8)
         char_poly_power(g, 3)
-        assert len(calls) == 57
+        assert len(calls) == 49
         char_poly_power(g, 4)
+        assert len(calls) == 49 + 57
         beta(g)
-        assert len(calls) == 57
+        char_poly_power(g, 3)
+        char_poly_power(g, 4)
+        assert len(calls) == 49 + 57
 
     def test_moment_check_range_comes_from_the_graph(self):
         # a result that lost its factors must not pass with nothing checked
@@ -472,6 +481,92 @@ class TestBetaMomentCheck:
         )
         with pytest.raises(ConsistencyError, match=f"ell={size}:"):
             check_moment_identity(g, shifted)
+
+
+class TestK3MomentCheck:
+    """At k=3 the check reads S_{3 ell} by vertex deletion, to the total
+    degree D of the basis of g's connected induced classes."""
+
+    def test_vertex_deletion_matches_the_covering_route(self, desk_corpus):
+        # the brute-force sum over all 2^n vertex sets, the covering walk
+        # moments of the full census and the check's induced-class moments
+        for g in desk_corpus:
+            brute = vertex_deletion_moments(g, 6)
+            classes = connected_subgraph_classes(g, min(6, g.m)) if g.m else ()
+            assert brute == spectrum._power_moments(g, 3, 6, classes), g
+            induced = spectrum._induced_spectra(g)[0]
+            assert brute == spectrum._induced_moments(g, 6, induced), g
+
+    @pytest.mark.parametrize("g", [complete_graph(5), PETERSEN])
+    def test_vertex_deletion_matches_the_covering_route_to_8(self, g):
+        brute = vertex_deletion_moments(g, 8)
+        classes = connected_subgraph_classes(g, 8)
+        assert brute == spectrum._power_moments(g, 3, 8, classes)
+        induced = spectrum._induced_spectra(g)[0]
+        assert brute == spectrum._induced_moments(g, 8, induced)
+
+    def test_check_runs_to_the_total_degree(self, monkeypatch):
+        tops = []
+        moments = spectrum._induced_moments
+
+        def recorded(g, top, classes):
+            tops.append(top)
+            return moments(g, top, classes)
+
+        monkeypatch.setattr(spectrum, "_induced_moments", recorded)
+        for g in (complete_graph(5), complete_graph(6), PETERSEN):
+            char_poly_power(g, 3)
+        assert tops == [9, 23, 33]
+
+    def test_check_pins_every_multiplicity(self):
+        # multiplicities shifted along an integer kernel vector of the first
+        # 8 moment rows [p_ell(b)] keep S_3, ..., S_24, all that a check
+        # capped at ell <= 8 reads; the check, which runs to the total degree
+        # 33 of the 18-element k=3 basis, still refuses them
+        fsf = char_poly_power(PETERSEN, 3)
+        basis = list(dict.fromkeys(f.b for f in fsf.factors))
+        assert len(basis) == 18
+        sums = {b: power_sums_from_charpoly(b, 8) for b in basis}
+        kernel = _kernel_vector([[sums[b][ell] for b in basis] for ell in range(1, 9)])
+        scale = math.lcm(*(x.denominator for x in kernel))
+        shift = dict(zip(basis, (int(x * scale) for x in kernel)))
+        mu = {f.b: f.mu + shift[f.b] for f in fsf.factors}
+        moments = vertex_deletion_moments(PETERSEN, 8)
+        for ell in range(1, 9):
+            assert 3 * sum(mu[b] * sums[b][ell] for b in basis) == moments[ell - 1]
+        shifted = replace(
+            fsf, factors=tuple(replace(f, mu=mu[f.b]) for f in fsf.factors)
+        )
+        with pytest.raises(ConsistencyError, match="ell=9:"):
+            check_moment_identity(PETERSEN, shifted)
+
+
+@st.composite
+def disjoint_pairs(draw):
+    """Two graphs whose disjoint union has at most 6 vertices and 8 edges:
+    a small graph cut into its first vertices and the rest."""
+    g = draw(small_graphs())
+    cut = draw(st.integers(0, g.n))
+    left = tuple(e for e in g.edges if e[1] < cut)
+    right = tuple((u - cut, v - cut) for u, v in g.edges if u >= cut)
+    return Graph(cut, left), Graph(g.n - cut, right)
+
+
+class TestK3Properties:
+    """char_poly_power at k=3 on random graphs with isolated vertices and
+    several components."""
+
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_relabelling_invariant(self, g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert char_poly_power(g.relabel(perm), 3).to_text() == (
+            char_poly_power(g, 3).to_text()
+        )
+
+    @given(disjoint_pairs())
+    def test_disjoint_unions_obey_the_product_rule(self, pair):
+        _assert_product_rule(*pair, 3)
 
 
 BINARY_TREE_15 = Graph(15, tuple((i, c) for i in range(7) for c in (2 * i + 1, 2 * i + 2)))

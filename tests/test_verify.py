@@ -110,11 +110,11 @@ def test_signed_polynomials_computed_once_per_graph(monkeypatch):
     # methods-agree, geometric-mean, godsil-gutman and am-gm read one table
     # of signed polynomials per graph, one polynomial per switching class:
     # the sum of 2^(|E|-|V|+1) over the quick corpus is 21 (166 for one per
-    # signing).  A first run fills the motif spectra, whose signed
-    # polynomials also come from char_poly_exact.
+    # signing).  A first run fills the motif spectra, which read the same
+    # memoised table; clearing it then leaves only the means to refill it.
     assert verify.run_verify_suite("quick").ok
     calls = _count_calls(monkeypatch, signed, "char_poly_exact")
-    signed.signing_polynomials.cache_clear()
+    signed.switching_class_polynomials.cache_clear()
     report = verify.run_verify_suite("quick")
     assert report.ok
     assert len(calls) == 1 + 1 + 1 + 2 + 2 + 2 + 4 + 8
