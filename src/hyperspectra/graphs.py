@@ -1,5 +1,5 @@
-"""Graphs, isomorphism certificates, the connected-motif census, and
-k-power hypergraph construction.
+"""Graphs, isomorphism certificates and automorphism orbits, the
+connected-motif census, and k-power hypergraph construction.
 
 Conventions used throughout the package:
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BudgetError, GraphParseError
 
@@ -215,22 +216,30 @@ def _encode_upper_triangle(g):
     return bits
 
 
-def canonical_form(g):
-    """The relabeled copy of g with the minimum upper-triangular adjacency
-    encoding over all degree-respecting relabelings (slots grouped by degree,
-    descending; at most CERTIFICATE_VERTEX_LIMIT vertices).  Isomorphic
-    graphs get equal forms, and the form of a form is the form itself.
+@lru_cache(maxsize=4096)
+def _canonical_search(g):
+    """The slot-by-slot search behind `canonical_form`, memoised per labelled
+    graph (at most CERTIFICATE_VERTEX_LIMIT vertices): the minimising leaf,
+    slot i -> the vertex placed there, and the vertex orbits of Aut(g) as
+    sorted tuples, by least vertex.
 
     The search fills slots 0..n-1 in turn instead of trying permutations.  A
     state is the vertices placed so far plus an ordered list of cells, masks
     of unplaced vertices that each own the next consecutive block of slots;
-    it starts from the degree classes.  Slot i takes a vertex w of the first
-    cell, one per twin class (twins u, w have N(u)-{w} = N(w)-{u}, so the
-    transposition (u w) is an automorphism fixing the state).  Splitting
-    every cell into w's non-neighbours followed by its neighbours gives row i
-    of the encoding its unique minimum for that w, and only the children
-    whose row i is smallest over all states survive.  Rows compare in
-    encoding order, so every minimising relabeling survives every slot.
+    it starts from the degree classes, descending.  Slot i takes a vertex w
+    of the first cell, one per twin class (twins u, w have N(u)-{w} =
+    N(w)-{u}, so the transposition (u w) is an automorphism fixing the
+    state).  Splitting every cell into w's non-neighbours followed by its
+    neighbours gives row i of the encoding its unique minimum for that w,
+    and only the children whose row i is smallest over all states survive.
+    Rows compare in encoding order, so every minimising relabeling survives
+    every slot, up to the twin swaps skipped on its way.
+
+    Any two surviving leaves p, q relabel g to the same form, so p[i] ->
+    q[i] is an automorphism; every automorphism maps the first leaf to a
+    minimising leaf, which is a surviving one after some skipped twin swaps.
+    So the swaps and the maps from the first leaf to the others generate
+    Aut(g), and the orbits are the classes they join.
     """
     if g.n > CERTIFICATE_VERTEX_LIMIT:
         raise BudgetError(
@@ -246,13 +255,19 @@ def canonical_form(g):
         d = nbr[v].bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     states = [((), tuple(by_degree[d] for d in sorted(by_degree, reverse=True)))]
+    swaps = []
     for _ in range(g.n):
         best_row, children = None, []
         for placed, cells in states:
             first = cells[0]
             tried = []
             for w in (v for v in range(g.n) if first >> v & 1):
-                if any((nbr[u] ^ nbr[w]) & ~(1 << u | 1 << w) == 0 for u in tried):
+                twin = next(
+                    (u for u in tried if (nbr[u] ^ nbr[w]) & ~(1 << u | 1 << w) == 0),
+                    None,
+                )
+                if twin is not None:
+                    swaps.append((twin, w))
                     continue
                 tried.append(w)
                 row, split = 0, []
@@ -266,10 +281,53 @@ def canonical_form(g):
                 if row == best_row:
                     children.append((placed + (w,), tuple(split)))
         states = children
+    leaf = states[0][0]
+    maps = (pair for placed, _ in states[1:] for pair in zip(leaf, placed))
+    return leaf, _classes(g.n, itertools.chain(swaps, maps))
+
+
+def _classes(n, pairs):
+    """The classes of range(n) joined by the given pairs, as sorted tuples
+    by least vertex (union-find, each class rooted at its least vertex)."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, w in pairs:
+        a, b = find(u), find(w)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    classes = {}
+    for v in range(n):
+        classes.setdefault(find(v), []).append(v)
+    return tuple(map(tuple, classes.values()))
+
+
+def canonical_form(g):
+    """The relabeled copy of g with the minimum upper-triangular adjacency
+    encoding over all degree-respecting relabelings (slots grouped by degree,
+    descending; at most CERTIFICATE_VERTEX_LIMIT vertices), found by the
+    memoised `_canonical_search`.  Isomorphic graphs get equal forms, and
+    the form of a form is the form itself."""
+    leaf, _ = _canonical_search(g)
     perm = [0] * g.n
-    for slot, v in enumerate(states[0][0]):
+    for slot, v in enumerate(leaf):
         perm[v] = slot
     return g.relabel(perm)
+
+
+def vertex_orbits(g):
+    """The vertex orbits of the automorphism group of g, as sorted tuples by
+    least vertex, from the memoised `_canonical_search`.  Above
+    CERTIFICATE_VERTEX_LIMIT vertices, which the search does not reach,
+    every vertex is its own class."""
+    if g.n > CERTIFICATE_VERTEX_LIMIT:
+        return tuple((v,) for v in range(g.n))
+    return _canonical_search(g)[1]
 
 
 def _form_certificate(form):

@@ -373,7 +373,8 @@ def char_poly_power(g, k):
             )
     factors = _factors((b, int(m)) for b, m in zip(basis, mu) if m)
     size = g.n + (k - 2) * g.m
-    mu0 = size * (k - 1) ** (size - 1) - k * sum(f.mu for f in factors)
+    degree = size * (k - 1) ** (size - 1) if size else 0
+    mu0 = degree - k * sum(f.mu for f in factors)
     if mu0 < 0:
         raise ConsistencyError(f"negative zero-eigenvalue exponent {mu0}")
     if g.m and g.is_connected():

@@ -25,6 +25,13 @@ steps left minus the need, is at least 2.  The states this skips could not
 be accepted at any length <= max_d, so every count is exact.  The state
 budget still bounds n * 3^m, every state the DP could hold.
 
+An automorphism of the host maps walks from s onto walks from its image,
+edge masks and all, so every count from s is the same from each vertex of
+s's automorphism orbit.  Both DPs therefore run from the least vertex of
+each orbit and weight its counts by the orbit's size.  The orbits come from
+the memoised canonical search (`graphs.vertex_orbits`); a host above the
+canonical form's vertex limit gets one orbit per vertex.
+
 The parity DP has an independent twin, the signed-trace average: the mean
 over all 2^|E| signings of trace(A_signed^d), read from the power sums of
 each distinct signed characteristic polynomial, weighted by the number of
@@ -41,6 +48,7 @@ from typing import NamedTuple
 
 from .algebra import mat_power_traces, power_sums_from_charpoly
 from .errors import BudgetError, ConsistencyError
+from .graphs import vertex_orbits
 from .signed import signing_polynomials
 
 PARITY_DP_EDGE_LIMIT = 24
@@ -90,7 +98,8 @@ def _parity_profile_dp(g, max_d):
         moves[v].append((u, 1 << i))
     profile = [0] * (max_d + 1)
     profile[0] = g.n
-    for start in range(g.n):
+    for orbit in vertex_orbits(g):
+        start = orbit[0]
         # states[v]: parity mask -> walks of length t from start ending at v;
         # a parity-closed walk of length 2t is two of them with equal ends
         states = [{} for _ in range(g.n)]
@@ -104,7 +113,8 @@ def _parity_profile_dp(g, max_d):
                         key = mask ^ bit
                         target[key] = target.get(key, 0) + cnt
             states = nxt
-            profile[2 * t] += sum(cnt * cnt for row in states for cnt in row.values())
+            closed = sum(cnt * cnt for row in states for cnt in row.values())
+            profile[2 * t] += len(orbit) * closed
     return profile
 
 
@@ -168,7 +178,8 @@ def _covering_profile_cached(motif, max_d, state_budget):
     profile = [0] * (max_d + 1)
     if m == 0:
         profile[0] = n  # the length-0 walk covers the empty edge set
-    for start in range(n):
+    for orbit in vertex_orbits(motif):
+        start = orbit[0]
         states = [{} for _ in range(n)]
         states[start][0] = 1
         for t in range(1, max_d + 1):
@@ -188,5 +199,5 @@ def _covering_profile_cached(motif, max_d, state_budget):
                         new = (key | bit) ^ odd
                         target[new] = target.get(new, 0) + cnt
             states = nxt
-            profile[t] += states[start].get(full, 0)
+            profile[t] += len(orbit) * states[start].get(full, 0)
     return tuple(profile)

@@ -4,10 +4,12 @@ Each is a slow or rational-arithmetic twin of a production routine: Euclid
 over `Fraction` polynomials for the integer gcd-free basis of
 `hyperspectra.algebra`, the inverse Newton recurrence, a brute-force
 isomorphism test and subset enumeration for the motif census, vertex
-subset enumeration for the induced census, subset inclusion-exclusion for
-the covering walk counts, the vertex-deletion sum over all vertex sets for
-the k=3 moments, and cyclic Jacobi rotations in floats for the real spectra
-read off exact polynomials.
+subset enumeration for the induced census, every permutation for the
+automorphism orbits, the parity DP from every start vertex, subset
+inclusion-exclusion over it for the covering walk counts, the
+vertex-deletion sum over all vertex sets for the k=3 moments, and cyclic
+Jacobi rotations in floats for the real spectra read off exact
+polynomials.
 """
 
 import itertools
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from hyperspectra.algebra import poly_derivative, poly_trim
-from hyperspectra.walks import WalkCount, parity_closed_profile
+from hyperspectra.walks import WalkCount
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +201,42 @@ def are_isomorphic(a, b):
     return extend(0, [None] * a.n, set())
 
 
+def automorphism_orbits(g):
+    """Vertex orbits of Aut(g), as sorted tuples by least vertex, by trying
+    every permutation of the vertices."""
+    edges = set(g.edges)
+    orbit_of = {v: {v} for v in range(g.n)}
+    for perm in itertools.permutations(range(g.n)):
+        if all(tuple(sorted((perm[u], perm[v]))) in edges for u, v in edges):
+            for v in range(g.n):
+                orbit_of[v].add(perm[v])
+    return tuple(sorted({tuple(sorted(orbit)) for orbit in orbit_of.values()}))
+
+
+def parity_profile_all_starts(g, max_d):
+    """Parity-closed walk counts for every length 0..max_d, by the bitmask
+    DP run from every start vertex: a walk's state is its end and the mask
+    of edges it used an odd number of times, and a parity-closed walk of
+    length 2t is two walks of length t from the start with equal states."""
+    moves = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        moves[u].append((v, 1 << i))
+        moves[v].append((u, 1 << i))
+    profile = [0] * (max_d + 1)
+    profile[0] = g.n
+    for start in range(g.n):
+        states = {(start, 0): 1}
+        for t in range(1, max_d // 2 + 1):
+            nxt = {}
+            for (v, mask), cnt in states.items():
+                for w, bit in moves[v]:
+                    key = (w, mask ^ bit)
+                    nxt[key] = nxt.get(key, 0) + cnt
+            states = nxt
+            profile[2 * t] += sum(cnt * cnt for cnt in states.values())
+    return profile
+
+
 def connected_edge_subsets_brute(g, max_edges):
     """Independent oracle: plain subset enumeration plus a connectivity check."""
     out = []
@@ -230,7 +268,7 @@ def vertex_deletion_moments(g, top):
         weight = Fraction(1, 4) ** size * Fraction(3, 4) ** (g.n - size)
         for removed in itertools.combinations(range(g.n), size):
             rest = g.induced(set(range(g.n)) - set(removed))
-            profile = parity_closed_profile(rest, 2 * top)[2::2]
+            profile = parity_profile_all_starts(rest, 2 * top)[2::2]
             totals = [t + weight * p for t, p in zip(totals, profile)]
     return [2 ** (g.n + g.m) * t for t in totals]
 
@@ -246,7 +284,7 @@ def covering_parity_profile_by_subsets(motif, max_d):
         sign = (-1) ** (motif.m - size)
         for combo in itertools.combinations(range(motif.m), size):
             restricted = replace(motif, edges=tuple(motif.edges[i] for i in combo))
-            profile = parity_closed_profile(restricted, max_d, method="dp")
+            profile = parity_profile_all_starts(restricted, max_d)
             totals = [t + sign * p for t, p in zip(totals, profile)]
     return totals
 

@@ -40,6 +40,13 @@ class TestCharpolyCommand:
         assert code == 0
         assert out.strip() == "λ^3 (λ^3 - 1)^3"
 
+    def test_empty_graph_has_an_integer_mu0(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "charpoly", "--graph", "0 0", "--k", "3", "--format", "json"
+        )
+        assert code == 0
+        assert out.strip() == '{"factors":[],"k":3,"mu0":"0"}'
+
     def test_deterministic_output(self, capsys):
         args = ("charpoly", "--graph", "cycle:3", "--k", "3", "--format", "json")
         _, first, _ = run_cli(capsys, *args)

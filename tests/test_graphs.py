@@ -23,9 +23,11 @@ from hyperspectra.graphs import (
     path_graph,
     power_hypergraph,
     star_graph,
+    vertex_orbits,
 )
 from oracles import (
     are_isomorphic,
+    automorphism_orbits,
     connected_edge_subsets_brute,
     connected_vertex_sets_brute,
 )
@@ -192,6 +194,14 @@ def _to_nx(g):
     return out
 
 
+PETERSEN = Graph(
+    10,
+    tuple((i, (i + 1) % 5) for i in range(5))
+    + tuple((i, i + 5) for i in range(5))
+    + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
+)
+
+
 @st.composite
 def relabeled_graphs(draw):
     n = draw(st.integers(0, 7))
@@ -223,17 +233,11 @@ class TestCanonicalSearch:
         # past the oracle's reach: relabel invariance, and equal forms
         # exactly for the pairs networkx finds isomorphic (C10(1,3) is
         # K5,5 minus a perfect matching)
-        petersen = Graph(
-            10,
-            tuple((i, (i + 1) % 5) for i in range(5))
-            + tuple((i, i + 5) for i in range(5))
-            + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
-        )
         five_k2 = Graph(10, tuple((2 * i, 2 * i + 1) for i in range(5)))
         k55_minus_pm = Graph(
             10, tuple((i, 5 + j) for i in range(5) for j in range(5) if i != j)
         )
-        graphs = [petersen, five_k2, k55_minus_pm, _circulant(10, (1, 3))]
+        graphs = [PETERSEN, five_k2, k55_minus_pm, _circulant(10, (1, 3))]
         rng = random.Random(20240817)
         forms = []
         for g in graphs:
@@ -247,6 +251,39 @@ class TestCanonicalSearch:
         for (a, fa), (b, fb) in itertools.combinations(zip(graphs, forms), 2):
             assert (fa == fb) == nx.is_isomorphic(_to_nx(a), _to_nx(b))
         assert forms[2] == forms[3]
+
+
+class TestVertexOrbits:
+    def test_match_brute_force_under_relabelling(self, desk_corpus):
+        rng = random.Random(20261018)
+        for g in desk_corpus:
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                h = g.relabel(perm)
+                assert vertex_orbits(h) == automorphism_orbits(h), h
+
+    def test_match_brute_force_with_isolated_vertices_and_components(self):
+        for g in (
+            Graph(0, ()),
+            Graph(3, ()),
+            Graph(5, ((0, 3), (1, 4))),
+            Graph(6, ((0, 1), (1, 2), (3, 4))),
+            Graph(7, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3))),
+        ):
+            assert vertex_orbits(g) == automorphism_orbits(g), g
+
+    def test_vertex_transitive_graphs_have_one_orbit(self):
+        rng = random.Random(7)
+        five_k2 = Graph(10, tuple((2 * i, 2 * i + 1) for i in range(5)))
+        for g in (PETERSEN, five_k2, complete_graph(7), cycle_graph(9)):
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert vertex_orbits(g.relabel(perm)) == (tuple(range(g.n)),)
+
+    def test_past_the_vertex_limit_every_vertex_is_its_own_class(self):
+        assert vertex_orbits(cycle_graph(12)) == tuple((v,) for v in range(12))
 
 
 class TestCensus:

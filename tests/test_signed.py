@@ -83,14 +83,15 @@ class TestSignings:
 
 
 @st.composite
-def small_graphs(draw):
-    """Graphs on at most 6 vertices with at most 8 edges, disconnected ones
-    and isolated vertices included."""
+def small_graphs(draw, max_m=8):
+    """Graphs on at most 6 vertices with at most max_m edges, disconnected
+    ones and isolated vertices included."""
     n = draw(st.integers(0, 6))
     pairs = list(itertools.combinations(range(n), 2))
     if not pairs:
         return Graph(n, ())
-    return Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_m))
+    return Graph(n, tuple(chosen))
 
 
 class TestSigningTable:

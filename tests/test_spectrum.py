@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperspectra import graphs, means, spectrum, verify
+from hyperspectra import graphs, means, spectrum, verify, walks
 from hyperspectra.algebra import poly_eval
 from hyperspectra.algebra import (
     basis_exponents,
@@ -15,24 +15,19 @@ from hyperspectra.algebra import (
     power_sums_from_charpoly,
     real_roots,
 )
-from hyperspectra.digraphs import power_moment_prefactor
+from hyperspectra.digraphs import naive_tensor_trace, power_moment_prefactor
 from hyperspectra.errors import BudgetError, ConsistencyError
 from hyperspectra.graphs import (
     Graph,
     complete_graph,
     connected_edge_subsets,
-    connected_induced_subgraph_classes,
     connected_subgraph_census,
     connected_subgraph_classes,
     cycle_graph,
     path_graph,
+    power_hypergraph,
 )
-from hyperspectra.signed import (
-    all_positive,
-    char_poly_exact,
-    char_poly_of_squares,
-    enumerate_signings,
-)
+from hyperspectra.signed import all_positive, char_poly_exact
 from hyperspectra.spectrum import (
     _covering_weight,
     beta,
@@ -45,7 +40,7 @@ from hyperspectra.spectrum import (
     spectral_radius_multiplicity,
 )
 from hyperspectra.walks import covering_parity_profile, parity_closed_profile
-from oracles import poly_divmod, vertex_deletion_moments
+from oracles import vertex_deletion_moments
 from test_signed import small_graphs
 
 K2 = path_graph(2)
@@ -100,6 +95,12 @@ class TestScriptS:
     def test_cycle3_at_k2(self):
         assert script_S(C3, 4, 2) == 18
 
+    @given(small_graphs(max_m=3))
+    def test_matches_the_naive_tensor_trace(self, g):
+        h = power_hypergraph(g, 3)
+        for d in (3, 6):
+            assert script_S(g, d, 3) == naive_tensor_trace(h, d), (g, d)
+
     def test_rejects_k1(self):
         with pytest.raises(ValueError):
             script_S(K2, 2, 1)
@@ -135,6 +136,11 @@ class TestCharPolyPower:
         assert fsf.mu0 == 3
         assert [(f.sigma_sq, f.mu) for f in fsf.factors] == [(1.0, 3)]
         assert fsf.to_text() == "λ^3 (λ^3 - 1)^3"
+
+    def test_empty_graph_has_an_integer_mu0(self):
+        for k in (3, 4):
+            fsf = char_poly_power(Graph(0, ()), k)
+            assert (type(fsf.mu0), fsf.mu0, fsf.factors) == (int, 0, ())
 
     def test_k2_multiplicity_is_k_to_k_minus_2(self):
         for k in (3, 4, 5):
@@ -173,22 +179,36 @@ class TestCharPolyPower:
         assert all(f.mu > 0 for f in fsf.factors)
         assert all(f.sigma_sq != pytest.approx(2.0, abs=1e-9) for f in fsf.factors)
 
-    def test_positive_k3_clusters_come_from_induced_subgraphs(self, builtin_corpus):
-        # at k=3 only squared eigenvalues of induced signed subgraphs can
-        # carry multiplicity; basis elements contributed solely by non-induced
-        # subgraphs (e.g. P4 inside C4) must end up with exponent zero
-        for g in builtin_corpus:
-            if not g.is_connected() or g.m == 0:
+    def test_k3_multiplicities_match_the_full_edge_census(self, desk_corpus):
+        # mu from the connected induced classes equals the sum over every
+        # connected edge subset C of w(C) abar_C, where the non-induced C
+        # weigh zero; the two bases differ, so compare over a common
+        # refinement of both
+        for g in desk_corpus:
+            if g.m == 0:
                 continue
-            fsf = char_poly_power(g, 3)
-            induced = [
-                char_poly_of_squares(sg)
-                for motif, _ in connected_induced_subgraph_classes(g)
-                for sg in enumerate_signings(motif.graph, up_to_switching=True)
-            ]
-            for f in fsf.factors:
-                if f.mu > 0:
-                    assert any(not poly_divmod(q, f.b)[1] for q in induced), (g, f.b)
+            induced_basis, induced_mu = spectrum._exact_multiplicities(g, 3)
+            classes, exponents, census_basis = spectrum._motif_spectra(g)
+            scale = Fraction(2) ** (g.n + g.m - 1) / 3
+            census_mu = [Fraction(0)] * len(census_basis)
+            for (_, subsets), (signings, sums) in zip(classes, exponents):
+                weight = scale * sum(_covering_weight(g, s, 3) for s in subsets)
+                census_mu = [
+                    mu + weight * e / signings for mu, e in zip(census_mu, sums)
+                ]
+            common = coprime_basis(list(induced_basis) + list(census_basis))
+
+            def refined(basis, mu):
+                out = [Fraction(0)] * len(common)
+                for b, m in zip(basis, mu):
+                    out = [
+                        o + m * e for o, e in zip(out, basis_exponents(b, common))
+                    ]
+                return out
+
+            assert refined(induced_basis, induced_mu) == refined(
+                census_basis, census_mu
+            ), g
 
     def test_covering_weight_matches_the_alternating_sum(self):
         # w(C) against its definition: the sum over every set S of edges
@@ -236,8 +256,12 @@ class TestCharPolyPower:
     def test_one_canonical_search_per_subgraph(self, monkeypatch):
         # k=3 and its moment check share one census of connected induced
         # subgraphs: C8 has 8 * 6 + 1 = 49 connected vertex sets of at least
-        # 2 vertices.  k=4 adds the census of its 8 * 7 + 1 = 57 connected
-        # edge subsets, beta searches none, and repeats search no more
+        # 2 vertices.  They are 27 distinct labelled subgraphs, and the
+        # parity DPs search 4 class forms that are none of those for their
+        # orbits: 31 searches.  k=4 adds the census of its 8 * 7 + 1 = 57
+        # connected edge subsets, whose 8 new labelled P8s and the P8 form
+        # make 9 more searches.  beta's parity DP finds C8 in the memo, and
+        # repeats search no more
         calls = []
         form = graphs.canonical_form
 
@@ -245,18 +269,23 @@ class TestCharPolyPower:
             calls.append(g)
             return form(g, *args)
 
+        def searches():
+            return graphs._canonical_search.cache_info().misses
+
         monkeypatch.setattr(graphs, "canonical_form", counted)
+        graphs._canonical_search.cache_clear()
+        walks._covering_profile_cached.cache_clear()
         spectrum._induced_spectra.cache_clear()
         spectrum._motif_spectra.cache_clear()
         g = cycle_graph(8)
         char_poly_power(g, 3)
-        assert len(calls) == 49
+        assert (len(calls), searches()) == (49, 31)
         char_poly_power(g, 4)
-        assert len(calls) == 49 + 57
+        assert (len(calls), searches()) == (49 + 57, 31 + 9)
         beta(g)
         char_poly_power(g, 3)
         char_poly_power(g, 4)
-        assert len(calls) == 49 + 57
+        assert (len(calls), searches()) == (49 + 57, 31 + 9)
 
     def test_moment_check_range_comes_from_the_graph(self):
         # a result that lost its factors must not pass with nothing checked

@@ -24,7 +24,9 @@ from hyperspectra.walks import (
 from oracles import (
     covering_parity_closed_by_subsets,
     covering_parity_profile_by_subsets,
+    parity_profile_all_starts,
 )
+from test_signed import small_graphs
 
 K2 = path_graph(2)
 P3 = path_graph(3)
@@ -161,8 +163,9 @@ def graphs_with_components(draw):
 
 
 class TestWalkDPProperties:
-    @given(connected_graphs())
+    @given(connected_graphs(max_m=8))
     def test_covering_matches_inclusion_exclusion(self, g):
+        # the DP runs from one start per orbit, the oracle from every start;
         # the pruning cuts hardest near 2m; the slack max_d - 2m keeps its
         # parity, so 2m + 2 is the first D where a state can have slack 2
         top = 2 * g.m + 3
@@ -177,6 +180,11 @@ class TestWalkDPProperties:
         if D >= 0:
             longer = covering_parity_profile(g, D + 3)
             assert covering_parity_profile(g, D) == longer[: D + 1]
+
+    @given(small_graphs())
+    def test_parity_orbit_starts_match_every_start(self, g):
+        D = 2 * g.m + 2
+        assert parity_closed_profile(g, D) == parity_profile_all_starts(g, D), g
 
     @given(graphs_with_components())
     def test_parity_methods_agree(self, g):
