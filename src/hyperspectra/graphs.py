@@ -1,5 +1,7 @@
 """Graphs, isomorphism certificates and automorphism orbits, the
-connected-motif census, and k-power hypergraph construction.
+connected-motif census (connected edge subsets, the connected sets of the
+line graph, or connected induced subgraphs, the connected vertex sets, both
+from one enumerator), and k-power hypergraph construction.
 
 Conventions used throughout the package:
 
@@ -216,12 +218,21 @@ def _encode_upper_triangle(g):
     return bits
 
 
+def _neighbour_masks(g):
+    """The bitmask of each vertex's neighbours in g."""
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
 @lru_cache(maxsize=4096)
 def _canonical_search(g):
     """The slot-by-slot search behind `canonical_form`, memoised per labelled
-    graph (at most CERTIFICATE_VERTEX_LIMIT vertices): the minimising leaf,
-    slot i -> the vertex placed there, and the vertex orbits of Aut(g) as
-    sorted tuples, by least vertex.
+    graph (at most CERTIFICATE_VERTEX_LIMIT vertices): the canonical form,
+    g relabelled by the minimising leaf (slot i -> the vertex placed there),
+    and the vertex orbits of Aut(g) as sorted tuples, by least vertex.
 
     The search fills slots 0..n-1 in turn instead of trying permutations.  A
     state is the vertices placed so far plus an ordered list of cells, masks
@@ -246,10 +257,7 @@ def _canonical_search(g):
             f"canonical form supports at most {CERTIFICATE_VERTEX_LIMIT} "
             f"vertices, got {g.n}"
         )
-    nbr = [0] * g.n
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = _neighbour_masks(g)
     by_degree = {}
     for v in range(g.n):
         d = nbr[v].bit_count()
@@ -282,8 +290,11 @@ def _canonical_search(g):
                     children.append((placed + (w,), tuple(split)))
         states = children
     leaf = states[0][0]
+    perm = [0] * g.n
+    for slot, v in enumerate(leaf):
+        perm[v] = slot
     maps = (pair for placed, _ in states[1:] for pair in zip(leaf, placed))
-    return leaf, _classes(g.n, itertools.chain(swaps, maps))
+    return g.relabel(perm), _classes(g.n, itertools.chain(swaps, maps))
 
 
 def _classes(n, pairs):
@@ -313,11 +324,7 @@ def canonical_form(g):
     descending; at most CERTIFICATE_VERTEX_LIMIT vertices), found by the
     memoised `_canonical_search`.  Isomorphic graphs get equal forms, and
     the form of a form is the form itself."""
-    leaf, _ = _canonical_search(g)
-    perm = [0] * g.n
-    for slot, v in enumerate(leaf):
-        perm[v] = slot
-    return g.relabel(perm)
+    return _canonical_search(g)[0]
 
 
 def vertex_orbits(g):
@@ -389,40 +396,49 @@ class MotifCensus:
         ]
 
 
-def connected_edge_subsets(g, max_edges):
-    """All edge-index subsets of size 1..max_edges whose subgraph is connected.
+def _connected_sets(nbr, max_size):
+    """Bitmasks of the connected sets of 1..max_size elements of the graph
+    in which element i neighbours the other elements of mask nbr[i], by size,
+    then by mask.
 
-    Grown breadth-first from each seed edge with de-duplication, so every
-    subset appears exactly once.
-    """
+    Grown breadth-first from single elements, one neighbour at a time, each
+    set carrying the mask of its members' neighbours; every connected set is
+    reached from one a size smaller, so each appears exactly once and no
+    disconnected set is tried (P9 has 45, against 2^9 - 1 nonempty vertex
+    sets), and the growth stops at the first size that has none."""
+    found, frontier, size = [], {1 << i: reach for i, reach in enumerate(nbr)}, 1
+    while frontier:
+        found.extend(sorted(frontier))
+        if size == max_size:
+            break
+        grown = {}
+        for mask, reach in frontier.items():
+            fresh = reach & ~mask
+            while fresh:
+                low = fresh & -fresh
+                grown[mask | low] = reach | nbr[low.bit_length() - 1]
+                fresh ^= low
+        frontier, size = grown, size + 1
+    return found
+
+
+def connected_edge_subsets(g, max_edges):
+    """All edge-index subsets of size 1..max_edges whose subgraph is
+    connected, as frozensets by size, then by bitmask: the `_connected_sets`
+    of the line graph, in which two edges neighbour when they share an
+    endpoint (a set of edges spans a connected subgraph exactly when it is
+    connected there)."""
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
-    nbr_edges = [set() for _ in range(g.m)]
-    incidence = {}
+    touching = [0] * g.n
     for i, (u, v) in enumerate(g.edges):
-        incidence.setdefault(u, []).append(i)
-        incidence.setdefault(v, []).append(i)
-    for verts in incidence.values():
-        for i in verts:
-            nbr_edges[i].update(j for j in verts if j != i)
-
-    found = set()
-    frontier = [frozenset([i]) for i in range(g.m)]
-    found.update(frontier)
-    for _ in range(max_edges - 1):
-        nxt = []
-        for subset in frontier:
-            candidates = set()
-            for i in subset:
-                candidates.update(nbr_edges[i])
-            candidates -= subset
-            for j in candidates:
-                grown = subset | {j}
-                if grown not in found:
-                    found.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+        touching[u] |= 1 << i
+        touching[v] |= 1 << i
+    line = [touching[u] | touching[v] for u, v in g.edges]
+    return [
+        frozenset(i for i in range(g.m) if mask >> i & 1)
+        for mask in _connected_sets(line, max_edges)
+    ]
 
 
 def _grouped_by_class(g, subsets):
@@ -461,36 +477,6 @@ def connected_subgraph_census(g, max_edges):
     return MotifCensus(entries=entries, max_edges=max_edges)
 
 
-def _connected_vertex_sets(g):
-    """Bitmasks of the connected vertex sets of g with at least 2 vertices,
-    by size, then by mask.
-
-    Grown breadth-first from single vertices, one neighbouring vertex at a
-    time; every set of one size is reached from a set one smaller, so each
-    appears exactly once and no disconnected set is ever tried (P9 has 36,
-    against 2^9 - 1 nonempty vertex subsets)."""
-    nbr = [0] * g.n
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    found, frontier = [], [1 << v for v in range(g.n)]
-    while frontier:
-        grown = set()
-        for mask in frontier:
-            reach = 0
-            for v in range(g.n):
-                if mask >> v & 1:
-                    reach |= nbr[v]
-            reach &= ~mask
-            while reach:
-                low = reach & -reach
-                grown.add(mask | low)
-                reach ^= low
-        frontier = sorted(grown)
-        found.extend(frontier)
-    return found
-
-
 def connected_induced_subgraph_classes(g):
     """Connected induced subgraphs G[U] of g with at least one edge, grouped
     by isomorphism class: ((Motif, (subset, ...)), ...) in census order, in
@@ -500,7 +486,8 @@ def connected_induced_subgraph_classes(g):
         frozenset(
             i for i, (u, v) in enumerate(g.edges) if mask >> u & 1 and mask >> v & 1
         )
-        for mask in _connected_vertex_sets(g)
+        for mask in _connected_sets(_neighbour_masks(g), g.n)
+        if mask & (mask - 1)
     )
     return _grouped_by_class(g, subsets)
 

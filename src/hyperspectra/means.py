@@ -172,13 +172,17 @@ def amgm_check(g, lambda0):
     # alpha^N >= prod phi^count, both sides times (N scale)^N, N^N = 2^(|E| N)
     lhs, rhs = total**signings, product << (g.m * signings)
     all_equal = len({v for v, _ in values}) == 1
-    gap = float(alpha_value) - beta_value
+    try:  # the detail alone shows the gap; past the largest double it cannot
+        gap = float(alpha_value) - beta_value
+    except OverflowError:
+        gap = math.nan
     if lhs < rhs:
         status, detail = "fail", f"alpha < beta, alpha - beta = {gap:.3e}"
     elif all_equal != (lhs == rhs):
         status, detail = "fail", "equality does not match equal signed values"
     else:
-        status, detail = "pass", "equality" if all_equal else f"strict by {gap:.6g}"
+        shown = f" by {gap:.6g}" if math.isfinite(gap) else ""
+        status, detail = "pass", "equality" if all_equal else "strict" + shown
     return AmgmReport(
         status=status,
         lambda0=float(lambda0),

@@ -221,6 +221,23 @@ class TestOtherCommands:
         assert payload["status"] == "pass"
         assert payload["alpha"] == "18"
 
+    def test_amgm_past_the_double_range(self, capsys):
+        # the status is decided exactly; a gap no double can hold is left out
+        # of the detail rather than raising OverflowError
+        cases = (("cycle:4", "1e80", "strict"), ("path:2", "1e160", "equality"))
+        for graph, at, detail in cases:
+            code, out, _ = run_cli(
+                capsys, "amgm", "--graph", graph, "--at", at, "--format", "json"
+            )
+            assert code == 0, graph
+            payload = json.loads(out)
+            assert (payload["status"], payload["detail"], payload["beta"]) == (
+                "pass",
+                detail,
+                "inf",
+            )
+        assert int(payload["alpha"]) == int(1e160) ** 2 - 1
+
 
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):

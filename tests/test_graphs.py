@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hyperspectra.errors import BudgetError, GraphParseError
 from hyperspectra.graphs import (
     Graph,
-    _connected_vertex_sets,
+    _connected_sets,
     _encode_upper_triangle,
+    _neighbour_masks,
     all_connected_graphs,
     canonical_certificate,
     canonical_form,
@@ -18,6 +19,7 @@ from hyperspectra.graphs import (
     connected_edge_subsets,
     connected_induced_subgraph_classes,
     connected_subgraph_census,
+    connected_subgraph_classes,
     cycle_graph,
     parse_graph,
     path_graph,
@@ -212,6 +214,28 @@ def relabeled_graphs(draw):
     return g, perm
 
 
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 7 vertices with at most 10 edges, disconnected ones
+    and isolated vertices included."""
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(
+        st.lists(st.sampled_from(pairs), unique=True, max_size=10)
+        if pairs
+        else st.just([])
+    )
+    return Graph(n, tuple(edges))
+
+
+def _induced_edge_sets(g, masks):
+    """The edge-index set of G[U] for each vertex bitmask U."""
+    return {
+        frozenset(i for i, (u, v) in enumerate(g.edges) if mask >> u & mask >> v & 1)
+        for mask in masks
+    }
+
+
 class TestCanonicalSearch:
     def test_matches_brute_force_up_to_five_vertices(self):
         for n in range(6):
@@ -311,15 +335,24 @@ class TestCensus:
         for g in desk_corpus:
             if g.m == 0:
                 continue
-            max_edges = min(4, g.m)
-            brute = connected_edge_subsets_brute(g, max_edges)
-            fast = connected_edge_subsets(g, max_edges)
-            assert sorted(brute) == sorted(fast)
-            census = connected_subgraph_census(g, max_edges)
-            for size in range(1, max_edges + 1):
-                raw = sum(1 for s in brute if len(s) == size)
-                counted = sum(c for m, c in census.entries if m.e_count == size)
-                assert counted == raw
+            for max_edges in sorted({min(4, g.m), g.m}):
+                brute = connected_edge_subsets_brute(g, max_edges)
+                fast = connected_edge_subsets(g, max_edges)
+                assert len(fast) == len(brute) and set(fast) == set(brute), g
+                census = connected_subgraph_census(g, max_edges)
+                for size in range(1, max_edges + 1):
+                    raw = sum(1 for s in brute if len(s) == size)
+                    counted = sum(c for m, c in census.entries if m.e_count == size)
+                    assert counted == raw
+
+    def test_cap_past_the_largest_subset_returns_at_once(self):
+        # the enumeration stops at the first size with no connected subset,
+        # however far the cap lies beyond it
+        assert connected_edge_subsets(path_graph(3), 10**12) == [
+            frozenset({0}),
+            frozenset({1}),
+            frozenset({0, 1}),
+        ]
 
     def test_no_isolated_vertices_in_motifs(self, builtin_corpus):
         for g in builtin_corpus:
@@ -360,20 +393,29 @@ class TestCensus:
         # edge sets of its induced subgraphs
         for g in desk_corpus + [path_graph(9), cycle_graph(8)]:
             sets = connected_vertex_sets_brute(g)
-            assert sorted(_connected_vertex_sets(g)) == sorted(sets)
+            grown = _connected_sets(_neighbour_masks(g), g.n)[g.n:]
+            assert sorted(grown) == sorted(sets)
             classes = connected_induced_subgraph_classes(g)
-            induced = {
-                frozenset(
-                    i for i, (u, v) in enumerate(g.edges) if mask >> u & mask >> v & 1
-                )
-                for mask in sets
-            }
+            induced = _induced_edge_sets(g, sets)
             listed = [s for _, subsets in classes for s in subsets]
             assert len(listed) == len(induced) and set(listed) == induced
             for motif, subsets in classes:
                 for s in subsets:
                     assert canonical_form(g.subgraph_of_edges(s)) == motif.graph
-        assert len(_connected_vertex_sets(path_graph(9))) == 36
+        assert len(_connected_sets(_neighbour_masks(path_graph(9)), 9)) == 45
+
+    @given(small_graphs(), st.integers(1, 11))
+    def test_both_censuses_against_brute_force(self, g, max_edges):
+        # disconnected hosts and caps past |E| included: each census lists
+        # exactly the sets its brute-force oracle finds, each once
+        brute = connected_edge_subsets_brute(g, max_edges)
+        classes = connected_subgraph_classes(g, max_edges)
+        listed = [s for _, subsets in classes for s in subsets]
+        assert len(listed) == len(brute) and set(listed) == set(brute)
+        induced = _induced_edge_sets(g, connected_vertex_sets_brute(g))
+        classes = connected_induced_subgraph_classes(g)
+        listed = [s for _, subsets in classes for s in subsets]
+        assert len(listed) == len(induced) and set(listed) == induced
 
     def test_json_schema(self):
         census = connected_subgraph_census(cycle_graph(3), 2)

@@ -622,9 +622,10 @@ class TestBetaReach:
             raise AssertionError("beta reached the motif census")
 
         monkeypatch.setattr(graphs, "canonical_form", refused)
-        monkeypatch.setattr(graphs, "connected_edge_subsets", refused)
+        monkeypatch.setattr(graphs, "_connected_sets", refused)
         monkeypatch.setattr(spectrum, "_covering_weight", refused)
         spectrum._motif_spectra.cache_clear()
+        spectrum._induced_spectra.cache_clear()
         spectrum._beta_exponents.cache_clear()
         beta(cycle_graph(8))
 
