@@ -8,21 +8,23 @@ squared eigenvalues x of signed subgraphs: covering walk counts are an
 inclusion-exclusion over parity-closed counts, which are signed-trace
 averages.  Each multiplicity mu(x) is therefore read off as a coefficient,
 with no linear system.  Squared eigenvalues are keyed exactly by the elements
-b of a gcd-free basis of the polynomials `char_poly_of_squares` of all
-connected signed subgraphs, built in integer arithmetic; every root of one
-b carries the same multiplicity mu_b.  At k = 3 a subgraph that is not
-induced has weight zero, so the census there is of the connected induced
-subgraphs alone; at k >= 4 it is of all connected edge subsets.  beta reads
-no census, only the switching classes of the components of g.  The only
+b of a gcd-free basis of the polynomials `char_poly_of_squares` of the
+connected signed subgraphs read, built in integer arithmetic; every root of
+one b carries the same multiplicity mu_b.  beta is the k = 2 case of the
+same pipeline: one memoised census `_spectra(g, min(k, 4))` lists the
+subgraphs whose weight can be nonzero (every connected edge subset at
+k >= 4, the connected induced subgraphs at k = 3, the components of g,
+with no canonical form, at k = 2), `_exponents` sums their switching
+classes, and `_factored` builds and checks the result.  The only
 floats are the convergence ratio, an exact rational rounded once, and the
 roots sigma^2 of each b, each the double nearest to the exact root: an
 integer Sturm sequence isolates it and bisection at dyadic points narrows it
 until its interval rounds to one double.  `abs_power` evaluates |f(x)|^n
-exactly, so beta's identities are checked in rationals.  Bases and exponents
-are memoised per graph; each result is checked against exact moments from
-walk counts, not signed spectra.  At k = 3 and for beta the check runs to
-the total degree D of the regime's basis, which pins every multiplicity; at
-k >= 4 it stops at ell <= min(2 D, 8), which does not.
+exactly, so beta's identities are checked in rationals.  Each result is
+checked against exact moments from walk counts, not signed spectra.  At k = 3
+and for beta the check runs to the total degree D of the regime's basis,
+which pins every multiplicity; at k >= 4 it stops at ell <= min(2 D, 8),
+which does not.
 """
 
 from __future__ import annotations
@@ -140,44 +142,48 @@ def _signing_spectra(graphs):
     return exponents, basis
 
 
-@lru_cache(maxsize=64)
-def _motif_spectra(g):
-    """The connected edge subsets of g grouped by motif class, and their
-    `_signing_spectra`: the census of k >= 4; memoised per graph.  A
-    component whose cycle space is too large to list its switching classes
-    is refused before the census."""
+@lru_cache(maxsize=192)
+def _spectra(g, regime):
+    """The subgraphs of g whose weight w_k can be nonzero at k = regime (4
+    for every k >= 4), as ((graph, (edge subset, ...)), ...), and their
+    `_signing_spectra`; memoised per graph and regime.  At k = 2 each
+    component with an edge is its own group, with no canonical form and so
+    no vertex limit; at k = 3 the connected induced subgraphs, at k >= 4
+    every connected edge subset, grouped by class.  A component whose cycle
+    space is too large to list its switching classes is refused first."""
     check_cycle_space(largest_cycle_rank(g))
-    classes = connected_subgraph_classes(g, g.m) if g.m else ()
-    exponents, basis = _signing_spectra(motif.graph for motif, _ in classes)
-    return classes, exponents, basis
+    if regime == 2:
+        groups = tuple(
+            (g.induced(c), (frozenset(i for i, e in enumerate(g.edges) if e[0] in c),))
+            for c in map(set, g.components())
+            if len(c) > 1
+        )
+    else:
+        if regime == 3:
+            classes = connected_induced_subgraph_classes(g)
+        else:
+            classes = connected_subgraph_classes(g, g.m) if g.m else ()
+        groups = tuple((motif.graph, subsets) for motif, subsets in classes)
+    exponents, basis = _signing_spectra(h for h, _ in groups)
+    return groups, exponents, basis
 
 
-@lru_cache(maxsize=64)
-def _induced_spectra(g):
-    """The k = 3 twin of `_motif_spectra`: the connected induced subgraphs
-    of g with an edge grouped by motif class, and their `_signing_spectra`;
-    memoised per graph, refused as there before the census."""
-    check_cycle_space(largest_cycle_rank(g))
-    classes = connected_induced_subgraph_classes(g)
-    exponents, basis = _signing_spectra(motif.graph for motif, _ in classes)
-    return classes, exponents, basis
-
-
-def _power_moments(g, k, top, classes):
-    """[S_k, S_2k, ..., S_{top k}] of the k-power of g from its motif classes
-    (all those of at most top edges) and one covering profile per motif."""
+def _power_moments(g, k, top, groups):
+    """[S_k, S_2k, ..., S_{top k}] of the k-power of g from its classes of
+    connected edge subsets (all those of at most top edges) and one covering
+    profile per class."""
     totals = [Fraction(0)] * top
-    for motif, subsets in classes:
-        if motif.e_count > top:
+    for h, subsets in groups:
+        if h.m > top:
             break
-        weight = digraphs.power_moment_prefactor(motif.v_count, motif.e_count, k)
-        profile = covering_parity_profile(motif.graph, 2 * top)[2::2]
+        weight = digraphs.power_moment_prefactor(h.n, h.m, k)
+        profile = covering_parity_profile(h, 2 * top)[2::2]
         totals = [t + weight * p * len(subsets) for t, p in zip(totals, profile)]
     prefactor = Fraction(k - 1) ** (g.n + g.m * (k - 2) - 1)
     return [prefactor * total for total in totals]
 
 
-def _induced_moments(g, top, classes):
+def _induced_moments(g, top, groups):
     """[S_3, S_6, ..., S_{3 top}] of the 3-power of g by vertex deletion, from
     its connected induced classes and one parity profile per class.
 
@@ -191,14 +197,14 @@ def _induced_moments(g, top, classes):
     """
     nbrs = g.neighbors()
     totals = [Fraction(0)] * top
-    for motif, subsets in classes:
+    for h, subsets in groups:
         weight = Fraction(0)
         for subset in subsets:
             inside = {x for i in subset for x in g.edges[i]}
             boundary = {w for v in inside for w in nbrs[v]} - inside
             weight += Fraction(1, 4 ** len(boundary))
-        weight *= Fraction(3, 4) ** motif.v_count
-        profile = parity_closed_profile(motif.graph, 2 * top)[2::2]
+        weight *= Fraction(3, 4) ** h.n
+        profile = parity_closed_profile(h, 2 * top)[2::2]
         totals = [t + weight * p for t, p in zip(totals, profile)]
     return [2 ** (g.n + g.m) * total for total in totals]
 
@@ -213,13 +219,20 @@ def script_S(g, d, k):
     if d < 0:
         raise ValueError("moment order must be non-negative")
     if d == 0:
-        size = g.n + (k - 2) * g.m
-        return Fraction(size * (k - 1) ** (size - 1)) if size else Fraction(0)
+        return Fraction(_degree(g, k))
     if d % k != 0:
         return Fraction(0)
     # to d / k edges only, to reach graphs too large for the full census
     classes = connected_subgraph_classes(g, min(d // k, g.m)) if g.m else ()
-    return _power_moments(g, k, d // k, classes)[-1]
+    groups = [(motif.graph, subsets) for motif, subsets in classes]
+    return _power_moments(g, k, d // k, groups)[-1]
+
+
+def _degree(g, k):
+    """The degree size (k-1)^(size-1) of the characteristic polynomial of the
+    k-power of g, whose vertex count is size = |V| + (k-2) |E|."""
+    size = g.n + (k - 2) * g.m
+    return size * (k - 1) ** (size - 1) if size else 0
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +259,8 @@ def _covering_weight(g, subset, k):
     (1 - s) for each further edge inside V(C) and 1 - r + r (1 - s)^t for
     each outside vertex joined to V(C) by t edges.  At k = 3, s = 1: any
     further edge inside V(C) makes w(C) = 0, so the k = 3 census lists only
-    induced C, and each outside vertex gives 1 - r = 1/4.
+    induced C, and each outside vertex gives 1 - r = 1/4.  At k = 2, r = s =
+    1 and c = 1: w(C) = 1 when C is a whole component and 0 otherwise.
     """
     verts = {x for i in subset for x in g.edges[i]}
     weight = Fraction(1)
@@ -264,9 +278,9 @@ def _covering_weight(g, subset, k):
     return weight * digraphs.power_moment_prefactor(len(verts), len(subset), k)
 
 
-def _exact_multiplicities(g, k):
-    """The gcd-free basis of Sigma and the exact multiplicity mu_b of each
-    element, for the k-power (k >= 3).
+def _exponents(g, k):
+    """The gcd-free basis of the regime of k and the exact exponent mu_b of
+    each element in the factored result of the k-power (k >= 2).
 
     mu(x) = scale * sum over connected edge subsets H of D_k(H) times
     sum over F in H of (-1)^(|H|-|F|) abar_F(x), where abar_F(x) is the
@@ -274,32 +288,18 @@ def _exact_multiplicities(g, k):
     summed over its components.  A connected C is a component of F exactly
     when no other edge of F touches V(C), so the inner sum keeps only those
     C whose vertices touch every edge of H, with sign (-1)^(|H|-|C|).
-    Exchanging the sums gives mu(x) = scale * sum_C w(C) abar_C(x).  At
-    k = 3, w(C) = 0 unless C is induced, so C ranges over the connected
-    induced subgraphs alone.
+    Exchanging the sums gives mu(x) = scale * sum_C w(C) abar_C(x), where
+    w(C) = 0 unless `_spectra` lists C for the regime.  At k = 2, scale =
+    1/2 and w(C) = 1 on each component of g.
     """
-    classes, exponents, basis = (_induced_spectra if k == 3 else _motif_spectra)(g)
+    groups, exponents, basis = _spectra(g, min(k, 4))
     scale = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
     mu = [Fraction(0)] * len(basis)
-    for (_, subsets), (signings, sums) in zip(classes, exponents):
+    for (_, subsets), (signings, sums) in zip(groups, exponents):
         weight = scale * sum(_covering_weight(g, s, k) for s in subsets) / signings
         if weight:
             mu = [m + weight * e for m, e in zip(mu, sums)]
     return basis, mu
-
-
-@lru_cache(maxsize=64)
-def _beta_exponents(g):
-    """The gcd-free basis of the switching classes of g's components with
-    an edge, and beta's exponent of each element: half the sum over those
-    components of its switching-class average, since the signings of g are
-    the independent signings of its components.  Memoised per graph."""
-    components = [h for h in map(g.induced, g.components()) if h.m]
-    exponents, basis = _signing_spectra(components)
-    mu = [Fraction(0)] * len(basis)
-    for classes, sums in exponents:
-        mu = [m + Fraction(e, 2 * classes) for m, e in zip(mu, sums)]
-    return basis, tuple(mu)
 
 
 def _factors(pairs):
@@ -311,37 +311,31 @@ def _factors(pairs):
     return tuple(sorted(factors, key=lambda f: f.sigma_sq))
 
 
-def _total_degree(basis):
-    return sum(len(b) - 1 for b in basis)
-
-
 def check_moment_identity(g, fsf):
     """Check a factored result against the exact moments, in Fractions:
     k sum_b mu_b p_ell(b) = S_{ell k}, or 2 sum_b mu_b p_ell(b) = P_{2 ell}
     for beta, where p_ell(b) is the ell-th power sum of the roots of b.
 
-    With D the total degree of the basis of g in the regime (the connected
-    induced classes at k = 3, beta's own basis at k = 2), the check runs to
-    ell <= D.  The basis roots are D distinct nonzero numbers, so the rows
-    [r^ell] (ell <= D) form a nonsingular Vandermonde matrix times diag(r),
-    and D moments pin every exponent.  At k = 3 the S_{3 ell} come from
-    `_induced_moments` (vertex deletion, one parity profile per class), for
-    beta from the parity DP of g.  At k >= 4 the S_{ell k} come from one
-    covering profile per motif of the full census, for ell <= min(2 D, 8)
-    with D that of the census basis; that cap does not pin every exponent.
-    Raises ConsistencyError on a mismatch."""
+    With D the total degree of the basis of g in the regime (`_spectra`),
+    the check runs to ell <= D.  The basis roots are D distinct nonzero
+    numbers, so the rows [r^ell] (ell <= D) form a nonsingular Vandermonde
+    matrix times diag(r), and D moments pin every exponent.  At k = 3 the
+    S_{3 ell} come from `_induced_moments` (vertex deletion, one parity
+    profile per class), for beta from the parity DP of each component of g.
+    At k >= 4 the S_{ell k} come from one covering profile per class of the
+    full census, for ell <= min(2 D, 8); that cap does not pin every
+    exponent.  Raises ConsistencyError on a mismatch."""
     k = fsf.k
-    if k == 2:
-        top = _total_degree(_beta_exponents(g)[0])
-        moments = parity_closed_profile(g, 2 * top)[2::2]
+    groups, _, basis = _spectra(g, min(k, 4))
+    top = sum(len(b) - 1 for b in basis)
+    if k == 2:  # a closed walk stays in the component of its start
+        profiles = [parity_closed_profile(h, 2 * top)[2::2] for h, _ in groups]
+        moments = [sum(p) for p in zip(*profiles)]
     elif k == 3:
-        classes, _, basis = _induced_spectra(g)
-        top = _total_degree(basis)
-        moments = _induced_moments(g, top, classes)
+        moments = _induced_moments(g, top, groups)
     else:
-        classes, _, basis = _motif_spectra(g)
-        top = min(2 * _total_degree(basis), 8)
-        moments = _power_moments(g, k, top, classes)
+        top = min(2 * top, 8)
+        moments = _power_moments(g, k, top, groups)
     mu_of = {f.b: Fraction(f.mu) for f in fsf.factors}
     sums = {b: power_sums_from_charpoly(b, top) for b in mu_of}
     for ell, rhs in enumerate(moments, start=1):
@@ -350,6 +344,37 @@ def check_moment_identity(g, fsf):
             raise ConsistencyError(
                 f"moment identity fails at ell={ell}: {lhs} != {rhs}"
             )
+
+
+def _factored(g, k):
+    """The factored result of the k-power of g for k >= 2 (beta at k = 2),
+    zero exponents dropped, checked before it is returned: for a connected
+    g with an edge the exponent of the largest root rho(G)^2 exactly against
+    k^(|E|(k-3)+|V|-1), then the moment identity."""
+    basis, mu = _exponents(g, k)
+    for b, m in zip(basis, mu):
+        if m < 0 or (k > 2 and m.denominator != 1):
+            raise ConsistencyError(
+                f"exponent {m} of the roots of {b} is negative or, at k={k}, "
+                "not an integer"
+            )
+    factors = _factors((b, _exact(m)) for b, m in zip(basis, mu) if m)
+    mu0 = _exact(_degree(g, k) - k * sum(f.mu for f in factors))
+    if mu0 < 0:
+        raise ConsistencyError(f"negative zero-eigenvalue exponent {mu0}")
+    if g.m and g.is_connected():
+        expected = Fraction(k) ** (g.m * (k - 3) + g.n - 1)
+        if not factors or factors[-1].mu != expected:
+            raise ConsistencyError(
+                f"spectral-radius exponent is not k^(|E|(k-3)+|V|-1) = {expected}"
+            )
+    result = FactoredSpectralFunction(k=k, mu0=mu0, factors=factors)
+    check_moment_identity(g, result)
+    return result
+
+
+def _exact(value):
+    return int(value) if value.denominator == 1 else value
 
 
 def char_poly_power(g, k):
@@ -365,32 +390,7 @@ def char_poly_power(g, k):
     """
     if k < 3:
         raise ValueError("power hypergraphs need k >= 3; use beta for k = 2")
-    basis, mu = _exact_multiplicities(g, k)
-    for b, m in zip(basis, mu):
-        if m.denominator != 1 or m < 0:
-            raise ConsistencyError(
-                f"multiplicity {m} of the roots of {b} is not a non-negative integer"
-            )
-    factors = _factors((b, int(m)) for b, m in zip(basis, mu) if m)
-    size = g.n + (k - 2) * g.m
-    degree = size * (k - 1) ** (size - 1) if size else 0
-    mu0 = degree - k * sum(f.mu for f in factors)
-    if mu0 < 0:
-        raise ConsistencyError(f"negative zero-eigenvalue exponent {mu0}")
-    if g.m and g.is_connected():
-        expected = spectral_radius_multiplicity(g, k)
-        if not factors or factors[-1].mu != expected:
-            raise ConsistencyError(
-                "spectral-radius multiplicity is not "
-                f"k^(|E|(k-3)+|V|-1) = {expected}"
-            )
-    result = FactoredSpectralFunction(k=k, mu0=mu0, factors=factors)
-    check_moment_identity(g, result)
-    return result
-
-
-def _exact(value):
-    return int(value) if value.denominator == 1 else value
+    return _factored(g, k)
 
 
 def beta(g):
@@ -400,23 +400,9 @@ def beta(g):
     square x, averaged over the 2^|E| signings, so exponents are dyadic;
     zero exponents are dropped from the factor list.  For a connected g with
     an edge, the exponent of the largest root rho(G)^2 is checked exactly
-    against 2^-(|E|-|V|+1).
+    against 2^-(|E|-|V|+1), the k = 2 value of k^(|E|(k-3)+|V|-1).
     """
-    basis, mu = _beta_exponents(g)
-    if any(m < 0 for m in mu):
-        raise ConsistencyError("negative beta exponent")
-    factors = _factors((b, _exact(m)) for b, m in zip(basis, mu) if m)
-    mu0 = _exact(g.n - 2 * sum(Fraction(f.mu) for f in factors))
-    result = FactoredSpectralFunction(k=2, mu0=mu0, factors=factors)
-    check_moment_identity(g, result)
-    if g.m and g.is_connected():
-        expected = Fraction(1, 2 ** (g.m - g.n + 1))
-        if not factors or factors[-1].mu != expected:
-            raise ConsistencyError(
-                "spectral-radius exponent of beta is not "
-                f"2^-(|E|-|V|+1) = {expected}"
-            )
-    return result
+    return _factored(g, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,13 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hyperspectra
 from hyperspectra import cli, digraphs, spectrum, walks
-from hyperspectra.graphs import path_graph
+from hyperspectra.graphs import parse_graph, path_graph
+from test_signed import small_graphs
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +189,41 @@ class TestOtherCommands:
         assert all(c["agree"] for c in payload["best_checks"])
         assert all("arcs" in c["digraph"] for c in payload["best_checks"])
 
+    def test_oracle_best_check_builds_only_what_it_keeps(self, capsys, monkeypatch):
+        # a structure of length ell has 2 ell arcs and the brute-force check
+        # takes at most 10, so no length above 5 is built: K5, with 10
+        # edges, builds none and prints what it printed when it built and
+        # dropped the 10- and 11-edge structures; K2 at d / k = 6 builds
+        # lengths 1 to 5, where it built 1 to 6 and dropped the sixth
+        lengths = []
+        structures = digraphs.eulerian_structures_on
+
+        def recorded(g, ell):
+            lengths.append(ell)
+            return structures(g, ell)
+
+        monkeypatch.setattr(digraphs, "eulerian_structures_on", recorded)
+        code, out, _ = run_cli(
+            capsys,
+            "oracle", "--graph", "complete:5", "--d", "3", "--k", "3",
+            "--best-check", "--format", "json",
+        )
+        assert code == 0
+        assert lengths == []
+        assert out == (
+            '{"agree":true,"best_checks":[],"closed_form":"368640",'
+            '"d":3,"k":3,"trace":"368640"}\n'
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "oracle", "--graph", "path:2", "--d", "18", "--k", "3",
+            "--best-check", "--format", "json",
+        )
+        assert code == 0
+        assert lengths == [1, 2, 3, 4, 5]
+        checks = json.loads(out)["best_checks"]
+        assert [c["digraph"]["arcs"]["0->1"] for c in checks] == [1, 2, 3, 4, 5]
+
     def test_graph_from_file(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
         path.write_text("3 2\n0 1\n1 2\n")
@@ -288,6 +328,33 @@ class TestJsonWriter:
     def test_control_characters_round_trip(self):
         payload = {"detail": "a\tb\x01c", "text": 'λ "q" \\ \n'}
         assert json.loads(cli._json_dump(payload)) == payload
+
+
+def _edge_list(g):
+    return "\n".join([f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges])
+
+
+class TestRoundTrips:
+    """Parsing and JSON output on random graphs with isolated vertices and
+    several components."""
+
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_edge_list_parses_back(self, g, rng):
+        # edge lines in any order, each edge either way round
+        lines = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}" for u, v in g.edges]
+        rng.shuffle(lines)
+        assert parse_graph("\n".join([f"{g.n} {g.m}"] + lines)) == g
+        assert parse_graph(_edge_list(g)) == g
+
+    @given(small_graphs())
+    def test_factored_json_is_a_fixed_point(self, g):
+        for argv in (["charpoly", "--k", "3"], ["beta"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv + ["--graph", _edge_list(g), "--format", "json"])
+            assert code == 0
+            out = out.getvalue()
+            assert cli._json_dump(json.loads(out)) + "\n" == out
 
 
 class TestErrors:

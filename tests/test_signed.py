@@ -277,7 +277,7 @@ class TestSigmaBasis:
     def test_cycle3(self):
         expected = {(-1, 1), (-2, 1), (-4, 1)}
         assert _basis(_connected_subgraphs(C3)) == expected
-        assert set(spectrum._motif_spectra(C3)[2]) == expected
+        assert set(spectrum._spectra(C3, 4)[2]) == expected
         # sigma^2 = 2 comes from P3 alone, which is not induced: mu = 0 at k=3
         assert {f.b for f in char_poly_power(C3, 3).factors} == expected - {(-2, 1)}
         assert {f.b for f in char_poly_power(C3, 4).factors} == expected
@@ -290,7 +290,7 @@ class TestSigmaBasis:
     def test_cycle3_induced_mode_drops_p3(self):
         classes = connected_induced_subgraph_classes(C3)
         assert _basis(motif.graph for motif, _ in classes) == {(-1, 1), (-4, 1)}
-        assert set(spectrum._induced_spectra(C3)[2]) == {(-1, 1), (-4, 1)}
+        assert set(spectrum._spectra(C3, 3)[2]) == {(-1, 1), (-4, 1)}
 
     def test_factor_roots_are_subgraph_eigenvalues_squared(self):
         g = complete_graph(4)
@@ -306,7 +306,7 @@ class TestSigmaBasis:
 
     def test_every_signed_subgraph_factors_over_the_basis(self):
         g = complete_graph(4)
-        basis = spectrum._motif_spectra(g)[2]
+        basis = spectrum._spectra(g, 4)[2]
         assert {f.b for f in char_poly_power(g, 3).factors} <= set(basis)
         for h in _connected_subgraphs(g):
             for sg in enumerate_signings(h):

@@ -41,6 +41,7 @@ from hyperspectra.spectrum import (
 )
 from hyperspectra.walks import covering_parity_profile, parity_closed_profile
 from oracles import vertex_deletion_moments
+from test_graphs import small_graphs as census_graphs
 from test_signed import small_graphs
 
 K2 = path_graph(2)
@@ -71,6 +72,28 @@ def _assert_product_rule(g1, g2, k):
     ]
     assert _exponents(whole, basis) == expected, (g1, g2, k)
     assert whole.mu0 == p1 * f1.mu0 + p2 * f2.mu0, (g1, g2, k)
+
+
+def _assert_regime_matches_the_census(g, k):
+    """The exponents of the regime of k equal the sum, over every connected
+    edge subset C of the full census, of scale * w_k(C) abar_C; the two bases
+    differ, so compare over a common refinement of both."""
+    basis, mu = spectrum._exponents(g, k)
+    groups, exponents, census_basis = spectrum._spectra(g, 4)
+    scale = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
+    census_mu = [Fraction(0)] * len(census_basis)
+    for (_, subsets), (signings, sums) in zip(groups, exponents):
+        weight = scale * sum(_covering_weight(g, s, k) for s in subsets)
+        census_mu = [m + weight * e / signings for m, e in zip(census_mu, sums)]
+    common = coprime_basis(list(basis) + list(census_basis))
+
+    def refined(basis, mu):
+        out = [Fraction(0)] * len(common)
+        for b, m in zip(basis, mu):
+            out = [o + m * e for o, e in zip(out, basis_exponents(b, common))]
+        return out
+
+    assert refined(basis, mu) == refined(census_basis, census_mu), (g, k)
 
 
 class TestScriptS:
@@ -175,40 +198,29 @@ class TestCharPolyPower:
         # the basis of the full census (k >= 4) but carries no multiplicity
         # at k=3, whose census is induced, and no factor shows it
         fsf = char_poly_power(C3, 3)
-        assert (-2, 1) in spectrum._motif_spectra(C3)[2]
+        assert (-2, 1) in spectrum._spectra(C3, 4)[2]
         assert all(f.mu > 0 for f in fsf.factors)
         assert all(f.sigma_sq != pytest.approx(2.0, abs=1e-9) for f in fsf.factors)
 
     def test_k3_multiplicities_match_the_full_edge_census(self, desk_corpus):
         # mu from the connected induced classes equals the sum over every
         # connected edge subset C of w(C) abar_C, where the non-induced C
-        # weigh zero; the two bases differ, so compare over a common
-        # refinement of both
+        # weigh zero
         for g in desk_corpus:
-            if g.m == 0:
-                continue
-            induced_basis, induced_mu = spectrum._exact_multiplicities(g, 3)
-            classes, exponents, census_basis = spectrum._motif_spectra(g)
-            scale = Fraction(2) ** (g.n + g.m - 1) / 3
-            census_mu = [Fraction(0)] * len(census_basis)
-            for (_, subsets), (signings, sums) in zip(classes, exponents):
-                weight = scale * sum(_covering_weight(g, s, 3) for s in subsets)
-                census_mu = [
-                    mu + weight * e / signings for mu, e in zip(census_mu, sums)
-                ]
-            common = coprime_basis(list(induced_basis) + list(census_basis))
+            if g.m:
+                _assert_regime_matches_the_census(g, 3)
 
-            def refined(basis, mu):
-                out = [Fraction(0)] * len(common)
-                for b, m in zip(basis, mu):
-                    out = [
-                        o + m * e for o, e in zip(out, basis_exponents(b, common))
-                    ]
-                return out
-
-            assert refined(induced_basis, induced_mu) == refined(
-                census_basis, census_mu
-            ), g
+    def test_beta_exponents_match_the_full_edge_census(self, desk_corpus):
+        # the k = 2 twin: beta's exponents from g's components equal the sum
+        # over every connected edge subset C of w_2(C) abar_C, where all but
+        # the components weigh zero
+        disjoint = [
+            Graph(4, ((0, 1), (2, 3))),
+            Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4))),
+        ]
+        for g in list(desk_corpus) + disjoint:
+            if g.m:
+                _assert_regime_matches_the_census(g, 2)
 
     def test_covering_weight_matches_the_alternating_sum(self):
         # w(C) against its definition: the sum over every set S of edges
@@ -275,8 +287,7 @@ class TestCharPolyPower:
         monkeypatch.setattr(graphs, "canonical_form", counted)
         graphs._canonical_search.cache_clear()
         walks._covering_profile_cached.cache_clear()
-        spectrum._induced_spectra.cache_clear()
-        spectrum._motif_spectra.cache_clear()
+        spectrum._spectra.cache_clear()
         g = cycle_graph(8)
         char_poly_power(g, 3)
         assert (len(calls), searches()) == (49, 31)
@@ -323,7 +334,7 @@ def _assert_correctly_rounded(g):
     """Every root r that _factors returns for the basis of g is the double
     nearest to a root of its b: b changes sign strictly between the exact
     midpoints from r to the neighbouring doubles."""
-    basis = spectrum._motif_spectra(g)[2]
+    basis = spectrum._spectra(g, 4)[2]
     factors = spectrum._factors((b, 1) for b in basis)
     assert len(factors) == sum(len(b) - 1 for b in basis)
     for f in factors:
@@ -371,16 +382,16 @@ class TestRadiusMultiplicity:
 
     def test_corrupted_radius_multiplicity_fails(self, monkeypatch):
         # one less at the basis element holding rho(G)^2, the largest root
-        exact = spectrum._exact_multiplicities
+        exact = spectrum._exponents
 
         def corrupted(g, k):
             basis, mu = exact(g, k)
             top = max(range(len(basis)), key=lambda i: max(real_roots(basis[i])))
             return basis, [m - (i == top) for i, m in enumerate(mu)]
 
-        monkeypatch.setattr(spectrum, "_exact_multiplicities", corrupted)
+        monkeypatch.setattr(spectrum, "_exponents", corrupted)
         for g in (K2, C3, cycle_graph(4)):
-            with pytest.raises(ConsistencyError, match="spectral-radius multiplicity"):
+            with pytest.raises(ConsistencyError, match="spectral-radius exponent"):
                 char_poly_power(g, 3)
 
 
@@ -423,17 +434,16 @@ class TestBeta:
 
     def test_corrupted_radius_exponent_fails(self, monkeypatch):
         # half the exponent at the basis element holding rho(G)^2, the
-        # largest root; the moment identity, which would fail first, is
-        # stubbed so that the exact radius check is reached
-        exact = spectrum._beta_exponents
+        # largest root; the exact radius check runs before the moment
+        # identity, which would also fail
+        exact = spectrum._exponents
 
-        def corrupted(g):
-            basis, mu = exact(g)
+        def corrupted(g, k):
+            basis, mu = exact(g, k)
             top = max(range(len(basis)), key=lambda i: max(real_roots(basis[i])))
             return basis, [m / (1 + (i == top)) for i, m in enumerate(mu)]
 
-        monkeypatch.setattr(spectrum, "_beta_exponents", corrupted)
-        monkeypatch.setattr(spectrum, "check_moment_identity", lambda g, fsf: None)
+        monkeypatch.setattr(spectrum, "_exponents", corrupted)
         for g in (K2, C3, cycle_graph(4)):
             with pytest.raises(ConsistencyError, match="spectral-radius exponent"):
                 beta(g)
@@ -453,6 +463,19 @@ class TestBeta:
         fsf = beta(g)
         assert fsf.mu0 == 0
         assert [(f.sigma_sq, f.mu) for f in fsf.factors] == [(1.0, 2)]
+
+    def test_disjoint_cycles_past_the_parity_dp_limit(self):
+        # C13 + C13 has 26 edges, past the parity DP's 24, but its check
+        # sums the profiles of its 13-edge components; by the product rule
+        # at k = 2 every exponent and mu0 are twice those of C13
+        c13 = cycle_graph(13)
+        g = Graph(26, c13.edges + tuple((u + 13, v + 13) for u, v in c13.edges))
+        one, two = beta(c13), beta(g)
+        check_moment_identity(g, two)
+        assert two.mu0 == 2 * one.mu0
+        assert [(f.b, f.mu) for f in two.factors] == [
+            (f.b, 2 * f.mu) for f in one.factors
+        ]
 
     def test_isolated_vertex(self):
         # an edge plus an isolated vertex: beta = lambda (lambda^2 - 1)
@@ -521,17 +544,18 @@ class TestK3MomentCheck:
         # moments of the full census and the check's induced-class moments
         for g in desk_corpus:
             brute = vertex_deletion_moments(g, 6)
-            classes = connected_subgraph_classes(g, min(6, g.m)) if g.m else ()
-            assert brute == spectrum._power_moments(g, 3, 6, classes), g
-            induced = spectrum._induced_spectra(g)[0]
+            census = spectrum._spectra(g, 4)[0]
+            assert brute == spectrum._power_moments(g, 3, 6, census), g
+            induced = spectrum._spectra(g, 3)[0]
             assert brute == spectrum._induced_moments(g, 6, induced), g
 
     @pytest.mark.parametrize("g", [complete_graph(5), PETERSEN])
     def test_vertex_deletion_matches_the_covering_route_to_8(self, g):
         brute = vertex_deletion_moments(g, 8)
-        classes = connected_subgraph_classes(g, 8)
-        assert brute == spectrum._power_moments(g, 3, 8, classes)
-        induced = spectrum._induced_spectra(g)[0]
+        # the census to 8 edges, in the shape of `_spectra`'s groups
+        census = [(m.graph, s) for m, s in connected_subgraph_classes(g, 8)]
+        assert brute == spectrum._power_moments(g, 3, 8, census)
+        induced = spectrum._spectra(g, 3)[0]
         assert brute == spectrum._induced_moments(g, 8, induced)
 
     def test_check_runs_to_the_total_degree(self, monkeypatch):
@@ -623,10 +647,7 @@ class TestBetaReach:
 
         monkeypatch.setattr(graphs, "canonical_form", refused)
         monkeypatch.setattr(graphs, "_connected_sets", refused)
-        monkeypatch.setattr(spectrum, "_covering_weight", refused)
-        spectrum._motif_spectra.cache_clear()
-        spectrum._induced_spectra.cache_clear()
-        spectrum._beta_exponents.cache_clear()
+        spectrum._spectra.cache_clear()
         beta(cycle_graph(8))
 
     def test_petersen_unchanged(self):
@@ -653,6 +674,21 @@ class TestBetaReach:
 
 class TestBetaProperties:
     """beta on random graphs with isolated vertices and several components."""
+    @given(census_graphs())
+    def test_k2_weight_is_one_on_components_only(self, g):
+        # w_2(C) is 1 when C is a component's edge set and 0 on every other
+        # connected edge subset, which is why the k = 2 regime lists the
+        # components alone
+        components = {
+            frozenset(i for i, (u, _) in enumerate(g.edges) if u in vs)
+            for vs in map(set, g.components())
+            if len(vs) > 1
+        }
+        for subset in connected_edge_subsets(g, g.m) if g.m else ():
+            expected = 1 if subset in components else 0
+            assert _covering_weight(g, subset, 2) == expected, subset
+        groups = spectrum._spectra(g, 2)[0]
+        assert {s for _, subsets in groups for s in subsets} == components
 
     @given(small_graphs())
     def test_geometric_mean_identity(self, g):

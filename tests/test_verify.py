@@ -67,13 +67,13 @@ def test_cycle_identity_check_names_the_cycle_and_point():
 def test_multiplicity_check_fails_on_corrupted_multiplicities(monkeypatch):
     # one more at the first basis element at k = 3; char_poly_power's own
     # checks raise, and the check reports it
-    exact = spectrum._exact_multiplicities
+    exact = spectrum._exponents
 
     def corrupted(g, k):
         basis, mu = exact(g, k)
         return basis, [m + (i == 0 and k == 3) for i, m in enumerate(mu)]
 
-    monkeypatch.setattr(spectrum, "_exact_multiplicities", corrupted)
+    monkeypatch.setattr(spectrum, "_exponents", corrupted)
     report = verify.run_verify_suite("quick", seed_graphs=[C4])
     check = next(c for c in report.checks if c.name == "spectrum/multiplicities")
     assert check.status == "fail", check.detail
