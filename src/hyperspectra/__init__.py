@@ -11,11 +11,9 @@ forms; `hyperspectra verify` replays all of them.
 from .graphs import (
     Graph,
     Hypergraph,
-    Motif,
-    MotifCensus,
     canonical_certificate,
     complete_graph,
-    connected_subgraph_census,
+    connected_subgraph_classes,
     cycle_graph,
     parse_graph,
     path_graph,
@@ -66,8 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "Hypergraph",
-    "Motif",
-    "MotifCensus",
     "Multidigraph",
     "SignedGraph",
     "TraceTerm",
@@ -82,7 +78,7 @@ __all__ = [
     "char_poly_power",
     "closed_walk_count",
     "complete_graph",
-    "connected_subgraph_census",
+    "connected_subgraph_classes",
     "covering_parity_closed_count",
     "covering_parity_profile",
     "covering_parity_via_best",

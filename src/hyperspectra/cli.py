@@ -18,7 +18,12 @@ import sys
 from fractions import Fraction
 
 from . import digraphs, means, spectrum, verify, walks
-from .graphs import connected_subgraph_census, parse_graph, power_hypergraph
+from .graphs import (
+    canonical_certificate,
+    connected_subgraph_classes,
+    parse_graph,
+    power_hypergraph,
+)
 from .signed import char_poly_exact, eigenvalues, enumerate_signings, is_balanced
 
 
@@ -143,8 +148,15 @@ def _cmd_walks(args):
 def _cmd_census(args):
     g = _load_graph(args.graph)
     max_edges = args.max_edges if args.max_edges else g.m
-    census = connected_subgraph_census(g, max(1, max_edges))
-    payload = census.to_json_obj()
+    payload = [
+        {
+            "certificate": canonical_certificate(h).hex(),
+            "edges": h.m,
+            "vertices": h.n,
+            "count": len(subsets),
+        }
+        for h, subsets in connected_subgraph_classes(g, max(1, max_edges))
+    ]
     lines = [
         f"{entry['vertices']}v {entry['edges']}e  count {entry['count']}  "
         f"cert {entry['certificate']}"

@@ -3,6 +3,11 @@ connected-motif census (connected edge subsets, the connected sets of the
 line graph, or connected induced subgraphs, the connected vertex sets, both
 from one enumerator), and k-power hypergraph construction.
 
+The census lists classes as ((form, (subset, ...)), ...): the canonical
+form of each isomorphism class, with the edge-index sets of g that span it,
+so its occurrence count is len(subsets).  Classes are ordered by (|E|, |V|,
+certificate).
+
 Conventions used throughout the package:
 
 * vertices are 0-indexed integers below ``n``;
@@ -358,44 +363,6 @@ def canonical_certificate(g):
 # motif census
 
 
-@dataclass(frozen=True)
-class Motif:
-    """Isomorphism class of a connected subgraph: canonical graph + certificate."""
-
-    graph: Graph
-    certificate: bytes
-
-    @property
-    def v_count(self):
-        return self.graph.n
-
-    @property
-    def e_count(self):
-        return self.graph.m
-
-
-@dataclass(frozen=True)
-class MotifCensus:
-    """Motifs of a host graph with exact occurrence counts N(motif)."""
-
-    entries: tuple  # ((Motif, count), ...) sorted by (edges, vertices, certificate)
-    max_edges: int
-
-    def __len__(self):
-        return len(self.entries)
-
-    def to_json_obj(self):
-        return [
-            {
-                "certificate": motif.certificate.hex(),
-                "edges": motif.e_count,
-                "vertices": motif.v_count,
-                "count": count,
-            }
-            for motif, count in self.entries
-        ]
-
-
 def _connected_sets(nbr, max_size):
     """Bitmasks of the connected sets of 1..max_size elements of the graph
     in which element i neighbours the other elements of mask nbr[i], by size,
@@ -443,45 +410,32 @@ def connected_edge_subsets(g, max_edges):
 
 def _grouped_by_class(g, subsets):
     """Edge subsets of g that span connected subgraphs, grouped by
-    isomorphism class: ((Motif, (subset, ...)), ...) in census order."""
+    isomorphism class: ((form, (subset, ...)), ...), keyed by the canonical
+    form, which is equal exactly for isomorphic subgraphs, and ordered by
+    (|E|, |V|, certificate), the certificate taken once per class."""
     buckets = {}
     for subset in subsets:
         form = canonical_form(g.subgraph_of_edges(subset))
-        cert = _form_certificate(form)
-        if cert in buckets:
-            buckets[cert][1].append(subset)
-        else:
-            buckets[cert] = (Motif(form, cert), [subset])
+        buckets.setdefault(form, []).append(subset)
     return tuple(
-        (motif, tuple(subsets))
-        for motif, subsets in sorted(
-            buckets.values(),
-            key=lambda ms: (ms[0].e_count, ms[0].v_count, ms[0].certificate),
-        )
+        (form, tuple(buckets[form]))
+        for form in sorted(buckets, key=lambda h: (h.m, h.n, _form_certificate(h)))
     )
 
 
 def connected_subgraph_classes(g, max_edges):
     """Connected edge subsets of g with 1..max_edges edges, grouped by
-    isomorphism class: ((Motif, (subset, ...)), ...) in census order."""
+    isomorphism class: ((form, (subset, ...)), ...) by (|E|, |V|,
+    certificate), where form is the canonical form of the class and
+    len(subsets) its occurrence count in g."""
     return _grouped_by_class(g, connected_edge_subsets(g, max_edges))
-
-
-def connected_subgraph_census(g, max_edges):
-    """Count connected subgraphs of g with 1..max_edges edges, grouped by
-    isomorphism class."""
-    entries = tuple(
-        (motif, len(subsets))
-        for motif, subsets in connected_subgraph_classes(g, max_edges)
-    )
-    return MotifCensus(entries=entries, max_edges=max_edges)
 
 
 def connected_induced_subgraph_classes(g):
     """Connected induced subgraphs G[U] of g with at least one edge, grouped
-    by isomorphism class: ((Motif, (subset, ...)), ...) in census order, in
-    the shape of `connected_subgraph_classes`; each subset is the set of
-    edge indexes of G[U], one per connected vertex set U."""
+    by isomorphism class in the shape and order of
+    `connected_subgraph_classes`; each subset is the set of edge indexes of
+    G[U], one per connected vertex set U."""
     subsets = (
         frozenset(
             i for i, (u, v) in enumerate(g.edges) if mask >> u & 1 and mask >> v & 1

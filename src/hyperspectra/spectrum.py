@@ -12,9 +12,10 @@ b of a gcd-free basis of the polynomials `char_poly_of_squares` of the
 connected signed subgraphs read, built in integer arithmetic; every root of
 one b carries the same multiplicity mu_b.  beta is the k = 2 case of the
 same pipeline: one memoised census `_spectra(g, min(k, 4))` lists the
-subgraphs whose weight can be nonzero (every connected edge subset at
-k >= 4, the connected induced subgraphs at k = 3, the components of g,
-with no canonical form, at k = 2), `_exponents` sums their switching
+subgraphs whose weight can be nonzero as the `graphs` census classes,
+((graph, (edge subset, ...)), ...), read as they are (every connected edge
+subset at k >= 4, the connected induced subgraphs at k = 3, the components
+of g, with no canonical form, at k = 2), `_exponents` sums their switching
 classes, and `_factored` builds and checks the result.  The only
 floats are the convergence ratio, an exact rational rounded once, and the
 roots sigma^2 of each b, each the double nearest to the exact root: an
@@ -22,13 +23,14 @@ integer Sturm sequence isolates it and bisection at dyadic points narrows it
 until its interval rounds to one double.  `abs_power` evaluates |f(x)|^n
 exactly, so beta's identities are checked in rationals.  Each result is
 checked against exact moments from walk counts, not signed spectra.  At k = 3
-and for beta the check runs to the total degree D of the regime's basis,
-which pins every multiplicity; at k >= 4 it stops at ell <= min(2 D, 8),
-which does not.
+and for beta the moments come by vertex deletion, one route for both, and the
+check runs to the total degree D of the regime's basis, which pins every
+multiplicity; at k >= 4 it stops at ell <= min(2 D, 8), which does not.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -149,7 +151,8 @@ def _spectra(g, regime):
     `_signing_spectra`; memoised per graph and regime.  At k = 2 each
     component with an edge is its own group, with no canonical form and so
     no vertex limit; at k = 3 the connected induced subgraphs, at k >= 4
-    every connected edge subset, grouped by class.  A component whose cycle
+    every connected edge subset, as the `graphs` census returns them: one
+    group per class, keyed by its canonical form.  A component whose cycle
     space is too large to list its switching classes is refused first."""
     check_cycle_space(largest_cycle_rank(g))
     if regime == 2:
@@ -158,12 +161,10 @@ def _spectra(g, regime):
             for c in map(set, g.components())
             if len(c) > 1
         )
+    elif regime == 3:
+        groups = connected_induced_subgraph_classes(g)
     else:
-        if regime == 3:
-            classes = connected_induced_subgraph_classes(g)
-        else:
-            classes = connected_subgraph_classes(g, g.m) if g.m else ()
-        groups = tuple((motif.graph, subsets) for motif, subsets in classes)
+        groups = connected_subgraph_classes(g, g.m) if g.m else ()
     exponents, basis = _signing_spectra(h for h, _ in groups)
     return groups, exponents, basis
 
@@ -183,30 +184,34 @@ def _power_moments(g, k, top, groups):
     return [prefactor * total for total in totals]
 
 
-def _induced_moments(g, top, groups):
-    """[S_3, S_6, ..., S_{3 top}] of the 3-power of g by vertex deletion, from
-    its connected induced classes and one parity profile per class.
+def _deletion_moments(g, k, top, groups):
+    """[S_k, S_2k, ..., S_{top k}] of the k-power of g, k = 2 or 3, by vertex
+    deletion, from the groups of connected induced subgraphs whose weight can
+    be nonzero (`_spectra(g, k)`) and one parity profile per group.
 
-    At k = 3 a parity-closed walk w weighs 2 (3/4)^|V(w)|, whatever its
-    edges.  Writing (3/4)^|V(w)| as the sum, over the vertex sets X that w
-    avoids, of (1/4)^|X| (3/4)^(n-|X|) gives S_{3 ell} =
-    2^(n+m) sum_X (1/4)^|X| (3/4)^(n-|X|) P_{G-X}(2 ell).  Grouped by the
-    components U of G-X, that is 2^(n+m) sum_U (3/4)^|U| (1/4)^|N(U)-U|
-    P_{G[U]}(2 ell) over the connected induced U (a single vertex has no
-    walk of positive length).
+    At k = 2 and k = 3 the prefactor D_k(v, e) is (k-1) r^v with r =
+    k / (2 (k-1)) and no edge factor, so a parity-closed walk w weighs
+    (k-1)^(n+(k-2)m) r^|V(w)|.  Writing r^|V(w)| as the sum, over the vertex
+    sets X that w avoids, of (1-r)^|X| r^(n-|X|) and grouping by the
+    components U of G-X gives S_{k ell} = (k-1)^(n+(k-2)m) sum_U r^|U|
+    (1-r)^|N(U)-U| P_{G[U]}(2 ell) over the connected induced U (a single
+    vertex has no walk of positive length).  At k = 3, r = 3/4; at k = 2,
+    r = 1, so only the components of g remain and the prefactor is 1.
     """
+    r = Fraction(k, 2 * (k - 1))
+    q = 1 - r
     nbrs = g.neighbors()
     totals = [Fraction(0)] * top
     for h, subsets in groups:
-        weight = Fraction(0)
+        boundaries = Counter()
         for subset in subsets:
             inside = {x for i in subset for x in g.edges[i]}
-            boundary = {w for v in inside for w in nbrs[v]} - inside
-            weight += Fraction(1, 4 ** len(boundary))
-        weight *= Fraction(3, 4) ** h.n
+            boundaries[len({w for v in inside for w in nbrs[v]} - inside)] += 1
+        weight = r**h.n * sum(c * q**b for b, c in boundaries.items())
         profile = parity_closed_profile(h, 2 * top)[2::2]
         totals = [t + weight * p for t, p in zip(totals, profile)]
-    return [2 ** (g.n + g.m) * total for total in totals]
+    prefactor = (k - 1) ** (g.n + (k - 2) * g.m)
+    return [prefactor * total for total in totals]
 
 
 def script_S(g, d, k):
@@ -223,8 +228,7 @@ def script_S(g, d, k):
     if d % k != 0:
         return Fraction(0)
     # to d / k edges only, to reach graphs too large for the full census
-    classes = connected_subgraph_classes(g, min(d // k, g.m)) if g.m else ()
-    groups = [(motif.graph, subsets) for motif, subsets in classes]
+    groups = connected_subgraph_classes(g, min(d // k, g.m)) if g.m else ()
     return _power_moments(g, k, d // k, groups)[-1]
 
 
@@ -319,20 +323,16 @@ def check_moment_identity(g, fsf):
     With D the total degree of the basis of g in the regime (`_spectra`),
     the check runs to ell <= D.  The basis roots are D distinct nonzero
     numbers, so the rows [r^ell] (ell <= D) form a nonsingular Vandermonde
-    matrix times diag(r), and D moments pin every exponent.  At k = 3 the
-    S_{3 ell} come from `_induced_moments` (vertex deletion, one parity
-    profile per class), for beta from the parity DP of each component of g.
-    At k >= 4 the S_{ell k} come from one covering profile per class of the
-    full census, for ell <= min(2 D, 8); that cap does not pin every
-    exponent.  Raises ConsistencyError on a mismatch."""
+    matrix times diag(r), and D moments pin every exponent.  At k = 2 and
+    k = 3 the S_{k ell} come from `_deletion_moments` (vertex deletion, one
+    parity profile per group).  At k >= 4 they come from one covering
+    profile per class of the full census, for ell <= min(2 D, 8); that cap
+    does not pin every exponent.  Raises ConsistencyError on a mismatch."""
     k = fsf.k
     groups, _, basis = _spectra(g, min(k, 4))
     top = sum(len(b) - 1 for b in basis)
-    if k == 2:  # a closed walk stays in the component of its start
-        profiles = [parity_closed_profile(h, 2 * top)[2::2] for h, _ in groups]
-        moments = [sum(p) for p in zip(*profiles)]
-    elif k == 3:
-        moments = _induced_moments(g, top, groups)
+    if k <= 3:
+        moments = _deletion_moments(g, k, top, groups)
     else:
         top = min(2 * top, 8)
         moments = _power_moments(g, k, top, groups)
@@ -385,8 +385,9 @@ def char_poly_power(g, k):
     exponent of lambda follows from the total-degree identity.  Roots with
     multiplicity zero are dropped from the factor list, as in beta.  For a
     connected g with an edge, the largest root is rho(G)^2 (no signed
-    subgraph has an eigenvalue beyond rho(G)), and its multiplicity is
-    checked exactly against spectral_radius_multiplicity.
+    subgraph has an eigenvalue beyond rho(G)), and `_factored` checks its
+    multiplicity exactly against k^(|E|(k-3)+|V|-1), the value that
+    spectral_radius_multiplicity also returns.
     """
     if k < 3:
         raise ValueError("power hypergraphs need k >= 3; use beta for k = 2")

@@ -8,6 +8,7 @@ beta checks are limited to graphs with at most 8 edges).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from .graphs import (
     Graph,
     all_connected_graphs,
     complete_graph,
-    connected_subgraph_census,
+    connected_subgraph_classes,
     cycle_graph,
     parse_graph,
     path_graph,
@@ -55,11 +56,11 @@ class _PipelineCache:
         return self._beta[g]
 
     def census(self, g):
-        """The census of g to the edge count the decomposition check needs,
-        which also holds every motif the corpus digraphs come from."""
+        """The census classes of g to the edge count the decomposition check
+        needs, which also hold every motif the corpus digraphs come from."""
         if g not in self._census:
             max_edges = min(DECOMPOSITION_MAX_D // 2, g.m)
-            self._census[g] = connected_subgraph_census(g, max_edges)
+            self._census[g] = connected_subgraph_classes(g, max_edges)
         return self._census[g]
 
     def corpus_digraphs(self, seeds):
@@ -135,9 +136,9 @@ def _check_decomposition(seeds, ctx):
         profile = walks.parity_closed_profile(g, max_d)
         totals = [0] * (max_d + 1)
         if g.m:
-            for motif, count in ctx.census(g).entries:
-                covering = walks.covering_parity_profile(motif.graph, max_d)
-                totals = [t + c * count for t, c in zip(totals, covering)]
+            for h, subsets in ctx.census(g):
+                covering = walks.covering_parity_profile(h, max_d)
+                totals = [t + c * len(subsets) for t, c in zip(totals, covering)]
         for d in range(2, max_d + 1, 2):
             if totals[d] != profile[d]:
                 return "fail", f"decomposition off at d={d} on {g}"
@@ -152,28 +153,27 @@ def _synthetic_digraphs():
     ]
 
 
-def _corpus_digraphs(
-    seeds, ctx, max_edges=3, max_vertices=4, max_arcs=10, max_per_motif=6
-):
-    """Eulerian digraph structures taken from the seed motifs of at most
-    max_edges edges, read from the suite's census of each seed."""
+def _corpus_digraphs(seeds, ctx):
+    """Eulerian digraph structures of length |E| and |E| + 1, at most 6 per
+    motif, on the seed motifs of at most 3 edges and 4 vertices, read from
+    the suite's census of each seed."""
     out = []
     seen = set()
     for g in seeds:
         if g.m == 0:
             continue
-        for motif, _ in ctx.census(g).entries:
-            if motif.e_count > max_edges:
+        for h, _ in ctx.census(g):
+            if h.m > 3:
                 break
-            if motif.v_count > max_vertices or motif.certificate in seen:
+            if h.n > 4 or h in seen:
                 continue
-            seen.add(motif.certificate)
-            found = 0
-            for ell in range(motif.e_count, motif.e_count + 2):
-                for d in digraphs.eulerian_structures_on(motif.graph, ell):
-                    if d.arc_count <= max_arcs and found < max_per_motif:
-                        out.append(d)
-                        found += 1
+            seen.add(h)
+            structures = (
+                d
+                for ell in (h.m, h.m + 1)
+                for d in digraphs.eulerian_structures_on(h, ell)
+            )
+            out.extend(itertools.islice(structures, 6))
     return out
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from hyperspectra import digraphs, means, spectrum, walks
 from hyperspectra.algebra import poly_eval
 from hyperspectra.graphs import (
-    connected_subgraph_census,
+    connected_subgraph_classes,
     cycle_graph,
     path_graph,
     power_hypergraph,
@@ -52,11 +52,9 @@ def test_02_decomposition_identity(desk_corpus):
             for d in range(2, 11, 2):
                 total = 0
                 if g.m:
-                    census = connected_subgraph_census(g, min(d // 2, g.m))
-                    for motif, count in census.entries:
-                        total += (
-                            walks.covering_parity_profile(motif.graph, d)[d] * count
-                        )
+                    census = connected_subgraph_classes(g, min(d // 2, g.m))
+                    for h, subsets in census:
+                        total += walks.covering_parity_profile(h, d)[d] * len(subsets)
                 assert total == profile[d], (g, d)
 
 
@@ -80,11 +78,10 @@ def _corpus_motifs(corpus, max_vertices=4):
     for g in corpus:
         if g.m == 0:
             continue
-        census = connected_subgraph_census(g, g.m)
-        for motif, _ in census.entries:
-            if motif.v_count <= max_vertices and motif.certificate not in seen:
-                seen.add(motif.certificate)
-                motifs.append(motif.graph)
+        for h, _ in connected_subgraph_classes(g, g.m):
+            if h.n <= max_vertices and h not in seen:
+                seen.add(h)
+                motifs.append(h)
     return motifs
 
 

@@ -1,11 +1,12 @@
 import itertools
+import json
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperspectra import cli
 from hyperspectra.errors import BudgetError, GraphParseError
 from hyperspectra.graphs import (
     Graph,
@@ -18,7 +19,6 @@ from hyperspectra.graphs import (
     complete_graph,
     connected_edge_subsets,
     connected_induced_subgraph_classes,
-    connected_subgraph_census,
     connected_subgraph_classes,
     cycle_graph,
     parse_graph,
@@ -189,13 +189,6 @@ def _circulant(n, jumps):
     )
 
 
-def _to_nx(g):
-    out = nx.Graph()
-    out.add_nodes_from(range(g.n))
-    out.add_edges_from(g.edges)
-    return out
-
-
 PETERSEN = Graph(
     10,
     tuple((i, (i + 1) % 5) for i in range(5))
@@ -254,9 +247,9 @@ class TestCanonicalSearch:
         assert canonical_form(g.relabel(perm)) == form
 
     def test_ten_vertices(self):
-        # past the oracle's reach: relabel invariance, and equal forms
-        # exactly for the pairs networkx finds isomorphic (C10(1,3) is
-        # K5,5 minus a perfect matching)
+        # past the brute-force form's reach: relabel invariance, and equal
+        # forms exactly for the pairs the backtracking isomorphism oracle
+        # finds isomorphic (C10(1,3) is K5,5 minus a perfect matching)
         five_k2 = Graph(10, tuple((2 * i, 2 * i + 1) for i in range(5)))
         k55_minus_pm = Graph(
             10, tuple((i, 5 + j) for i in range(5) for j in range(5) if i != j)
@@ -266,14 +259,14 @@ class TestCanonicalSearch:
         forms = []
         for g in graphs:
             form = canonical_form(g)
-            assert nx.is_isomorphic(_to_nx(g), _to_nx(form))
+            assert are_isomorphic(g, form)
             for _ in range(3):
                 perm = list(range(10))
                 rng.shuffle(perm)
                 assert canonical_form(g.relabel(perm)) == form
             forms.append(form)
         for (a, fa), (b, fb) in itertools.combinations(zip(graphs, forms), 2):
-            assert (fa == fb) == nx.is_isomorphic(_to_nx(a), _to_nx(b))
+            assert (fa == fb) == are_isomorphic(a, b)
         assert forms[2] == forms[3]
 
 
@@ -312,22 +305,22 @@ class TestVertexOrbits:
 
 class TestCensus:
     def test_cycle3(self):
-        census = connected_subgraph_census(cycle_graph(3), 3)
-        shape = [(m.v_count, m.e_count, c) for m, c in census.entries]
+        classes = connected_subgraph_classes(cycle_graph(3), 3)
+        shape = [(h.n, h.m, len(s)) for h, s in classes]
         assert shape == [(2, 1, 3), (3, 2, 3), (3, 3, 1)]
 
     def test_path3(self):
-        census = connected_subgraph_census(path_graph(3), 2)
-        shape = [(m.v_count, m.e_count, c) for m, c in census.entries]
+        classes = connected_subgraph_classes(path_graph(3), 2)
+        shape = [(h.n, h.m, len(s)) for h, s in classes]
         assert shape == [(2, 1, 2), (3, 2, 1)]
 
     def test_single_edges(self, small_corpus):
         for g in small_corpus:
             if g.m == 0:
                 continue
-            census = connected_subgraph_census(g, 1)
-            assert len(census.entries) == 1
-            assert census.entries[0][1] == g.m
+            classes = connected_subgraph_classes(g, 1)
+            assert len(classes) == 1
+            assert len(classes[0][1]) == g.m
 
     def test_totality_against_brute_subsets(self, desk_corpus):
         # census counts, summed per edge count, must reproduce the raw
@@ -339,10 +332,10 @@ class TestCensus:
                 brute = connected_edge_subsets_brute(g, max_edges)
                 fast = connected_edge_subsets(g, max_edges)
                 assert len(fast) == len(brute) and set(fast) == set(brute), g
-                census = connected_subgraph_census(g, max_edges)
+                classes = connected_subgraph_classes(g, max_edges)
                 for size in range(1, max_edges + 1):
                     raw = sum(1 for s in brute if len(s) == size)
-                    counted = sum(c for m, c in census.entries if m.e_count == size)
+                    counted = sum(len(s) for h, s in classes if h.m == size)
                     assert counted == raw
 
     def test_cap_past_the_largest_subset_returns_at_once(self):
@@ -356,9 +349,8 @@ class TestCensus:
 
     def test_no_isolated_vertices_in_motifs(self, builtin_corpus):
         for g in builtin_corpus:
-            census = connected_subgraph_census(g, min(3, g.m))
-            for motif, _ in census.entries:
-                assert all(d > 0 for d in motif.graph.degrees())
+            for h, _ in connected_subgraph_classes(g, min(3, g.m)):
+                assert all(d > 0 for d in h.degrees())
 
     def test_counts_match_embedding_counts(self, small_corpus):
         # the number of labeled embeddings of a motif equals its subgraph
@@ -377,14 +369,13 @@ class TestCensus:
         for g in small_corpus:
             if g.m == 0:
                 continue
-            census = connected_subgraph_census(g, min(3, g.m))
-            for motif, count in census.entries:
-                aut = embeddings(motif.graph, motif.graph)
-                assert embeddings(motif.graph, g) == count * aut, motif
+            for h, subsets in connected_subgraph_classes(g, min(3, g.m)):
+                aut = embeddings(h, h)
+                assert embeddings(h, g) == len(subsets) * aut, h
 
     def test_induced_classes_on_cycle3(self):
         got = connected_induced_subgraph_classes(cycle_graph(3))
-        shape = [(m.v_count, m.e_count, len(s)) for m, s in got]
+        shape = [(h.n, h.m, len(s)) for h, s in got]
         assert shape == [(2, 1, 3), (3, 3, 1)]  # P3 is not induced in a triangle
 
     def test_induced_classes_against_brute_vertex_sets(self, desk_corpus):
@@ -399,9 +390,9 @@ class TestCensus:
             induced = _induced_edge_sets(g, sets)
             listed = [s for _, subsets in classes for s in subsets]
             assert len(listed) == len(induced) and set(listed) == induced
-            for motif, subsets in classes:
+            for h, subsets in classes:
                 for s in subsets:
-                    assert canonical_form(g.subgraph_of_edges(s)) == motif.graph
+                    assert canonical_form(g.subgraph_of_edges(s)) == h
         assert len(_connected_sets(_neighbour_masks(path_graph(9)), 9)) == 45
 
     @given(small_graphs(), st.integers(1, 11))
@@ -417,10 +408,28 @@ class TestCensus:
         listed = [s for _, subsets in classes for s in subsets]
         assert len(listed) == len(induced) and set(listed) == induced
 
-    def test_json_schema(self):
-        census = connected_subgraph_census(cycle_graph(3), 2)
-        payload = census.to_json_obj()
-        assert all(
+    @settings(max_examples=50)
+    @given(small_graphs())
+    def test_classes_are_distinct_forms_in_census_order(self, g):
+        # every subset spans its group's canonical form, no form heads two
+        # groups, and the groups run by (|E|, |V|, certificate)
+        for classes in (
+            connected_subgraph_classes(g, max(1, g.m)),
+            connected_induced_subgraph_classes(g),
+        ):
+            for h, subsets in classes:
+                for s in subsets:
+                    assert canonical_form(g.subgraph_of_edges(s)) == h
+            forms = [h for h, _ in classes]
+            assert len(set(forms)) == len(forms)
+            keys = [(h.m, h.n, canonical_certificate(h)) for h in forms]
+            assert keys == sorted(keys)
+
+    def test_json_schema(self, capsys):
+        argv = ["census", "--graph", "cycle:3", "--max-edges", "2", "--format", "json"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload) == 2 and all(
             set(entry) == {"certificate", "edges", "vertices", "count"}
             for entry in payload
         )

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperspectra import graphs, means, spectrum, verify, walks
@@ -21,7 +21,6 @@ from hyperspectra.graphs import (
     Graph,
     complete_graph,
     connected_edge_subsets,
-    connected_subgraph_census,
     connected_subgraph_classes,
     cycle_graph,
     path_graph,
@@ -60,10 +59,15 @@ def _exponents(fsf, basis):
 
 def _assert_product_rule(g1, g2, k):
     """Cooper & Dutle: the k-powers H1, H2 of G1, G2 on N1, N2 vertices give
-    phi(H1 + H2) = phi(H1)^((k-1)^N2) * phi(H2)^((k-1)^N1)."""
+    phi(H1 + H2) = phi(H1)^((k-1)^N2) * phi(H2)^((k-1)^N1); at k = 2, for
+    beta, the exponents add."""
+
+    def factored(g):
+        return beta(g) if k == 2 else char_poly_power(g, k)
+
     shifted = tuple((u + g1.n, v + g1.n) for u, v in g2.edges)
-    whole = char_poly_power(Graph(g1.n + g2.n, g1.edges + shifted), k)
-    f1, f2 = char_poly_power(g1, k), char_poly_power(g2, k)
+    whole = factored(Graph(g1.n + g2.n, g1.edges + shifted))
+    f1, f2 = factored(g1), factored(g2)
     p1 = (k - 1) ** (g2.n + (k - 2) * g2.m)
     p2 = (k - 1) ** (g1.n + (k - 2) * g1.m)
     basis = coprime_basis(f.b for fsf in (f1, f2, whole) for f in fsf.factors)
@@ -134,23 +138,23 @@ class TestBuildSystem:
     and the prefactors D(k)."""
 
     def test_k2(self):
-        census = connected_subgraph_census(K2, 1)
-        assert [count for _, count in census.entries] == [1]
+        classes = connected_subgraph_classes(K2, 1)
+        assert [len(subsets) for _, subsets in classes] == [1]
         assert covering_parity_profile(K2, 2)[2] == 2
         assert power_moment_prefactor(2, 1, 3) == Fraction(9, 8)
 
     def test_path3(self):
-        assert len(connected_subgraph_census(P3, 2)) == 2  # K2 and P3
+        assert len(connected_subgraph_classes(P3, 2)) == 2  # K2 and P3
 
     def test_cycle3(self):
-        assert len(connected_subgraph_census(C3, 3)) == 3
+        assert len(connected_subgraph_classes(C3, 3)) == 3
 
     def test_p_vanishes_above_edge_count(self):
         # covering walks of length 2 ell need every edge twice
-        for motif, _ in connected_subgraph_census(C3, 3).entries:
+        for h, _ in connected_subgraph_classes(C3, 3):
             for ell in range(1, 4):
-                if motif.e_count > ell:
-                    assert covering_parity_profile(motif.graph, 2 * ell)[2 * ell] == 0
+                if h.m > ell:
+                    assert covering_parity_profile(h, 2 * ell)[2 * ell] == 0
 
 
 class TestCharPolyPower:
@@ -535,6 +539,24 @@ class TestBetaMomentCheck:
             check_moment_identity(g, shifted)
 
 
+class TestK2MomentCheck:
+    """For beta the check reads P_{2 ell} by vertex deletion at k = 2, where
+    r = 1 leaves only the components of g."""
+
+    def test_vertex_deletion_is_the_parity_profile(self, desk_corpus):
+        unions = [
+            Graph(0, ()),
+            Graph(3, ()),
+            Graph(3, ((0, 1),)),
+            Graph(7, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3))),
+            Graph(8, ((0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3))),
+        ]
+        for g in desk_corpus + unions:
+            groups = spectrum._spectra(g, 2)[0]
+            expected = parity_closed_profile(g, 16)[2::2]
+            assert spectrum._deletion_moments(g, 2, 8, groups) == expected, g
+
+
 class TestK3MomentCheck:
     """At k=3 the check reads S_{3 ell} by vertex deletion, to the total
     degree D of the basis of g's connected induced classes."""
@@ -547,26 +569,25 @@ class TestK3MomentCheck:
             census = spectrum._spectra(g, 4)[0]
             assert brute == spectrum._power_moments(g, 3, 6, census), g
             induced = spectrum._spectra(g, 3)[0]
-            assert brute == spectrum._induced_moments(g, 6, induced), g
+            assert brute == spectrum._deletion_moments(g, 3, 6, induced), g
 
     @pytest.mark.parametrize("g", [complete_graph(5), PETERSEN])
     def test_vertex_deletion_matches_the_covering_route_to_8(self, g):
         brute = vertex_deletion_moments(g, 8)
-        # the census to 8 edges, in the shape of `_spectra`'s groups
-        census = [(m.graph, s) for m, s in connected_subgraph_classes(g, 8)]
+        census = connected_subgraph_classes(g, 8)
         assert brute == spectrum._power_moments(g, 3, 8, census)
         induced = spectrum._spectra(g, 3)[0]
-        assert brute == spectrum._induced_moments(g, 8, induced)
+        assert brute == spectrum._deletion_moments(g, 3, 8, induced)
 
     def test_check_runs_to_the_total_degree(self, monkeypatch):
         tops = []
-        moments = spectrum._induced_moments
+        moments = spectrum._deletion_moments
 
-        def recorded(g, top, classes):
+        def recorded(g, k, top, classes):
             tops.append(top)
-            return moments(g, top, classes)
+            return moments(g, k, top, classes)
 
-        monkeypatch.setattr(spectrum, "_induced_moments", recorded)
+        monkeypatch.setattr(spectrum, "_deletion_moments", recorded)
         for g in (complete_graph(5), complete_graph(6), PETERSEN):
             char_poly_power(g, 3)
         assert tops == [9, 23, 33]
@@ -620,6 +641,25 @@ class TestK3Properties:
     @given(disjoint_pairs())
     def test_disjoint_unions_obey_the_product_rule(self, pair):
         _assert_product_rule(*pair, 3)
+
+
+class TestK4Properties:
+    """char_poly_power at k=4, which reads the full census of connected edge
+    subsets, on random graphs with at most 6 vertices and 8 edges."""
+
+    @settings(max_examples=40)
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_relabelling_invariant(self, g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert char_poly_power(g.relabel(perm), 4).to_text() == (
+            char_poly_power(g, 4).to_text()
+        )
+
+    @settings(max_examples=40)
+    @given(disjoint_pairs())
+    def test_disjoint_unions_obey_the_product_rule(self, pair):
+        _assert_product_rule(*pair, 4)
 
 
 BINARY_TREE_15 = Graph(15, tuple((i, c) for i in range(7) for c in (2 * i + 1, 2 * i + 2)))
@@ -706,6 +746,11 @@ class TestBetaProperties:
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert beta(g.relabel(perm)).to_text() == beta(g).to_text()
+
+    @settings(max_examples=50)
+    @given(disjoint_pairs())
+    def test_disjoint_unions_obey_the_product_rule(self, pair):
+        _assert_product_rule(*pair, 2)
 
 
 class TestConvergence:

@@ -81,13 +81,13 @@ def test_multiplicity_check_fails_on_corrupted_multiplicities(monkeypatch):
 
 def test_decomposition_builds_one_census_per_graph(monkeypatch):
     calls = []
-    census = verify.connected_subgraph_census
+    census = verify.connected_subgraph_classes
 
     def counted(g, max_edges):
         calls.append(max_edges)
         return census(g, max_edges)
 
-    monkeypatch.setattr(verify, "connected_subgraph_census", counted)
+    monkeypatch.setattr(verify, "connected_subgraph_classes", counted)
     ctx = verify._PipelineCache()
     status, detail = verify._check_decomposition([P3, cycle_graph(4)], ctx)
     assert status == "pass", detail
@@ -125,7 +125,7 @@ def test_corpus_digraphs_built_once_per_suite(monkeypatch):
     # the digraphs both BEST checks share are taken: 8 on the 8 quick graphs
     # (16 with a second census for the digraphs, 24 when each BEST check
     # builds its own)
-    calls = _count_calls(monkeypatch, verify, "connected_subgraph_census")
+    calls = _count_calls(monkeypatch, verify, "connected_subgraph_classes")
     report = verify.run_verify_suite("quick")
     assert report.ok
     assert len(calls) == 8

@@ -8,7 +8,7 @@ from hyperspectra.errors import BudgetError
 from hyperspectra.graphs import (
     Graph,
     complete_graph,
-    connected_subgraph_census,
+    connected_subgraph_classes,
     cycle_graph,
     parse_graph,
     path_graph,
@@ -203,9 +203,9 @@ class TestDecomposition:
             for d in range(2, 11, 2):
                 total = 0
                 if g.m:
-                    census = connected_subgraph_census(g, min(d // 2, g.m))
-                    for motif, count in census.entries:
-                        total += covering_parity_profile(motif.graph, d)[d] * count
+                    census = connected_subgraph_classes(g, min(d // 2, g.m))
+                    for h, subsets in census:
+                        total += covering_parity_profile(h, d)[d] * len(subsets)
                 assert total == profile[d], (g, d)
 
     def test_cycle3_length6_value(self):
