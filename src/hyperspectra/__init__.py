@@ -6,7 +6,15 @@ data: covering parity-closed walk counts of its motifs, occurrence counts of
 those motifs, and the squared eigenvalues of its signed subgraphs.  Exact
 brute-force oracles for every identity involved ship alongside the closed
 forms; `hyperspectra verify` replays all of them.
+
+`import hyperspectra` loads only the exact pipeline: `graphs`, `algebra`,
+`signed`, `walks` and `spectrum`.  The oracle names from `digraphs`, `means`
+and `verify` load their module on first use, and are looked up in it on every
+access, so a wrapper installed on the defining module is what the package
+name returns.
 """
+
+import importlib
 
 from .graphs import (
     Graph,
@@ -36,19 +44,6 @@ from .signed import (
     is_balanced,
     signed_spectral_moment,
 )
-from .digraphs import (
-    Multidigraph,
-    TraceTerm,
-    arborescence_count,
-    covering_parity_via_best,
-    eulerian_walk_count,
-    lift_from_core,
-    moment_coefficient,
-    naive_tensor_trace,
-    reduce_to_core,
-    spanning_tree_reduction_check,
-    trace_terms,
-)
 from .spectrum import (
     FactoredSpectralFunction,
     beta,
@@ -56,8 +51,6 @@ from .spectrum import (
     script_S,
     spectral_radius_multiplicity,
 )
-from .means import amgm_check, geometric_mean_evaluate, matching_polynomial
-from .verify import VerifyReport, run_verify_suite
 
 __version__ = "0.1.0"
 
@@ -106,3 +99,34 @@ __all__ = [
     "star_graph",
     "trace_terms",
 ]
+
+# the oracle names, by the module that defines them
+_ORACLES = {
+    "digraphs": (
+        "Multidigraph",
+        "TraceTerm",
+        "arborescence_count",
+        "covering_parity_via_best",
+        "eulerian_walk_count",
+        "lift_from_core",
+        "moment_coefficient",
+        "naive_tensor_trace",
+        "reduce_to_core",
+        "spanning_tree_reduction_check",
+        "trace_terms",
+    ),
+    "means": ("amgm_check", "geometric_mean_evaluate", "matching_polynomial"),
+    "verify": ("VerifyReport", "run_verify_suite"),
+}
+_ORACLE_MODULE = {name: module for module, names in _ORACLES.items() for name in names}
+
+
+def __getattr__(name):
+    module = _ORACLE_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ORACLE_MODULE))

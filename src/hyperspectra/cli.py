@@ -4,6 +4,9 @@ Subcommands: walks, census, signed, oracle, charpoly, beta, matching,
 geomean, amgm, radius-mult, verify.  Exit codes: 0 success, 1 computation
 error, 2 usage error.
 
+The oracle modules (digraphs, means, verify) are imported by the commands
+that run them, so `charpoly` and `beta` load only the exact pipeline.
+
 JSON output is byte-deterministic: object keys are emitted sorted, floats at
 17 significant digits, and big integers/rationals as decimal strings.
 """
@@ -17,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import digraphs, means, spectrum, verify, walks
+from . import spectrum, walks
 from .graphs import (
     canonical_certificate,
     connected_subgraph_classes,
@@ -192,6 +195,8 @@ def _cmd_signed(args):
 
 
 def _cmd_oracle(args):
+    from . import digraphs
+
     g = _load_graph(args.graph)
     h = power_hypergraph(g, args.k)
     value = digraphs.naive_tensor_trace(h, args.d, term_budget=args.budget)
@@ -248,6 +253,8 @@ def _cmd_beta(args):
 
 
 def _cmd_matching(args):
+    from . import means
+
     g = _load_graph(args.graph)
     poly = means.matching_polynomial(g, method=args.method)
     payload = {"coefficients": [_exact_str(c) for c in poly]}
@@ -264,6 +271,8 @@ def _cmd_matching(args):
 
 
 def _cmd_geomean(args):
+    from . import means
+
     g = _load_graph(args.graph)
     value = means.geometric_mean_evaluate(g, args.at)
     payload = {"at": args.at, "value": value}
@@ -272,6 +281,8 @@ def _cmd_geomean(args):
 
 
 def _cmd_amgm(args):
+    from . import means
+
     g = _load_graph(args.graph)
     report = means.amgm_check(g, args.at)
     payload = {
@@ -308,6 +319,8 @@ def _cmd_radius_mult(args):
 
 
 def _cmd_verify(args):
+    from . import verify
+
     seeds = [args.graph] if args.graph else None
     report = verify.run_verify_suite(scope=args.scope, seed_graphs=seeds)
     if args.format == "json":
@@ -390,7 +403,7 @@ def build_parser():
     p.add_argument(
         "--budget",
         type=_count,
-        default=digraphs.TRACE_TERM_BUDGET,
+        default=walks.TRACE_TERM_BUDGET,
         help="naive-trace terms (default %(default)s)",
     )
     p.set_defaults(func=_cmd_oracle)

@@ -14,36 +14,56 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import det_bareiss
 from .errors import BudgetError, ConsistencyError
-from .walks import covering_parity_closed_count
+from .spectrum import power_moment_prefactor
+from .walks import TRACE_TERM_BUDGET, covering_parity_closed_count
 
 BRUTE_ARC_LIMIT = 12
-TRACE_TERM_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
 class Multidigraph:
     """Directed multigraph with no self-arcs, stored as sorted arc items
-    ((tail, head), multiplicity)."""
+    ((tail, head), multiplicity).  Immutable; equal to another Multidigraph
+    (and to nothing else) with the same n and arcs."""
 
-    n: int
-    arcs: tuple
+    __slots__ = ("n", "arcs")
 
-    def __post_init__(self):
+    def __init__(self, n, arcs):
         merged = {}
-        for (u, v), mult in self.arcs:
+        for (u, v), mult in arcs:
             if u == v:
                 raise ValueError(f"self-arc at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc {(u, v)} out of range")
             if mult <= 0:
                 raise ValueError("arc multiplicities must be positive")
             merged[(u, v)] = merged.get((u, v), 0) + mult
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", tuple(sorted(merged.items())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.arcs == other.arcs
+
+    def __hash__(self):
+        return hash((self.n, self.arcs))
+
+    def __repr__(self):
+        return f"Multidigraph(n={self.n!r}, arcs={self.arcs!r})"
+
+    def __reduce__(self):
+        return Multidigraph, (self.n, self.arcs)
 
     def multiplicity(self, u, v):
         for (a, b), mult in self.arcs:
@@ -301,8 +321,7 @@ def reduce_to_core(d, core_map):
     return Multidigraph(len(base_vertices), tuple(arcs.items()))
 
 
-@dataclass(frozen=True)
-class TreeReductionReport:
+class TreeReductionReport(NamedTuple):
     t_direct: int
     t_formula: int
     t_dstar: int
@@ -345,8 +364,7 @@ def spanning_tree_reduction_check(dstar, k):
 # the naive tensor-trace oracle
 
 
-@dataclass(frozen=True)
-class TraceTerm:
+class TraceTerm(NamedTuple):
     """One term of the trace formula: a sequence of rooted hyperedges with
     non-decreasing roots, each carrying an ordering of its non-root
     vertices, together with its weight b/c * entry-product * walk-count."""
@@ -517,17 +535,6 @@ def covering_parity_via_best(motif, ell, structure_budget=200_000):
     for digraph in eulerian_structures_on(motif, ell):
         total += eulerian_walk_count(digraph, method="best")
     return total
-
-
-def power_moment_prefactor(v_count, e_count, k):
-    """The exact scale factor turning covering parity-closed walk counts of
-    a motif into spectral-moment coefficients of its k-power:
-    2^(E-V) * k^(E(k-3)+V) / (k-1)^(V+E(k-2)-1)."""
-    num = Fraction(2) ** (e_count - v_count) * Fraction(k) ** (
-        e_count * (k - 3) + v_count
-    )
-    den = Fraction(k - 1) ** (v_count + e_count * (k - 2) - 1)
-    return num / den
 
 
 def moment_coefficient(motif, ell, k):

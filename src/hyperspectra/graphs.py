@@ -21,39 +21,59 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import BudgetError, GraphParseError
 
 CERTIFICATE_VERTEX_LIMIT = 10
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected labeled graph."""
+    """Simple undirected labeled graph.  Immutable; equal to another Graph
+    (and to nothing else) with the same n and edges."""
 
-    n: int
-    edges: tuple
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n, edges):
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
         seen = set()
         norm = []
-        for e in self.edges:
+        for e in edges:
             u, v = e
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {(u, v)} out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {(u, v)} out of range for n={n}")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge {(u, v)}")
             seen.add((u, v))
             norm.append((u, v))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges)
 
     @property
     def m(self):
@@ -469,8 +489,7 @@ def all_connected_graphs(n):
 # power hypergraphs
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(NamedTuple):
     """k-uniform hypergraph produced by power_hypergraph.
 
     core_map has one entry per hyperedge: (u, v, cores) where {u, v} is the

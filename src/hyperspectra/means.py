@@ -9,8 +9,8 @@ whose 2^|E|-th root is taken by nested integer square roots, to a double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .signed import signing_polynomials
@@ -137,8 +137,7 @@ def _root(num, den, n):
         return math.inf
 
 
-@dataclass(frozen=True)
-class AmgmReport:
+class AmgmReport(NamedTuple):
     status: str  # "pass", "fail", or "skipped"
     lambda0: float
     alpha_value: Fraction | None

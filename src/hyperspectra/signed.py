@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import (
@@ -29,19 +28,40 @@ from .errors import BudgetError, ConsistencyError
 SIGNING_EDGE_LIMIT = 20
 
 
-@dataclass(frozen=True)
 class SignedGraph:
-    """A graph together with a +1/-1 sign per edge (aligned with base.edges)."""
+    """A graph together with a +1/-1 sign per edge (aligned with base.edges).
+    Immutable; equal to another SignedGraph (and to nothing else) with the
+    same base and signs."""
 
-    base: object
-    signs: tuple
+    __slots__ = ("base", "signs")
 
-    def __post_init__(self):
-        if len(self.signs) != self.base.m:
+    def __init__(self, base, signs):
+        if len(signs) != base.m:
             raise ValueError("need exactly one sign per edge")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
-        object.__setattr__(self, "signs", tuple(self.signs))
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "signs", tuple(signs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.signs == other.signs
+
+    def __hash__(self):
+        return hash((self.base, self.signs))
+
+    def __repr__(self):
+        return f"SignedGraph(base={self.base!r}, signs={self.signs!r})"
+
+    def __reduce__(self):
+        return SignedGraph, (self.base, self.signs)
 
     def matrix(self):
         a = [[0] * self.base.n for _ in range(self.base.n)]

@@ -31,11 +31,10 @@ multiplicity; at k >= 4 it stops at ell <= min(2 D, 8), which does not.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from . import digraphs
 from .algebra import (
     basis_exponents,
     coprime_basis,
@@ -55,8 +54,7 @@ from .signed import (
 from .walks import covering_parity_profile, parity_closed_profile
 
 
-@dataclass(frozen=True)
-class SpectralFactor:
+class SpectralFactor(NamedTuple):
     """One root sigma^2 of the exact basis polynomial b (ascending integer
     coefficients, monic), with the exponent mu shared by all roots of b."""
 
@@ -65,8 +63,7 @@ class SpectralFactor:
     b: tuple
 
 
-@dataclass(frozen=True)
-class FactoredSpectralFunction:
+class FactoredSpectralFunction(NamedTuple):
     """lambda^mu0 * prod (lambda^k - sigma_i^2)^mu_i."""
 
     k: int
@@ -118,6 +115,17 @@ def _format_number(x):
 
 # ---------------------------------------------------------------------------
 # the motif census and the spectral moments
+
+
+def power_moment_prefactor(v_count, e_count, k):
+    """The exact scale factor turning covering parity-closed walk counts of
+    a motif into spectral-moment coefficients of its k-power:
+    2^(E-V) * k^(E(k-3)+V) / (k-1)^(V+E(k-2)-1)."""
+    num = Fraction(2) ** (e_count - v_count) * Fraction(k) ** (
+        e_count * (k - 3) + v_count
+    )
+    den = Fraction(k - 1) ** (v_count + e_count * (k - 2) - 1)
+    return num / den
 
 
 def _signing_spectra(graphs):
@@ -177,7 +185,7 @@ def _power_moments(g, k, top, groups):
     for h, subsets in groups:
         if h.m > top:
             break
-        weight = digraphs.power_moment_prefactor(h.n, h.m, k)
+        weight = power_moment_prefactor(h.n, h.m, k)
         profile = covering_parity_profile(h, 2 * top)[2::2]
         totals = [t + weight * p * len(subsets) for t, p in zip(totals, profile)]
     prefactor = Fraction(k - 1) ** (g.n + g.m * (k - 2) - 1)
@@ -247,9 +255,9 @@ def _degree(g, k):
 def _weight_factor(k, t):
     """The factor of w(C) for one further edge inside V(C) (t = 0) or for
     one outside vertex joined to V(C) by t >= 1 edges."""
-    base = digraphs.power_moment_prefactor(1, 1, k)
-    per_vertex = digraphs.power_moment_prefactor(2, 1, k) / base
-    per_edge = digraphs.power_moment_prefactor(1, 2, k) / base
+    base = power_moment_prefactor(1, 1, k)
+    per_vertex = power_moment_prefactor(2, 1, k) / base
+    per_edge = power_moment_prefactor(1, 2, k) / base
     if t == 0:
         return 1 - per_edge
     return 1 - per_vertex + per_vertex * (1 - per_edge) ** t
@@ -279,7 +287,7 @@ def _covering_weight(g, subset, k):
             joins[outside] = joins.get(outside, 0) + 1
     for t in joins.values():
         weight *= _weight_factor(k, t)
-    return weight * digraphs.power_moment_prefactor(len(verts), len(subset), k)
+    return weight * power_moment_prefactor(len(verts), len(subset), k)
 
 
 def _exponents(g, k):
@@ -412,11 +420,14 @@ def beta(g):
 
 def spectral_radius_multiplicity(g, k):
     """Multiplicity of the spectral radius of the k-power of a connected
-    graph: k^(|E|(k-3)+|V|-1)."""
+    graph with an edge: k^(|E|(k-3)+|V|-1).  An edgeless graph has only the
+    eigenvalue 0, so it is refused like a disconnected one."""
     if k < 3:
         raise ValueError("defined for k >= 3")
     if not g.is_connected():
         raise ValueError("defined for connected graphs")
+    if g.m == 0:
+        raise ValueError("defined for graphs with an edge")
     return k ** (g.m * (k - 3) + g.n - 1)
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import digraphs, means, spectrum, walks
 from .graphs import (
@@ -56,11 +56,16 @@ class _PipelineCache:
         return self._beta[g]
 
     def census(self, g):
-        """The census classes of g to the edge count the decomposition check
-        needs, which also hold every motif the corpus digraphs come from."""
+        """((form, count), ...) for the census classes of g to the edge count
+        the decomposition check needs, which also hold every motif the corpus
+        digraphs come from; the count is the class's number of subsets, the
+        subsets themselves are not kept."""
         if g not in self._census:
             max_edges = min(DECOMPOSITION_MAX_D // 2, g.m)
-            self._census[g] = connected_subgraph_classes(g, max_edges)
+            self._census[g] = tuple(
+                (h, len(subsets))
+                for h, subsets in connected_subgraph_classes(g, max_edges)
+            )
         return self._census[g]
 
     def corpus_digraphs(self, seeds):
@@ -91,16 +96,14 @@ def full_corpus():
     return graphs
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass", "fail", "skipped"
     detail: str
     elapsed_ms: float
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: tuple
 
     @property
@@ -136,9 +139,9 @@ def _check_decomposition(seeds, ctx):
         profile = walks.parity_closed_profile(g, max_d)
         totals = [0] * (max_d + 1)
         if g.m:
-            for h, subsets in ctx.census(g):
+            for h, count in ctx.census(g):
                 covering = walks.covering_parity_profile(h, max_d)
-                totals = [t + c * len(subsets) for t, c in zip(totals, covering)]
+                totals = [t + c * count for t, c in zip(totals, covering)]
         for d in range(2, max_d + 1, 2):
             if totals[d] != profile[d]:
                 return "fail", f"decomposition off at d={d} on {g}"

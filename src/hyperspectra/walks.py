@@ -53,6 +53,10 @@ from .signed import signing_polynomials
 
 PARITY_DP_EDGE_LIMIT = 24
 COVERING_STATE_BUDGET = 40_000_000
+# terms `digraphs.naive_tensor_trace` may list by default (each term is a
+# closed walk of rooted hyperedges); kept beside the covering budget so the
+# CLI shows both defaults without loading the oracle
+TRACE_TERM_BUDGET = 5_000_000
 
 
 class WalkCount(NamedTuple):

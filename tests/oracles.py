@@ -14,11 +14,11 @@ polynomials.
 
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
 from hyperspectra.algebra import poly_derivative, poly_trim
+from hyperspectra.graphs import Graph
 from hyperspectra.walks import WalkCount
 
 
@@ -283,7 +283,7 @@ def covering_parity_profile_by_subsets(motif, max_d):
     for size in range(motif.m + 1):
         sign = (-1) ** (motif.m - size)
         for combo in itertools.combinations(range(motif.m), size):
-            restricted = replace(motif, edges=tuple(motif.edges[i] for i in combo))
+            restricted = Graph(motif.n, tuple(motif.edges[i] for i in combo))
             profile = parity_profile_all_starts(restricted, max_d)
             totals = [t + sign * p for t, p in zip(totals, profile)]
     return totals

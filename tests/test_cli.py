@@ -240,6 +240,12 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["multiplicity"] == "9"
 
+    def test_radius_mult_refuses_an_edgeless_graph(self, capsys):
+        code, out, err = run_cli(capsys, "radius-mult", "--graph", "path:1", "--k", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: defined for graphs with an edge\n"
+
     def test_matching(self, capsys):
         code, out, _ = run_cli(capsys, "matching", "--graph", "cycle:3")
         assert code == 0
@@ -289,12 +295,12 @@ class TestVerifyCommand:
         assert all(c["status"] != "fail" for c in payload["checks"])
 
     def test_corrupted_moment_scale_fails_integrality(self, capsys, monkeypatch):
-        honest = digraphs.power_moment_prefactor
+        honest = spectrum.power_moment_prefactor
 
         def corrupted(v_count, e_count, k):
             return honest(v_count, e_count, k) * Fraction(3, 2)
 
-        monkeypatch.setattr(digraphs, "power_moment_prefactor", corrupted)
+        monkeypatch.setattr(spectrum, "power_moment_prefactor", corrupted)
         code, out, _ = run_cli(
             capsys,
             "verify", "--scope", "quick", "--graph", "path:2", "--format", "json",

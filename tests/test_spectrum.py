@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -247,11 +246,11 @@ class TestCharPolyPower:
     def test_corrupted_multiplicity_fails_moment_identity(self):
         fsf = char_poly_power(C3, 3)
         factors = tuple(
-            replace(f, mu=f.mu + 1) if f.b == (-4, 1) else f for f in fsf.factors
+            f._replace(mu=f.mu + 1) if f.b == (-4, 1) else f for f in fsf.factors
         )
         check_moment_identity(C3, fsf)
         with pytest.raises(ConsistencyError):
-            check_moment_identity(C3, replace(fsf, factors=factors))
+            check_moment_identity(C3, fsf._replace(factors=factors))
 
     def test_cycle4_multiplicities(self):
         # frozen pipeline output: C4 at k=3 has integer clusters 24, 126, 27
@@ -306,7 +305,7 @@ class TestCharPolyPower:
         # a result that lost its factors must not pass with nothing checked
         fsf = char_poly_power(K2, 3)
         with pytest.raises(ConsistencyError):
-            check_moment_identity(K2, replace(fsf, factors=(), mu0=12))
+            check_moment_identity(K2, fsf._replace(factors=(), mu0=12))
 
     def test_hopeless_cycle_rank_refused_before_the_census(self):
         # K8 has cycle rank 28 - 8 + 1 = 21, past the signing limit of 20;
@@ -366,6 +365,18 @@ class TestRadiusMultiplicity:
 
     def test_cycle3(self):
         assert spectral_radius_multiplicity(C3, 3) == 9
+
+    def test_edgeless_graphs_are_refused(self):
+        # the k-power of a single vertex has the one eigenvalue 0
+        # (char_poly_power gives lambda), so there is no spectral circle
+        single = Graph(1, ())
+        assert char_poly_power(single, 3).to_text() == "λ"
+        with pytest.raises(ValueError, match="defined for graphs with an edge"):
+            spectral_radius_multiplicity(single, 3)
+        with pytest.raises(ValueError, match="defined for graphs with an edge"):
+            radius_total_multiplicity(single, 4)
+        with pytest.raises(ValueError, match="defined for connected graphs"):
+            spectral_radius_multiplicity(Graph(2, ()), 3)
 
     def test_k2_at_k4_matches_pipeline(self):
         assert spectral_radius_multiplicity(K2, 4) == 16
@@ -532,8 +543,8 @@ class TestBetaMomentCheck:
         moments = parity_closed_profile(g, 2 * (size - 1))
         for ell in range(1, size):
             assert 2 * sum(mu[b] * sums[b][ell] for b in basis) == moments[2 * ell]
-        shifted = replace(
-            fsf, factors=tuple(replace(f, mu=mu[f.b]) for f in fsf.factors)
+        shifted = fsf._replace(
+            factors=tuple(f._replace(mu=mu[f.b]) for f in fsf.factors)
         )
         with pytest.raises(ConsistencyError, match=f"ell={size}:"):
             check_moment_identity(g, shifted)
@@ -608,8 +619,8 @@ class TestK3MomentCheck:
         moments = vertex_deletion_moments(PETERSEN, 8)
         for ell in range(1, 9):
             assert 3 * sum(mu[b] * sums[b][ell] for b in basis) == moments[ell - 1]
-        shifted = replace(
-            fsf, factors=tuple(replace(f, mu=mu[f.b]) for f in fsf.factors)
+        shifted = fsf._replace(
+            factors=tuple(f._replace(mu=mu[f.b]) for f in fsf.factors)
         )
         with pytest.raises(ConsistencyError, match="ell=9:"):
             check_moment_identity(PETERSEN, shifted)

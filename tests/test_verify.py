@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 from hyperspectra import signed, spectrum, verify
@@ -26,7 +25,7 @@ def test_forest_check_passes_on_true_beta():
 def test_forest_check_expands_beta():
     # lambda^3 in place of lambda (lambda^2 - 2): integral, but not the
     # matching polynomial of P3
-    wrong = replace(spectrum.beta(P3), mu0=3, factors=())
+    wrong = spectrum.beta(P3)._replace(mu0=3, factors=())
     status, detail = verify._check_beta_forest([P3], _FixedBeta(wrong))
     assert status == "fail", detail
 
@@ -40,8 +39,8 @@ def test_geometric_mean_check_is_exact():
     top = true.factors[-1]
 
     def lowered_by(delta):
-        factors = true.factors[:-1] + (replace(top, mu=top.mu - delta),)
-        return _FixedBeta(replace(true, factors=factors))
+        factors = true.factors[:-1] + (top._replace(mu=top.mu - delta),)
+        return _FixedBeta(true._replace(factors=factors))
 
     check = verify._check_beta_geometric_mean
     assert check([C4], _FixedBeta(true))[0] == "pass"
@@ -57,7 +56,7 @@ def test_cycle_identity_check_names_the_cycle_and_point():
     # a 1/4 exponent on beta(C3): |beta|^2 has an odd root of b(x^2) left
     true = spectrum.beta(cycle_graph(3))
     top = true.factors[-1]
-    wrong = replace(true, factors=true.factors[:-1] + (replace(top, mu=Fraction(1, 4)),))
+    wrong = true._replace(factors=true.factors[:-1] + (top._replace(mu=Fraction(1, 4)),))
     status, detail = verify._check_beta_cycle_identity([], _FixedBeta(wrong))
     assert status == "fail"
     assert f"C3 at {verify.SAMPLE_POINTS[0]}" in detail
@@ -92,6 +91,14 @@ def test_decomposition_builds_one_census_per_graph(monkeypatch):
     status, detail = verify._check_decomposition([P3, cycle_graph(4)], ctx)
     assert status == "pass", detail
     assert calls == [2, 4]
+
+
+def test_census_memo_keeps_counts_not_subsets():
+    ctx = verify._PipelineCache()
+    g = cycle_graph(4)
+    classes = verify.connected_subgraph_classes(g, 4)
+    assert ctx.census(g) == tuple((h, len(subsets)) for h, subsets in classes)
+    assert ctx.census(g) is ctx.census(g)
 
 
 def _count_calls(monkeypatch, module, name):
