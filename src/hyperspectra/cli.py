@@ -177,17 +177,18 @@ def _cmd_signed(args):
     for sg in reps:
         eigs = eigenvalues(sg)
         poly = char_poly_exact(sg)
+        balanced = is_balanced(sg)
         payload.append(
             {
                 "signs": list(sg.signs),
-                "balanced": is_balanced(sg),
+                "balanced": balanced,
                 "eigenvalues": list(eigs),
                 "char_poly": [str(c) for c in poly],
             }
         )
         lines.append(
             f"signs {''.join('+' if s > 0 else '-' for s in sg.signs)}  "
-            f"balanced={is_balanced(sg)}  "
+            f"balanced={balanced}  "
             f"eigs {[round(x, 6) for x in eigs]}"
         )
     _emit(args, payload, "\n".join(lines))

@@ -19,13 +19,14 @@ from typing import NamedTuple
 
 from .algebra import det_bareiss
 from .errors import BudgetError, ConsistencyError
+from .graphs import Graph, _classes, _Value, power_hypergraph
 from .spectrum import power_moment_prefactor
 from .walks import TRACE_TERM_BUDGET, covering_parity_closed_count
 
 BRUTE_ARC_LIMIT = 12
 
 
-class Multidigraph:
+class Multidigraph(_Value):
     """Directed multigraph with no self-arcs, stored as sorted arc items
     ((tail, head), multiplicity).  Immutable; equal to another Multidigraph
     (and to nothing else) with the same n and arcs."""
@@ -45,12 +46,6 @@ class Multidigraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", tuple(sorted(merged.items())))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -58,12 +53,6 @@ class Multidigraph:
 
     def __hash__(self):
         return hash((self.n, self.arcs))
-
-    def __repr__(self):
-        return f"Multidigraph(n={self.n!r}, arcs={self.arcs!r})"
-
-    def __reduce__(self):
-        return Multidigraph, (self.n, self.arcs)
 
     def multiplicity(self, u, v):
         for (a, b), mult in self.arcs:
@@ -102,22 +91,10 @@ class Multidigraph:
         return all(self.out_degree(v) == self.in_degree(v) for v in range(self.n))
 
     def is_connected_on_support(self):
-        support = self.support_vertices()
-        if not support:
-            return False
-        nbrs = {v: set() for v in support}
-        for (u, v), _ in self.arcs:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        seen = {support[0]}
-        stack = [support[0]]
-        while stack:
-            x = stack.pop()
-            for w in nbrs[x]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(support)
+        """Exactly one class of the vertices joined by the arcs has two or
+        more vertices: every support vertex has an arc, so none is alone."""
+        classes = _classes(self.n, (arc for arc, _ in self.arcs))
+        return sum(len(c) > 1 for c in classes) == 1
 
     def is_eulerian(self):
         return bool(self.arcs) and self.is_balanced() and self.is_connected_on_support()
@@ -228,15 +205,10 @@ def eulerian_walk_count(d, method="best"):
 
 
 def lift_core_map(dstar, k):
-    """Deterministic core layout for the lift: cores are appended after the
-    base vertices, in support-edge order."""
-    nxt = dstar.n
-    layout = []
-    for i, j in dstar.support_edges():
-        cores = tuple(range(nxt, nxt + k - 2))
-        nxt += k - 2
-        layout.append((i, j, cores))
-    return tuple(layout)
+    """Deterministic core layout for the lift: the core map of the k-power
+    of the support graph, whose cores follow the base vertices in
+    support-edge order."""
+    return power_hypergraph(Graph(dstar.n, dstar.support_edges()), k).core_map
 
 
 def lift_from_core(dstar, k):

@@ -8,6 +8,11 @@ form of each isomorphism class, with the edge-index sets of g that span it,
 so its occurrence count is len(subsets).  Classes are ordered by (|E|, |V|,
 certificate).
 
+Connectivity (of graphs and of digraph supports) and the automorphism
+orbits share one union-find, `_classes`; `power_hypergraph` is the one core
+layout, which the digraph lift reads; `_Value` gives Graph, SignedGraph and
+Multidigraph their immutability, repr and pickling.
+
 Conventions used throughout the package:
 
 * vertices are 0-indexed integers below ``n``;
@@ -29,7 +34,29 @@ from .errors import BudgetError, GraphParseError
 CERTIFICATE_VERTEX_LIMIT = 10
 
 
-class Graph:
+class _Value:
+    """Base of the immutable `__slots__` value classes (Graph, SignedGraph,
+    Multidigraph): fields are set once through object.__setattr__, and the
+    repr and pickle read them in `__slots__` order.  Each class defines its
+    own __eq__ and __hash__, which the hot paths call."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Graph(_Value):
     """Simple undirected labeled graph.  Immutable; equal to another Graph
     (and to nothing else) with the same n and edges."""
 
@@ -55,12 +82,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -68,12 +89,6 @@ class Graph:
 
     def __hash__(self):
         return hash((self.n, self.edges))
-
-    def __repr__(self):
-        return f"Graph(n={self.n!r}, edges={self.edges!r})"
-
-    def __reduce__(self):
-        return Graph, (self.n, self.edges)
 
     @property
     def m(self):
@@ -102,19 +117,7 @@ class Graph:
 
     def components(self):
         """Sorted vertex lists of the connected components, by least vertex."""
-        nbrs = self.neighbors()
-        seen = set()
-        out = []
-        for root in range(self.n):
-            if root not in seen:
-                seen.add(root)
-                component = [root]
-                for u in component:  # read while it grows: breadth first
-                    fresh = [w for w in nbrs[u] if w not in seen]
-                    seen.update(fresh)
-                    component.extend(fresh)
-                out.append(sorted(component))
-        return out
+        return [list(c) for c in _classes(self.n, self.edges)]
 
     def is_connected(self):
         return len(self.components()) <= 1

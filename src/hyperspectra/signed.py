@@ -3,6 +3,10 @@ the polynomials of their squared eigenvalues, the table of distinct signed
 characteristic polynomials that every average over signings reads, real
 spectra, and balance.
 
+Switching representatives and balance both read the one BFS spanning forest,
+`_bfs_forest`: representatives fix its edges to +1, and balance compares
+every edge's sign with the potentials read down it.
+
 Real spectra come from the exact integer characteristic polynomial: each
 eigenvalue is a root of one factor of its squarefree decomposition, isolated
 by `algebra.real_roots` and rounded to the nearest double, so no iterative
@@ -24,11 +28,12 @@ from .algebra import (
     squarefree_decomposition,
 )
 from .errors import BudgetError, ConsistencyError
+from .graphs import _Value
 
 SIGNING_EDGE_LIMIT = 20
 
 
-class SignedGraph:
+class SignedGraph(_Value):
     """A graph together with a +1/-1 sign per edge (aligned with base.edges).
     Immutable; equal to another SignedGraph (and to nothing else) with the
     same base and signs."""
@@ -43,12 +48,6 @@ class SignedGraph:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "signs", tuple(signs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -56,12 +55,6 @@ class SignedGraph:
 
     def __hash__(self):
         return hash((self.base, self.signs))
-
-    def __repr__(self):
-        return f"SignedGraph(base={self.base!r}, signs={self.signs!r})"
-
-    def __reduce__(self):
-        return SignedGraph, (self.base, self.signs)
 
     def matrix(self):
         a = [[0] * self.base.n for _ in range(self.base.n)]
@@ -135,52 +128,40 @@ def largest_cycle_rank(g):
     return max((h.m - h.n + 1 for h in map(g.induced, g.components())), default=0)
 
 
-def spanning_forest_edges(g):
-    """Edge indexes of a BFS spanning forest."""
+def _bfs_forest(g):
+    """Tree arcs (u, w, edge index) of the BFS spanning forest of g, in BFS
+    order: roots ascending, each vertex's neighbours ascending."""
     index_of = {e: i for i, e in enumerate(g.edges)}
     nbrs = g.neighbors()
     seen = [False] * g.n
-    tree = set()
+    arcs = []
     for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in nbrs[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    tree.add(index_of[(min(u, w), max(u, w))])
-                    queue.append(w)
-    return tree
+        if not seen[root]:
+            seen[root] = True
+            queue = [root]
+            for u in queue:  # read while it grows: breadth first
+                for w in nbrs[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        arcs.append((u, w, index_of[(min(u, w), max(u, w))]))
+                        queue.append(w)
+    return arcs
+
+
+def spanning_forest_edges(g):
+    """Edge indexes of the BFS spanning forest."""
+    return {i for _, _, i in _bfs_forest(g)}
 
 
 def is_balanced(sg):
-    """True iff every cycle has positive sign product, via a spanning-tree
-    potential assignment."""
-    g = sg.base
-    sign_of = {}
-    for s, (u, v) in zip(sg.signs, g.edges):
-        sign_of[(u, v)] = s
-    nbrs = g.neighbors()
-    potential = [0] * g.n
-    for root in range(g.n):
-        if potential[root]:
-            continue
-        potential[root] = 1
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in nbrs[u]:
-                s = sign_of[(min(u, w), max(u, w))]
-                if potential[w] == 0:
-                    potential[w] = potential[u] * s
-                    queue.append(w)
-    for s, (u, v) in zip(sg.signs, g.edges):
-        if potential[u] * potential[v] != s:
-            return False
-    return True
+    """True iff every cycle has positive sign product: the potentials read
+    down the BFS forest from +1 at each root agree with every edge's sign."""
+    potential = [1] * sg.base.n
+    for u, w, i in _bfs_forest(sg.base):
+        potential[w] = potential[u] * sg.signs[i]
+    return all(
+        potential[u] * potential[v] == s for s, (u, v) in zip(sg.signs, sg.base.edges)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +240,14 @@ def signing_polynomials(g):
     each with the number of signings that have it: a tuple of
     (ascending integer coefficients, count) pairs whose counts sum to 2^|E|.
 
-    A switching class holds 2^|F| signings (F a spanning forest), so this is
+    A switching class holds 2^|F| signings, F a spanning forest, whose size
+    is |V| minus the number of components, so this is
     `switching_class_polynomials` with each count scaled by 2^|F|.  Refuses
     more than SIGNING_EDGE_LIMIT edges, as the enumeration of all signings
     does.
     """
     check_signing_edges(g)
-    per_class = 1 << len(spanning_forest_edges(g))
+    per_class = 1 << (g.n - len(g.components()))
     return tuple(
         (poly, count * per_class) for poly, count in switching_class_polynomials(g)
     )

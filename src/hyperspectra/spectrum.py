@@ -438,16 +438,22 @@ def radius_total_multiplicity(g, k):
 
 
 def radius_cluster_exponent(fsf, g):
-    """The pipeline multiplicity at the cluster containing rho(G)^2."""
+    """The pipeline multiplicity at the cluster containing rho(G)^2.  An
+    edgeless graph has no such cluster, so it is refused."""
+    if g.m == 0:
+        raise ValueError("defined for graphs with an edge")
     rho_sq = spectral_radius(g) ** 2
     return fsf.exponent_near(rho_sq)
 
 
 def convergence_ratio(g, k, ell):
     """Finite-ell approximant 2^(|E|-|V|) k^(|E|(k-3)+|V|) P_{2 ell} / rho^(2 ell)
-    of the total spectral-circle multiplicity."""
+    of the total spectral-circle multiplicity, for a connected graph with
+    an edge (an edgeless one has rho = 0)."""
     if not g.is_connected():
         raise ValueError("defined for connected graphs")
+    if g.m == 0:
+        raise ValueError("defined for graphs with an edge")
     counts = parity_closed_profile(g, 2 * ell)
     rho = Fraction(spectral_radius(g))
     return float(

@@ -23,6 +23,7 @@ from .graphs import (
     cycle_graph,
     parse_graph,
     path_graph,
+    power_hypergraph,
 )
 from .errors import ConsistencyError
 from .signed import all_positive, char_poly_exact
@@ -31,6 +32,10 @@ from .algebra import poly_eval, poly_mul, poly_pow
 SAMPLE_POINTS = (3.0, -3.0, 2.5, -2.5, 1.7, -1.7, 0.3)
 FULL_SCOPE_PIPELINE_EDGE_LIMIT = 8
 DECOMPOSITION_MAX_D = 10
+WALK_METHODS_MAX_D = 10
+RADIUS_MULTIPLICITY_KS = (3, 4)
+RADIUS_CONVERGENCE_K = 3
+RADIUS_CONVERGENCE_ELL = 30
 
 
 class _PipelineCache:
@@ -117,7 +122,8 @@ class VerifyReport(NamedTuple):
         return counts
 
 
-def _check_walk_methods(seeds, ctx, max_d=10):
+def _check_walk_methods(seeds, ctx):
+    max_d = WALK_METHODS_MAX_D
     for g in seeds:
         dp = walks.parity_closed_profile(g, max_d, method="dp")
         mean = walks.parity_closed_profile(g, max_d, method="signed_mean")
@@ -224,8 +230,6 @@ def _check_tree_reduction(seeds, ctx):
 
 
 def _check_trace_formula(_seeds, _ctx):
-    from .graphs import power_hypergraph
-
     k2 = path_graph(2)
     h = power_hypergraph(k2, 3)
     expected = [Fraction(0), Fraction(0), Fraction(9), Fraction(0), Fraction(0), Fraction(9)]
@@ -258,12 +262,12 @@ def _check_multiplicities(seeds, ctx):
     return "pass", f"{checked} (graph, k) systems"
 
 
-def _check_radius_multiplicity(seeds, ctx, ks=(3, 4)):
+def _check_radius_multiplicity(seeds, ctx):
     checked = 0
     for g in seeds:
         if not g.is_connected() or g.m == 0:
             continue
-        for k in ks:
+        for k in RADIUS_MULTIPLICITY_KS:
             fsf = ctx.charpoly(g, k)
             formula = spectrum.spectral_radius_multiplicity(g, k)
             pipeline = spectrum.radius_cluster_exponent(fsf, g)
@@ -374,7 +378,8 @@ def _check_amgm(seeds, ctx):
     return "pass", f"{results['pass']} comparisons, {results['skipped']} skipped"
 
 
-def _check_radius_convergence(_seeds, _ctx, k=3, ell=30):
+def _check_radius_convergence(_seeds, _ctx):
+    k, ell = RADIUS_CONVERGENCE_K, RADIUS_CONVERGENCE_ELL
     for g in (path_graph(2), path_graph(3), cycle_graph(3)):
         ratio = spectrum.convergence_ratio(g, k, ell)
         target = spectrum.radius_total_multiplicity(g, k)

@@ -5,7 +5,9 @@ over `Fraction` polynomials for the integer gcd-free basis of
 `hyperspectra.algebra`, the inverse Newton recurrence, a brute-force
 isomorphism test and subset enumeration for the motif census, vertex
 subset enumeration for the induced census, every permutation for the
-automorphism orbits, the parity DP from every start vertex, subset
+automorphism orbits, breadth- and depth-first search for the components of
+a graph and the connectivity of a digraph's support, every switching for
+balance, the parity DP from every start vertex, subset
 inclusion-exclusion over it for the covering walk counts, the
 vertex-deletion sum over all vertex sets for the k=3 moments, and cyclic
 Jacobi rotations in floats for the real spectra read off exact
@@ -213,6 +215,55 @@ def automorphism_orbits(g):
     return tuple(sorted({tuple(sorted(orbit)) for orbit in orbit_of.values()}))
 
 
+def components_bfs(g):
+    """Sorted vertex lists of the connected components, by least vertex,
+    by breadth-first search."""
+    nbrs = g.neighbors()
+    seen = set()
+    out = []
+    for root in range(g.n):
+        if root not in seen:
+            seen.add(root)
+            component = [root]
+            for u in component:  # read while it grows: breadth first
+                fresh = [w for w in nbrs[u] if w not in seen]
+                seen.update(fresh)
+                component.extend(fresh)
+            out.append(sorted(component))
+    return out
+
+
+def is_connected_on_support_dfs(d):
+    """Whether the vertices of a Multidigraph that carry an arc are
+    nonempty and connected, arcs read both ways, by depth-first search."""
+    support = d.support_vertices()
+    if not support:
+        return False
+    nbrs = {v: set() for v in support}
+    for (u, v), _ in d.arcs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    seen = {support[0]}
+    stack = [support[0]]
+    while stack:
+        x = stack.pop()
+        for w in nbrs[x]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(support)
+
+
+def is_balanced_by_switching(sg):
+    """Whether one of the 2^n switchings by a +-1 diagonal makes every
+    edge sign +1."""
+    edges = sg.base.edges
+    return any(
+        all(s * diag[u] * diag[v] == 1 for s, (u, v) in zip(sg.signs, edges))
+        for diag in itertools.product((1, -1), repeat=sg.base.n)
+    )
+
+
 def parity_profile_all_starts(g, max_d):
     """Parity-closed walk counts for every length 0..max_d, by the bitmask
     DP run from every start vertex: a walk's state is its end and the mask
@@ -243,7 +294,7 @@ def connected_edge_subsets_brute(g, max_edges):
     for size in range(1, max_edges + 1):
         for combo in itertools.combinations(range(g.m), size):
             sub = g.subgraph_of_edges(combo)
-            if sub.is_connected():
+            if len(components_bfs(sub)) == 1:
                 out.append(frozenset(combo))
     return out
 
@@ -255,7 +306,7 @@ def connected_vertex_sets_brute(g):
         sum(1 << v for v in vs)
         for size in range(2, g.n + 1)
         for vs in itertools.combinations(range(g.n), size)
-        if g.induced(vs).is_connected()
+        if len(components_bfs(g.induced(vs))) == 1
     ]
 
 

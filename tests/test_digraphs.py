@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperspectra.digraphs import (
     Multidigraph,
@@ -26,10 +28,25 @@ from hyperspectra.graphs import (
 )
 from hyperspectra.spectrum import script_S
 from hyperspectra.walks import covering_parity_closed_count
+from oracles import is_connected_on_support_dfs
+from test_signed import small_graphs
 
 TWO_CYCLE = Multidigraph(2, (((0, 1), 1), ((1, 0), 1)))
 TRIANGLE = Multidigraph(3, (((0, 1), 1), ((1, 2), 1), ((2, 0), 1)))
 DOUBLED = Multidigraph(2, (((0, 1), 2), ((1, 0), 2)))
+
+
+@st.composite
+def arc_sets(draw):
+    """Multidigraphs whose arcs run along the edges of a `small_graphs`
+    graph, each edge one way, the other way or both, with multiplicities 1-3:
+    empty arc sets and isolated vertices included."""
+    g = draw(small_graphs())
+    arcs = []
+    for u, v in g.edges:
+        for arc in draw(st.sampled_from((((u, v),), ((v, u),), ((u, v), (v, u))))):
+            arcs.append((arc, draw(st.integers(1, 3))))
+    return Multidigraph(g.n, tuple(arcs))
 
 
 def brute_in_trees(d, root):
@@ -131,6 +148,12 @@ class TestEulerianWalks:
 
 
 class TestLiftReduce:
+    def test_core_layout_follows_every_base_vertex(self):
+        # vertex 1 carries no arc but still comes before the cores
+        dstar = Multidigraph(4, (((3, 2), 1), ((0, 2), 1), ((2, 0), 1)))
+        assert lift_core_map(dstar, 3) == ((0, 2, (4,)), (2, 3, (5,)))
+        assert lift_core_map(dstar, 4) == ((0, 2, (4, 5)), (2, 3, (6, 7)))
+
     def test_k2_symmetric_lift(self):
         lifted = lift_from_core(TWO_CYCLE, 3)
         expected = {
@@ -239,6 +262,17 @@ class TestMultidigraphValidation:
         assert d.out_degree(0) == 2 and d.in_degree(0) == 1
         assert d.support_edges() == [(0, 1), (0, 2), (1, 2)]
         assert not d.is_eulerian()
+
+    @given(arc_sets())
+    def test_support_connectivity_matches_depth_first_search(self, d):
+        assert d.is_connected_on_support() == is_connected_on_support_dfs(d)
+
+    def test_support_connectivity_ignores_isolated_vertices(self):
+        assert not Multidigraph(3, ()).is_connected_on_support()
+        assert not Multidigraph(0, ()).is_connected_on_support()
+        assert Multidigraph(5, (((3, 1), 1),)).is_connected_on_support()
+        apart = Multidigraph(5, (((0, 1), 1), ((3, 4), 1)))
+        assert not apart.is_connected_on_support()
 
 
 class TestTreeReduction:

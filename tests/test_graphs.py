@@ -30,6 +30,7 @@ from hyperspectra.graphs import (
 from oracles import (
     are_isomorphic,
     automorphism_orbits,
+    components_bfs,
     connected_edge_subsets_brute,
     connected_vertex_sets_brute,
 )
@@ -433,6 +434,15 @@ class TestCensus:
             set(entry) == {"certificate", "edges", "vertices", "count"}
             for entry in payload
         )
+
+
+class TestComponents:
+    @given(small_graphs())
+    def test_union_find_matches_breadth_first_search(self, g):
+        components = g.components()
+        assert components == components_bfs(g)
+        assert g.is_connected() == (len(components) <= 1)
+        assert g.is_forest() == (g.m == g.n - len(components))
 
 
 class TestPowerHypergraph:

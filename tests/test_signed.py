@@ -38,7 +38,7 @@ from hyperspectra.signed import (
 )
 from hyperspectra.spectrum import beta, char_poly_power
 from hyperspectra.walks import parity_closed_profile
-from oracles import jacobi_eigenvalues
+from oracles import is_balanced_by_switching, jacobi_eigenvalues
 
 K2 = path_graph(2)
 P3 = path_graph(3)
@@ -94,6 +94,42 @@ def small_graphs(draw, max_m=8):
     return Graph(n, tuple(chosen))
 
 
+class TestSwitchingRepresentatives:
+    """The representatives fix the BFS spanning forest (roots and
+    neighbours ascending) to +1, so `signed --up-to-switching` prints these."""
+
+    def test_cycle4(self):
+        assert _representatives(cycle_graph(4)) == [(1, 1, 1, 1), (1, 1, 1, -1)]
+
+    def test_complete4(self):
+        # the forest is the star at 0; (1,2), (1,3), (2,3) are free
+        assert _representatives(complete_graph(4)) == [
+            (1, 1, 1, s12, s13, s23)
+            for s12, s13, s23 in itertools.product((1, -1), repeat=3)
+        ]
+
+    def test_tadpole_4_4(self):
+        # C4 with a 4-edge tail at vertex 0; (1, 2) closes the cycle
+        t44 = Graph(8, cycle_graph(4).edges + ((0, 4), (4, 5), (5, 6), (6, 7)))
+        assert _representatives(t44) == [
+            (1, 1, 1, 1, 1, 1, 1, 1),
+            (1, 1, 1, 1, -1, 1, 1, 1),
+        ]
+
+    def test_two_components_and_an_isolated_vertex(self):
+        g = Graph(8, C3.edges + tuple((u + 3, v + 3) for u, v in cycle_graph(4).edges))
+        assert _representatives(g) == [
+            (1, 1, 1, 1, 1, 1, 1),
+            (1, 1, 1, 1, 1, 1, -1),
+            (1, 1, -1, 1, 1, 1, 1),
+            (1, 1, -1, 1, 1, 1, -1),
+        ]
+
+
+def _representatives(g):
+    return [sg.signs for sg in enumerate_signings(g, up_to_switching=True)]
+
+
 class TestSigningTable:
     @given(small_graphs())
     def test_table_counts_every_signing(self, g):
@@ -102,6 +138,9 @@ class TestSigningTable:
             tuple(char_poly_exact(sg)) for sg in enumerate_signings(g)
         )
         assert sum(count for _, count in table) == 2**g.m
+        # each switching class holds 2^|F| signings, F the BFS forest, whose
+        # size |V| - components the table's scale reads
+        assert len(spanning_forest_edges(g)) == g.n - len(g.components())
         assert parity_closed_profile(g, 10, "dp") == parity_closed_profile(
             g, 10, "signed_mean"
         )
@@ -223,6 +262,11 @@ class TestBalance:
                 continue
             for sg in enumerate_signings(g):
                 assert is_balanced(sg)
+
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_balance_matches_every_switching(self, g, rng):
+        sg = SignedGraph(g, tuple(rng.choice((1, -1)) for _ in g.edges))
+        assert is_balanced(sg) == is_balanced_by_switching(sg)
 
     def test_balance_matches_switching_class_of_all_positive(self):
         for sg in enumerate_signings(C3):

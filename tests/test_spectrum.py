@@ -378,6 +378,11 @@ class TestRadiusMultiplicity:
         with pytest.raises(ValueError, match="defined for connected graphs"):
             spectral_radius_multiplicity(Graph(2, ()), 3)
 
+    def test_edgeless_graph_has_no_radius_cluster(self):
+        single = Graph(1, ())
+        with pytest.raises(ValueError, match="defined for graphs with an edge"):
+            radius_cluster_exponent(char_poly_power(single, 3), single)
+
     def test_k2_at_k4_matches_pipeline(self):
         assert spectral_radius_multiplicity(K2, 4) == 16
         fsf = char_poly_power(K2, 4)
@@ -770,6 +775,11 @@ class TestConvergence:
             ratio = convergence_ratio(g, 3, 30)
             target = radius_total_multiplicity(g, 3)
             assert abs(ratio - target) <= 0.05 * target
+
+    def test_edgeless_graph_is_refused(self):
+        # rho = 0, so the ratio would divide by zero
+        with pytest.raises(ValueError, match="defined for graphs with an edge"):
+            convergence_ratio(Graph(1, ()), 3, 5)
 
     def test_k2_is_exact(self):
         assert convergence_ratio(K2, 3, 10) == pytest.approx(9.0, rel=1e-9)
