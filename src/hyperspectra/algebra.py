@@ -376,3 +376,42 @@ def det_bareiss(mat):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def mat_rank_mod_p(mat):
+    """Rank of an integer matrix modulo the prime p = 2^61 - 1, by Gaussian
+    elimination over that field.  A nonzero minor mod p is nonzero over the
+    integers, so the rank over Q is at least this.
+
+    Each row is packed into one integer, entry j in bits [j w, (j+1) w),
+    so a row operation is one big-integer multiply and add.  Entries are
+    kept nonnegative and reduced only when read: a row takes at most one
+    update per pivot, each adding less than p^2 to an entry, so with
+    w = 2 * 61 + bits(rows) + 1 no entry carries into the next.  Each pivot
+    row is reduced before use."""
+    p = (1 << 61) - 1
+    cols = len(mat[0]) if mat else 0
+    width = 2 * p.bit_length() + len(mat).bit_length() + 1
+    mask = (1 << width) - 1
+
+    def pack(values):
+        return sum((v % p) << (width * j) for j, v in enumerate(values))
+
+    def entry(row, j):
+        return (row >> (width * j) & mask) % p
+
+    rows = [pack(row) for row in mat]
+    rank = 0
+    for col in range(cols):
+        at = next((i for i in range(rank, len(rows)) if entry(rows[i], col)), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        pivot = pack([entry(rows[rank], j) for j in range(cols)])
+        inverse = pow(entry(pivot, col), -1, p)
+        for i in range(rank + 1, len(rows)):
+            factor = entry(rows[i], col) * inverse % p
+            if factor:
+                rows[i] += (p - factor) * pivot
+        rank += 1
+    return rank

@@ -22,10 +22,11 @@ roots sigma^2 of each b, each the double nearest to the exact root: an
 integer Sturm sequence isolates it and bisection at dyadic points narrows it
 until its interval rounds to one double.  `abs_power` evaluates |f(x)|^n
 exactly, so beta's identities are checked in rationals.  Each result is
-checked against exact moments from walk counts, not signed spectra.  At k = 3
-and for beta the moments come by vertex deletion, one route for both, and the
-check runs to the total degree D of the regime's basis, which pins every
-multiplicity; at k >= 4 it stops at ell <= min(2 D, 8), which does not.
+checked against exact moments from walk counts, not signed spectra, by one
+route for every k: vertex and edge deletion, one parity profile per group.
+The check runs to the rank of the power-sum matrix of the regime's basis
+(its size when that matrix is nonsingular mod 2^61 - 1, else its total
+degree), which pins every multiplicity.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 from typing import NamedTuple
 
 from .algebra import (
     basis_exponents,
     coprime_basis,
+    mat_rank_mod_p,
     poly_eval,
     power_sums_from_charpoly,
     real_roots,
@@ -177,49 +180,57 @@ def _spectra(g, regime):
     return groups, exponents, basis
 
 
-def _power_moments(g, k, top, groups):
-    """[S_k, S_2k, ..., S_{top k}] of the k-power of g from its classes of
-    connected edge subsets (all those of at most top edges) and one covering
-    profile per class."""
-    totals = [Fraction(0)] * top
-    for h, subsets in groups:
-        if h.m > top:
-            break
-        weight = power_moment_prefactor(h.n, h.m, k)
-        profile = covering_parity_profile(h, 2 * top)[2::2]
-        totals = [t + weight * p * len(subsets) for t, p in zip(totals, profile)]
-    prefactor = Fraction(k - 1) ** (g.n + g.m * (k - 2) - 1)
-    return [prefactor * total for total in totals]
-
-
 def _deletion_moments(g, k, top, groups):
-    """[S_k, S_2k, ..., S_{top k}] of the k-power of g, k = 2 or 3, by vertex
-    deletion, from the groups of connected induced subgraphs whose weight can
-    be nonzero (`_spectra(g, k)`) and one parity profile per group.
+    """[S_k, S_2k, ..., S_{top k}] of the k-power of g (k >= 2) by vertex
+    and edge deletion, from the groups of `_spectra(g, min(k, 4))` and one
+    parity profile per group.
 
-    At k = 2 and k = 3 the prefactor D_k(v, e) is (k-1) r^v with r =
-    k / (2 (k-1)) and no edge factor, so a parity-closed walk w weighs
-    (k-1)^(n+(k-2)m) r^|V(w)|.  Writing r^|V(w)| as the sum, over the vertex
-    sets X that w avoids, of (1-r)^|X| r^(n-|X|) and grouping by the
-    components U of G-X gives S_{k ell} = (k-1)^(n+(k-2)m) sum_U r^|U|
-    (1-r)^|N(U)-U| P_{G[U]}(2 ell) over the connected induced U (a single
-    vertex has no walk of positive length).  At k = 3, r = 3/4; at k = 2,
-    r = 1, so only the components of g remain and the prefactor is 1.
+    The prefactor D_k(v, e) is (k-1) r^v s^e with r = k / (2 (k-1)) and
+    s = 2 k^(k-3) / (k-1)^(k-2), so a parity-closed walk w weighs
+    (k-1)^(n+(k-2)m) r^|V(w)| s^|E(w)|.  Write r^|V(w)| as the sum, over
+    the vertex sets X that w avoids, of (1-r)^|X| r^(n-|X|), and s^|E(w)|
+    likewise over the edge sets Y it avoids, and group by the component C
+    of G - X - Y that holds w.  C is a component exactly when every further
+    edge inside V(C) is in Y and each outside vertex u joined to V(C) by
+    t_u edges is in X or keeps all t_u of them in Y, so
+    S_{k ell} = (k-1)^(n+(k-2)m) sum_C r^|V(C)| s^|E(C)| (1-s)^x
+    prod_u (1 - r + r (1-s)^t_u) P_C(2 ell), with x the further edges
+    inside V(C).  At k = 3, s = 1: only induced C remain, and each outside
+    neighbour gives 1 - r = 1/4.  At k = 2, r = 1 as well, so only the
+    components of g remain and the prefactor is 1.  The weights come from
+    r, s and these counts alone, not from the `_covering_weight` that
+    `_exponents` reads, so an error in one cannot cancel in the check.
     """
     r = Fraction(k, 2 * (k - 1))
-    q = 1 - r
-    nbrs = g.neighbors()
-    totals = [Fraction(0)] * top
+    s = 2 * Fraction(k) ** (k - 3) / Fraction(k - 1) ** (k - 2)
+    weighted = []
     for h, subsets in groups:
-        boundaries = Counter()
+        shapes = Counter()
         for subset in subsets:
             inside = {x for i in subset for x in g.edges[i]}
-            boundaries[len({w for v in inside for w in nbrs[v]} - inside)] += 1
-        weight = r**h.n * sum(c * q**b for b, c in boundaries.items())
-        profile = parity_closed_profile(h, 2 * top)[2::2]
-        totals = [t + weight * p for t, p in zip(totals, profile)]
+            further, joins = 0, Counter()
+            for i, (a, b) in enumerate(g.edges):
+                if i in subset:
+                    continue
+                if a in inside and b in inside:
+                    further += 1
+                elif a in inside or b in inside:
+                    joins[b if a in inside else a] += 1
+            shapes[further, tuple(sorted(joins.values()))] += 1
+        weight = r**h.n * s**h.m * sum(
+            c * (1 - s) ** x * prod(1 - r + r * (1 - s) ** t for t in ts)
+            for (x, ts), c in shapes.items()
+        )
+        if weight:
+            weighted.append((weight, parity_closed_profile(h, 2 * top)[2::2]))
+    # integer sums over one common denominator
+    den = lcm(*(w.denominator for w, _ in weighted))
+    totals = [0] * top
+    for w, profile in weighted:
+        scale = w.numerator * (den // w.denominator)
+        totals = [t + scale * p for t, p in zip(totals, profile)]
     prefactor = (k - 1) ** (g.n + (k - 2) * g.m)
-    return [prefactor * total for total in totals]
+    return [Fraction(prefactor * total, den) for total in totals]
 
 
 def script_S(g, d, k):
@@ -235,9 +246,14 @@ def script_S(g, d, k):
         return Fraction(_degree(g, k))
     if d % k != 0:
         return Fraction(0)
-    # to d / k edges only, to reach graphs too large for the full census
-    groups = connected_subgraph_classes(g, min(d // k, g.m)) if g.m else ()
-    return _power_moments(g, k, d // k, groups)[-1]
+    # walks of length 2 d / k cover at most d / k edges, so the census stops
+    # there, to reach graphs too large for the full census
+    top = d // k
+    total = Fraction(0)
+    for h, subsets in connected_subgraph_classes(g, min(top, g.m)) if g.m else ():
+        count = covering_parity_profile(h, 2 * top)[2 * top]
+        total += power_moment_prefactor(h.n, h.m, k) * count * len(subsets)
+    return Fraction(k - 1) ** (g.n + g.m * (k - 2) - 1) * total
 
 
 def _degree(g, k):
@@ -325,29 +341,41 @@ def _factors(pairs):
 
 def check_moment_identity(g, fsf):
     """Check a factored result against the exact moments, in Fractions:
-    k sum_b mu_b p_ell(b) = S_{ell k}, or 2 sum_b mu_b p_ell(b) = P_{2 ell}
-    for beta, where p_ell(b) is the ell-th power sum of the roots of b.
+    mu0 + k sum_b mu_b deg(b) is the degree of the characteristic
+    polynomial (ell = 0), and k sum_b mu_b p_ell(b) = S_{ell k}, or
+    2 sum_b mu_b p_ell(b) = P_{2 ell} for beta, where p_ell(b) is the ell-th
+    power sum of the roots of b.  Every b must be in the basis Sigma of g
+    in the regime (`_spectra`), and the S_{k ell} come from
+    `_deletion_moments`: walk counts, not signed spectra.
 
-    With D the total degree of the basis of g in the regime (`_spectra`),
-    the check runs to ell <= D.  The basis roots are D distinct nonzero
-    numbers, so the rows [r^ell] (ell <= D) form a nonsingular Vandermonde
-    matrix times diag(r), and D moments pin every exponent.  At k = 2 and
-    k = 3 the S_{k ell} come from `_deletion_moments` (vertex deletion, one
-    parity profile per group).  At k >= 4 they come from one covering
-    profile per class of the full census, for ell <= min(2 D, 8); that cap
-    does not pin every exponent.  Raises ConsistencyError on a mismatch."""
+    The check runs to ell <= L, read from the basis, not from the result.
+    Each p_ell(b) is an integer, since b is monic with integer
+    coefficients, so when the |Sigma| x |Sigma| matrix [p_ell(b)] is
+    nonsingular mod 2^61 - 1 it is nonsingular over Q, and L = |Sigma|
+    moments pin every exponent.  Otherwise L is the total degree D of the
+    basis: its roots are D distinct nonzero numbers, so the rows [x^ell]
+    (ell <= D) form a nonsingular Vandermonde matrix times diag(x).
+    Raises ConsistencyError on a mismatch."""
     k = fsf.k
     groups, _, basis = _spectra(g, min(k, 4))
-    top = sum(len(b) - 1 for b in basis)
-    if k <= 3:
-        moments = _deletion_moments(g, k, top, groups)
-    else:
-        top = min(2 * top, 8)
-        moments = _power_moments(g, k, top, groups)
     mu_of = {f.b: Fraction(f.mu) for f in fsf.factors}
-    sums = {b: power_sums_from_charpoly(b, top) for b in mu_of}
-    for ell, rhs in enumerate(moments, start=1):
-        lhs = k * sum(mu * sums[b][ell] for b, mu in mu_of.items())
+    members = set(basis)
+    for b in mu_of:
+        if b not in members:
+            raise ConsistencyError(f"factor {b} is not in the basis of g at k={k}")
+    degree = fsf.mu0 + k * sum(mu * (len(b) - 1) for b, mu in mu_of.items())
+    if degree != _degree(g, k):
+        raise ConsistencyError(
+            f"moment identity fails at ell=0: degree {degree} != {_degree(g, k)}"
+        )
+    top = len(basis)
+    sums = [power_sums_from_charpoly(b, top) for b in basis]
+    if mat_rank_mod_p([[p[ell] for p in sums] for ell in range(1, top + 1)]) < top:
+        top = sum(len(b) - 1 for b in basis)
+        sums = [power_sums_from_charpoly(b, top) for b in basis]
+    mu = [mu_of.get(b, 0) for b in basis]
+    for ell, rhs in enumerate(_deletion_moments(g, k, top, groups), start=1):
+        lhs = k * sum(m * p[ell] for m, p in zip(mu, sums) if m)
         if lhs != rhs:
             raise ConsistencyError(
                 f"moment identity fails at ell={ell}: {lhs} != {rhs}"

@@ -249,16 +249,18 @@ def _check_trace_formula(_seeds, _ctx):
 
 
 def _check_multiplicities(seeds, ctx):
-    """Fails when a check that char_poly_power runs on its result raises."""
+    """Fails when a check that char_poly_power runs on its result raises, at
+    each k of the radius check, which then reads the same memoised results."""
     checked = 0
     for g in seeds:
         if not g.is_connected() or g.m == 0:
             continue
-        try:
-            ctx.charpoly(g, 3)
-        except ConsistencyError as exc:
-            return "fail", f"{exc} on {g} at k=3"
-        checked += 1
+        for k in RADIUS_MULTIPLICITY_KS:
+            try:
+                ctx.charpoly(g, k)
+            except ConsistencyError as exc:
+                return "fail", f"{exc} on {g} at k={k}"
+            checked += 1
     return "pass", f"{checked} (graph, k) systems"
 
 

@@ -2,14 +2,15 @@
 
 Each is a slow or rational-arithmetic twin of a production routine: Euclid
 over `Fraction` polynomials for the integer gcd-free basis of
-`hyperspectra.algebra`, the inverse Newton recurrence, a brute-force
+`hyperspectra.algebra`, the inverse Newton recurrence, Gauss-Jordan
+elimination in `Fraction`s for the rank mod p, a brute-force
 isomorphism test and subset enumeration for the motif census, vertex
 subset enumeration for the induced census, every permutation for the
 automorphism orbits, breadth- and depth-first search for the components of
 a graph and the connectivity of a digraph's support, every switching for
 balance, the parity DP from every start vertex, subset
 inclusion-exclusion over it for the covering walk counts, the
-vertex-deletion sum over all vertex sets for the k=3 moments, and cyclic
+deletion sum over all vertex and edge sets for the moments, and cyclic
 Jacobi rotations in floats for the real spectra read off exact
 polynomials.
 """
@@ -157,6 +158,23 @@ def charpoly_from_power_sums(sums, n):
             acc += (-1) ** (i - 1) * e[j - i] * sums[i]
         e[j] = acc / j
     return [(-1) ** (n - i) * e[n - i] for i in range(n + 1)]
+
+
+def rank_over_q(mat):
+    """Rank of an integer matrix by Gauss-Jordan elimination in Fractions."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        at = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +328,34 @@ def connected_vertex_sets_brute(g):
     ]
 
 
-def vertex_deletion_moments(g, top):
-    """[S_3, S_6, ..., S_{3 top}] of the 3-power of g by the brute-force
-    vertex-deletion sum over all 2^n vertex sets X:
-    S_{3 ell} = 2^(n+m) sum_X (1/4)^|X| (3/4)^(n-|X|) P_{G-X}(2 ell)."""
+def deletion_moments(g, k, top):
+    """[S_k, S_2k, ..., S_{top k}] of the k-power of g by the brute-force
+    deletion sum over every vertex set X and every edge set Y:
+    S_{k ell} = (k-1)^(n+(k-2)m) sum_{X, Y} (1-r)^|X| r^(n-|X|) (1-s)^|Y|
+    s^(m-|Y|) P_{G-X-Y}(2 ell), with r = k / (2 (k-1)) and
+    s = 2 k^(k-3) / (k-1)^(k-2).  Sets of weight 0 are skipped: every
+    nonempty Y when s = 1 (k = 2, 3), every nonempty X when r = 1 (k = 2)."""
+    r = Fraction(k, 2 * (k - 1))
+    s = Fraction(2) * Fraction(k) ** (k - 3) / Fraction(k - 1) ** (k - 2)
+
+    def subsets(items, full):
+        sizes = range(len(items) + 1) if full else (0,)
+        return [c for size in sizes for c in itertools.combinations(items, size)]
+
+    weights = {}
+    for xs in subsets(range(g.n), r != 1):
+        for ys in subsets(range(g.m), s != 1):
+            kept = tuple(
+                e for i, e in enumerate(g.edges) if i not in ys and not set(e) & set(xs)
+            )
+            weight = (1 - r) ** len(xs) * r ** (g.n - len(xs))
+            weight *= (1 - s) ** len(ys) * s ** (g.m - len(ys))
+            weights[kept] = weights.get(kept, 0) + weight
     totals = [Fraction(0)] * top
-    for size in range(g.n + 1):
-        weight = Fraction(1, 4) ** size * Fraction(3, 4) ** (g.n - size)
-        for removed in itertools.combinations(range(g.n), size):
-            rest = g.induced(set(range(g.n)) - set(removed))
-            profile = parity_profile_all_starts(rest, 2 * top)[2::2]
-            totals = [t + weight * p for t, p in zip(totals, profile)]
-    return [2 ** (g.n + g.m) * t for t in totals]
+    for kept, weight in weights.items():
+        profile = parity_profile_all_starts(Graph(g.n, kept), 2 * top)[2::2]
+        totals = [t + weight * p for t, p in zip(totals, profile)]
+    return [(k - 1) ** (g.n + (k - 2) * g.m) * t for t in totals]
 
 
 def covering_parity_profile_by_subsets(motif, max_d):

@@ -12,6 +12,7 @@ from hyperspectra.algebra import (
     coprime_basis,
     det_bareiss,
     mat_power_traces,
+    mat_rank_mod_p,
     poly_eval,
     poly_gcd,
     poly_mul,
@@ -204,3 +205,29 @@ class TestMatrices:
 
     def test_det_empty(self):
         assert det_bareiss([]) == 1
+
+    def test_rank_mod_p(self):
+        assert mat_rank_mod_p([]) == 0
+        assert mat_rank_mod_p([[0, 1], [1, 0]]) == 2
+        assert mat_rank_mod_p([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+        # 2^61 - 1 itself is 0 in the field
+        assert mat_rank_mod_p([[(1 << 61) - 1, 0], [0, 1]]) == 1
+
+    @given(st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(-2, 2), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0],
+        )
+    ))
+    def test_rank_mod_p_is_the_rank_over_q(self, mat):
+        # every minor here is far below 2^61 - 1 in absolute value, so no
+        # nonzero minor vanishes mod p
+        assert mat_rank_mod_p(mat) == oracles.rank_over_q(mat)
+
+    def test_rank_mod_p_of_a_large_matrix(self):
+        # a Vandermonde matrix on 2..41, entries past 2^61: its determinant is
+        # a product of differences below 40, so it is nonsingular mod p
+        mat = [[x**j for j in range(40)] for x in range(2, 42)]
+        assert mat_rank_mod_p(mat) == 40
+        mat[7] = [a - 2 * b for a, b in zip(mat[3], mat[5])]
+        assert mat_rank_mod_p(mat) == oracles.rank_over_q(mat) == 39

@@ -38,7 +38,7 @@ from hyperspectra.spectrum import (
     spectral_radius_multiplicity,
 )
 from hyperspectra.walks import covering_parity_profile, parity_closed_profile
-from oracles import vertex_deletion_moments
+from oracles import deletion_moments
 from test_graphs import small_graphs as census_graphs
 from test_signed import small_graphs
 
@@ -307,6 +307,21 @@ class TestCharPolyPower:
         with pytest.raises(ConsistencyError):
             check_moment_identity(K2, fsf._replace(factors=(), mu0=12))
 
+    def test_moment_check_reads_the_degree(self):
+        # ell = 0: mu0 + k sum_b mu_b deg(b) is the degree of the
+        # characteristic polynomial, which no other row sees
+        fsf = char_poly_power(K2, 3)
+        with pytest.raises(ConsistencyError, match="ell=0:"):
+            check_moment_identity(K2, fsf._replace(mu0=fsf.mu0 + 1))
+
+    def test_moment_check_refuses_a_factor_outside_the_basis(self):
+        # the rank argument covers the basis roots only, so even an exponent
+        # of 0 on another root is refused
+        fsf = char_poly_power(C3, 3)
+        extra = spectrum.SpectralFactor(2.0, 0, (-2, 1))
+        with pytest.raises(ConsistencyError, match=r"\(-2, 1\) is not in the basis"):
+            check_moment_identity(C3, fsf._replace(factors=fsf.factors + (extra,)))
+
     def test_hopeless_cycle_rank_refused_before_the_census(self):
         # K8 has cycle rank 28 - 8 + 1 = 21, past the signing limit of 20;
         # the census of its connected edge subsets never starts
@@ -529,14 +544,25 @@ def _kernel_vector(rows):
     return v
 
 
+def _shifted(fsf, shift):
+    """fsf with each exponent mu_b moved by shift[b], and mu0 moved so that
+    the total degree, the ell = 0 row of the check, stays the same."""
+    mu = {f.b: f.mu + shift[f.b] for f in fsf.factors}
+    mu0 = fsf.mu0 - fsf.k * sum(shift[b] * (len(b) - 1) for b in mu)
+    return mu, fsf._replace(
+        mu0=mu0, factors=tuple(f._replace(mu=mu[f.b]) for f in fsf.factors)
+    )
+
+
 class TestBetaMomentCheck:
     @pytest.mark.parametrize(
         "g, size", [(complete_graph(4), 3), (complete_graph(5), 5), (PETERSEN, 6)]
     )
     def test_check_pins_every_exponent(self, g, size):
         # exponents shifted along the kernel of the first |Sigma| - 1 moment
-        # rows [p_ell(b)] keep those moments; the check, which runs to the
-        # total degree of beta's basis, still refuses them
+        # rows [p_ell(b)], with mu0 keeping the degree, keep those moments;
+        # the check, which runs to the rank |Sigma| of beta's basis, still
+        # refuses them
         fsf = beta(g)
         basis = list(dict.fromkeys(f.b for f in fsf.factors))
         assert len(basis) == size
@@ -544,13 +570,10 @@ class TestBetaMomentCheck:
         shift = dict(zip(basis, _kernel_vector(
             [[sums[b][ell] for b in basis] for ell in range(1, size)]
         )))
-        mu = {f.b: Fraction(f.mu) + shift[f.b] for f in fsf.factors}
+        mu, shifted = _shifted(fsf, shift)
         moments = parity_closed_profile(g, 2 * (size - 1))
         for ell in range(1, size):
             assert 2 * sum(mu[b] * sums[b][ell] for b in basis) == moments[2 * ell]
-        shifted = fsf._replace(
-            factors=tuple(f._replace(mu=mu[f.b]) for f in fsf.factors)
-        )
         with pytest.raises(ConsistencyError, match=f"ell={size}:"):
             check_moment_identity(g, shifted)
 
@@ -573,62 +596,136 @@ class TestK2MomentCheck:
             assert spectrum._deletion_moments(g, 2, 8, groups) == expected, g
 
 
+def _recorded_tops(monkeypatch):
+    """The top of every `_deletion_moments` call, as the check makes them."""
+    tops = []
+    moments = spectrum._deletion_moments
+
+    def recorded(g, k, top, groups):
+        tops.append(top)
+        return moments(g, k, top, groups)
+
+    monkeypatch.setattr(spectrum, "_deletion_moments", recorded)
+    return tops
+
+
+def _kernel_shift(g, fsf, basis, rows):
+    """fsf with the exponents of basis shifted along an integer kernel
+    vector of the moment rows [p_ell(b)], ell = 1..rows, and the degree
+    kept; the shifted exponents still give the exact moments S_{k ell} of
+    those rows."""
+    sums = {b: power_sums_from_charpoly(b, rows) for b in {f.b for f in fsf.factors}}
+    kernel = _kernel_vector([[sums[b][ell] for b in basis] for ell in range(1, rows + 1)])
+    scale = math.lcm(*(x.denominator for x in kernel))
+    ints = [int(x * scale) for x in kernel]
+    shift = dict.fromkeys(sums, 0)
+    shift.update(zip(basis, (x // math.gcd(*ints) for x in ints)))
+    mu, shifted = _shifted(fsf, shift)
+    groups = spectrum._spectra(g, min(fsf.k, 4))[0]
+    moments = spectrum._deletion_moments(g, fsf.k, rows, groups)
+    for ell in range(1, rows + 1):
+        assert fsf.k * sum(m * sums[b][ell] for b, m in mu.items()) == moments[ell - 1]
+    return mu, shifted
+
+
+class TestDeletionMoments:
+    """`_deletion_moments` against the brute-force sum over every vertex
+    and edge set, and against the covering route of `script_S`."""
+
+    def test_matches_the_sum_over_every_vertex_and_edge_set(self, desk_corpus):
+        for g in desk_corpus:
+            if g.n + g.m > 12:
+                continue
+            for k in range(2, 7):
+                groups = spectrum._spectra(g, min(k, 4))[0]
+                brute = deletion_moments(g, k, 5)
+                assert spectrum._deletion_moments(g, k, 5, groups) == brute, (g, k)
+
+    @settings(max_examples=30)
+    @given(small_graphs(), st.sampled_from([4, 5, 6]))
+    def test_matches_the_covering_route(self, g, k):
+        groups = connected_subgraph_classes(g, g.m) if g.m else ()
+        covering = [script_S(g, k * ell, k) for ell in range(1, 9)]
+        assert spectrum._deletion_moments(g, k, 8, groups) == covering
+
+
 class TestK3MomentCheck:
-    """At k=3 the check reads S_{3 ell} by vertex deletion, to the total
-    degree D of the basis of g's connected induced classes."""
+    """At k=3 the check reads S_{3 ell} by vertex deletion, to the rank of
+    the power-sum matrix of the basis of g's connected induced classes."""
 
     def test_vertex_deletion_matches_the_covering_route(self, desk_corpus):
         # the brute-force sum over all 2^n vertex sets, the covering walk
-        # moments of the full census and the check's induced-class moments
+        # moments of `script_S` and the check's induced-class moments
         for g in desk_corpus:
-            brute = vertex_deletion_moments(g, 6)
-            census = spectrum._spectra(g, 4)[0]
-            assert brute == spectrum._power_moments(g, 3, 6, census), g
+            brute = deletion_moments(g, 3, 6)
+            assert brute == [script_S(g, 3 * ell, 3) for ell in range(1, 7)], g
             induced = spectrum._spectra(g, 3)[0]
             assert brute == spectrum._deletion_moments(g, 3, 6, induced), g
 
     @pytest.mark.parametrize("g", [complete_graph(5), PETERSEN])
     def test_vertex_deletion_matches_the_covering_route_to_8(self, g):
-        brute = vertex_deletion_moments(g, 8)
-        census = connected_subgraph_classes(g, 8)
-        assert brute == spectrum._power_moments(g, 3, 8, census)
+        brute = deletion_moments(g, 3, 8)
+        assert brute == [script_S(g, 3 * ell, 3) for ell in range(1, 9)]
         induced = spectrum._spectra(g, 3)[0]
         assert brute == spectrum._deletion_moments(g, 3, 8, induced)
 
-    def test_check_runs_to_the_total_degree(self, monkeypatch):
-        tops = []
-        moments = spectrum._deletion_moments
-
-        def recorded(g, k, top, classes):
-            tops.append(top)
-            return moments(g, k, top, classes)
-
-        monkeypatch.setattr(spectrum, "_deletion_moments", recorded)
+    def test_check_runs_to_the_rank(self, monkeypatch):
+        # the power-sum matrix of each basis is nonsingular, so the check
+        # stops at |Sigma|: 7, 14 and 18, not the total degrees 9, 23, 33
+        tops = _recorded_tops(monkeypatch)
         for g in (complete_graph(5), complete_graph(6), PETERSEN):
             char_poly_power(g, 3)
-        assert tops == [9, 23, 33]
+        assert tops == [7, 14, 18]
+
+    def test_a_singular_basis_runs_to_the_total_degree(self, monkeypatch):
+        # were the power-sum matrix singular mod p, the check would fall back
+        # to the total degree D, where the Vandermonde argument holds
+        monkeypatch.setattr(spectrum, "mat_rank_mod_p", lambda mat: 0)
+        tops = _recorded_tops(monkeypatch)
+        char_poly_power(complete_graph(5), 3)
+        assert tops == [9]
 
     def test_check_pins_every_multiplicity(self):
         # multiplicities shifted along an integer kernel vector of the first
         # 8 moment rows [p_ell(b)] keep S_3, ..., S_24, all that a check
-        # capped at ell <= 8 reads; the check, which runs to the total degree
-        # 33 of the 18-element k=3 basis, still refuses them
+        # capped at ell <= 8 reads; the check, which runs to the rank 18 of
+        # the 18-element k=3 basis, still refuses them
         fsf = char_poly_power(PETERSEN, 3)
         basis = list(dict.fromkeys(f.b for f in fsf.factors))
         assert len(basis) == 18
-        sums = {b: power_sums_from_charpoly(b, 8) for b in basis}
-        kernel = _kernel_vector([[sums[b][ell] for b in basis] for ell in range(1, 9)])
-        scale = math.lcm(*(x.denominator for x in kernel))
-        shift = dict(zip(basis, (int(x * scale) for x in kernel)))
-        mu = {f.b: f.mu + shift[f.b] for f in fsf.factors}
-        moments = vertex_deletion_moments(PETERSEN, 8)
-        for ell in range(1, 9):
-            assert 3 * sum(mu[b] * sums[b][ell] for b in basis) == moments[ell - 1]
-        shifted = fsf._replace(
-            factors=tuple(f._replace(mu=mu[f.b]) for f in fsf.factors)
-        )
+        _, shifted = _kernel_shift(PETERSEN, fsf, basis, 8)
         with pytest.raises(ConsistencyError, match="ell=9:"):
             check_moment_identity(PETERSEN, shifted)
+
+
+class TestK4MomentCheck:
+    """At k >= 4 the check reads the same deletion moments, over every
+    connected edge subset, to the rank of the census basis."""
+
+    def test_check_runs_to_the_rank(self, monkeypatch):
+        tops = _recorded_tops(monkeypatch)
+        for g in (complete_graph(4), complete_graph(5)):
+            char_poly_power(g, 4)
+        assert tops == [9, 35]
+
+    @pytest.mark.slow
+    def test_check_runs_to_the_rank_on_petersen(self, monkeypatch):
+        tops = _recorded_tops(monkeypatch)
+        char_poly_power(PETERSEN, 4)
+        assert tops == [179]
+
+    def test_check_pins_every_multiplicity(self):
+        # 9 exponents of K5 at k=4 shifted along an integer kernel vector of
+        # the first 8 moment rows stay nonnegative and keep S_4, ..., S_32,
+        # all that a check capped at ell <= 8 reads; the check, which runs
+        # to the rank 35 of the basis, refuses them
+        fsf = char_poly_power(complete_graph(5), 4)
+        basis = list(dict.fromkeys(f.b for f in fsf.factors))
+        assert len(basis) == 35
+        mu, shifted = _kernel_shift(complete_graph(5), fsf, basis[24:33], 8)
+        assert min(mu.values()) >= 0 and shifted.mu0 >= 0
+        with pytest.raises(ConsistencyError, match="ell=9:"):
+            check_moment_identity(complete_graph(5), shifted)
 
 
 @st.composite

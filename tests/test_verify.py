@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from hyperspectra import signed, spectrum, verify
+from hyperspectra.errors import ConsistencyError
 from hyperspectra.graphs import cycle_graph, path_graph
 
 P3 = path_graph(3)
@@ -76,6 +77,23 @@ def test_multiplicity_check_fails_on_corrupted_multiplicities(monkeypatch):
     report = verify.run_verify_suite("quick", seed_graphs=[C4])
     check = next(c for c in report.checks if c.name == "spectrum/multiplicities")
     assert check.status == "fail", check.detail
+
+
+def test_multiplicity_check_names_a_failure_at_k4(monkeypatch):
+    # a moment check that fails only at k = 4 is reported by the check
+    # that runs it, not as an exception inside the radius check
+    honest = spectrum.check_moment_identity
+
+    def fails_at_k4(g, fsf):
+        if fsf.k == 4:
+            raise ConsistencyError("moment identity fails at ell=1")
+        honest(g, fsf)
+
+    monkeypatch.setattr(spectrum, "check_moment_identity", fails_at_k4)
+    report = verify.run_verify_suite("quick", seed_graphs=[C4])
+    check = next(c for c in report.checks if c.name == "spectrum/multiplicities")
+    assert check.status == "fail"
+    assert check.detail.endswith("at k=4"), check.detail
 
 
 def test_decomposition_builds_one_census_per_graph(monkeypatch):
