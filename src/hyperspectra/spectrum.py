@@ -12,11 +12,13 @@ b of a gcd-free basis of the polynomials `char_poly_of_squares` of the
 connected signed subgraphs read, built in integer arithmetic; every root of
 one b carries the same multiplicity mu_b.  beta is the k = 2 case of the
 same pipeline: one memoised census `_spectra(g, min(k, 4))` lists the
-subgraphs whose weight can be nonzero as the `graphs` census classes,
-((graph, (edge subset, ...)), ...), read as they are (every connected edge
-subset at k >= 4, the connected induced subgraphs at k = 3, the components
-of g, with no canonical form, at k = 2), `_exponents` sums their switching
-classes, and `_factored` builds and checks the result.  The only
+subgraphs whose weight can be nonzero as the `graphs` census classes
+(every connected edge subset at k >= 4, the connected induced subgraphs at
+k = 3, the components of g, with no canonical form, at k = 2), each with
+its subsets counted once by boundary shape (`_shapes`), `_exponents` sums
+their switching classes, and `_factored` builds and checks the result.
+Both weights, the exponents' and the check's, read those counts by
+separate formulas.  The only
 floats are the convergence ratio, an exact rational rounded once, and the
 roots sigma^2 of each b, each the double nearest to the exact root: an
 integer Sturm sequence isolates it and bisection at dyadic points narrows it
@@ -155,27 +157,47 @@ def _signing_spectra(graphs):
     return exponents, basis
 
 
+def _shapes(g, subsets):
+    """One class's connected edge subsets C of g counted by boundary shape:
+    ((x, ts), count), with x the further edges inside V(C) and ts the sorted
+    edge counts t_u of the outside vertices u joined to V(C).  Both weight
+    routes, `_covering_weight` and `_deletion_moments`, read C through these."""
+    shapes = Counter()
+    for subset in subsets:
+        inside = {x for i in subset for x in g.edges[i]}
+        further, joins = 0, Counter()
+        for i, (a, b) in enumerate(g.edges):
+            if i in subset:
+                continue
+            if a in inside and b in inside:
+                further += 1
+            elif a in inside or b in inside:
+                joins[b if a in inside else a] += 1
+        shapes[further, tuple(sorted(joins.values()))] += 1
+    return tuple(shapes.items())
+
+
 @lru_cache(maxsize=192)
 def _spectra(g, regime):
     """The subgraphs of g whose weight w_k can be nonzero at k = regime (4
-    for every k >= 4), as ((graph, (edge subset, ...)), ...), and their
+    for every k >= 4), as ((graph, `_shapes`), ...), and their
     `_signing_spectra`; memoised per graph and regime.  At k = 2 each
-    component with an edge is its own group, with no canonical form and so
-    no vertex limit; at k = 3 the connected induced subgraphs, at k >= 4
-    every connected edge subset, as the `graphs` census returns them: one
-    group per class, keyed by its canonical form.  A component whose cycle
-    space is too large to list its switching classes is refused first."""
+    component with an edge is its own group, of one shape ((0, ()), 1) and
+    no canonical form, so no vertex limit; at k = 3 the connected induced
+    subgraphs, at k >= 4 every connected edge subset, one group per
+    `graphs` census class.  A component whose cycle space is too large to
+    list its switching classes is refused first."""
     check_cycle_space(largest_cycle_rank(g))
     if regime == 2:
         groups = tuple(
-            (g.induced(c), (frozenset(i for i, e in enumerate(g.edges) if e[0] in c),))
-            for c in map(set, g.components())
-            if len(c) > 1
+            (g.induced(c), (((0, ()), 1),)) for c in g.components() if len(c) > 1
         )
-    elif regime == 3:
-        groups = connected_induced_subgraph_classes(g)
     else:
-        groups = connected_subgraph_classes(g, g.m) if g.m else ()
+        if regime == 3:
+            classes = connected_induced_subgraph_classes(g)
+        else:
+            classes = connected_subgraph_classes(g, g.m) if g.m else ()
+        groups = tuple((h, _shapes(g, subsets)) for h, subsets in classes)
     exponents, basis = _signing_spectra(h for h, _ in groups)
     return groups, exponents, basis
 
@@ -197,29 +219,18 @@ def _deletion_moments(g, k, top, groups):
     prod_u (1 - r + r (1-s)^t_u) P_C(2 ell), with x the further edges
     inside V(C).  At k = 3, s = 1: only induced C remain, and each outside
     neighbour gives 1 - r = 1/4.  At k = 2, r = 1 as well, so only the
-    components of g remain and the prefactor is 1.  The weights come from
-    r, s and these counts alone, not from the `_covering_weight` that
-    `_exponents` reads, so an error in one cannot cancel in the check.
+    components of g remain and the prefactor is 1.  The counts x and t_u
+    are the `_shapes` that `_covering_weight` reads too, but the formulas
+    are separate: r and s come from k, not `power_moment_prefactor`, so an
+    error in the exponents' weight cannot cancel in the check.
     """
     r = Fraction(k, 2 * (k - 1))
     s = 2 * Fraction(k) ** (k - 3) / Fraction(k - 1) ** (k - 2)
     weighted = []
-    for h, subsets in groups:
-        shapes = Counter()
-        for subset in subsets:
-            inside = {x for i in subset for x in g.edges[i]}
-            further, joins = 0, Counter()
-            for i, (a, b) in enumerate(g.edges):
-                if i in subset:
-                    continue
-                if a in inside and b in inside:
-                    further += 1
-                elif a in inside or b in inside:
-                    joins[b if a in inside else a] += 1
-            shapes[further, tuple(sorted(joins.values()))] += 1
+    for h, shapes in groups:
         weight = r**h.n * s**h.m * sum(
             c * (1 - s) ** x * prod(1 - r + r * (1 - s) ** t for t in ts)
-            for (x, ts), c in shapes.items()
+            for (x, ts), c in shapes
         )
         if weight:
             weighted.append((weight, parity_closed_profile(h, 2 * top)[2::2]))
@@ -267,43 +278,23 @@ def _degree(g, k):
 # exact multiplicities
 
 
-@lru_cache(maxsize=256)
-def _weight_factor(k, t):
-    """The factor of w(C) for one further edge inside V(C) (t = 0) or for
-    one outside vertex joined to V(C) by t >= 1 edges."""
-    base = power_moment_prefactor(1, 1, k)
-    per_vertex = power_moment_prefactor(2, 1, k) / base
-    per_edge = power_moment_prefactor(1, 2, k) / base
-    if t == 0:
-        return 1 - per_edge
-    return 1 - per_vertex + per_vertex * (1 - per_edge) ** t
-
-
-def _covering_weight(g, subset, k):
-    """w(C) = sum over S of (-1)^|S| D_k(C + S), where S ranges over the sets
-    of edges of g outside the connected edge subset C that touch V(C).
+def _covering_weight(h, x, ts, k):
+    """w(C) = sum over S of (-1)^|S| D_k(C + S) for a connected edge subset
+    C of class h and boundary shape (x, ts) (`_shapes`), where S ranges
+    over the sets of edges of g outside C that touch V(C).
 
     The prefactor D_k(v, e) is c * r^v * s^e, so the sum factors into
-    (1 - s) for each further edge inside V(C) and 1 - r + r (1 - s)^t for
-    each outside vertex joined to V(C) by t edges.  At k = 3, s = 1: any
-    further edge inside V(C) makes w(C) = 0, so the k = 3 census lists only
-    induced C, and each outside vertex gives 1 - r = 1/4.  At k = 2, r = s =
-    1 and c = 1: w(C) = 1 when C is a whole component and 0 otherwise.
+    (1 - s) for each of the x further edges inside V(C) and 1 - r + r (1 -
+    s)^t for each t in ts.  At k = 3, s = 1: any further edge inside V(C)
+    makes w(C) = 0, so the k = 3 census lists only induced C, and each
+    outside vertex gives 1 - r = 1/4.  At k = 2, r = s = 1 and c = 1: w(C)
+    = 1 when C is a whole component and 0 otherwise.
     """
-    verts = {x for i in subset for x in g.edges[i]}
-    weight = Fraction(1)
-    joins = {}
-    for i, (a, b) in enumerate(g.edges):
-        if i in subset:
-            continue
-        if a in verts and b in verts:
-            weight *= _weight_factor(k, 0)
-        elif a in verts or b in verts:
-            outside = b if a in verts else a
-            joins[outside] = joins.get(outside, 0) + 1
-    for t in joins.values():
-        weight *= _weight_factor(k, t)
-    return weight * power_moment_prefactor(len(verts), len(subset), k)
+    base = power_moment_prefactor(1, 1, k)
+    r = power_moment_prefactor(2, 1, k) / base
+    s = power_moment_prefactor(1, 2, k) / base
+    joined = prod(1 - r + r * (1 - s) ** t for t in ts)
+    return power_moment_prefactor(h.n, h.m, k) * (1 - s) ** x * joined
 
 
 def _exponents(g, k):
@@ -317,14 +308,16 @@ def _exponents(g, k):
     when no other edge of F touches V(C), so the inner sum keeps only those
     C whose vertices touch every edge of H, with sign (-1)^(|H|-|C|).
     Exchanging the sums gives mu(x) = scale * sum_C w(C) abar_C(x), where
-    w(C) = 0 unless `_spectra` lists C for the regime.  At k = 2, scale =
-    1/2 and w(C) = 1 on each component of g.
+    w(C) = 0 unless `_spectra` lists C for the regime, and w(C) is read
+    once per class and boundary shape.  At k = 2, scale = 1/2 and w(C) = 1
+    on each component of g.
     """
     groups, exponents, basis = _spectra(g, min(k, 4))
     scale = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
     mu = [Fraction(0)] * len(basis)
-    for (_, subsets), (signings, sums) in zip(groups, exponents):
-        weight = scale * sum(_covering_weight(g, s, k) for s in subsets) / signings
+    for (h, shapes), (signings, sums) in zip(groups, exponents):
+        weight = sum(c * _covering_weight(h, *shape, k) for shape, c in shapes)
+        weight *= scale / signings
         if weight:
             mu = [m + weight * e for m, e in zip(mu, sums)]
     return basis, mu

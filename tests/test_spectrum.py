@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -85,8 +86,8 @@ def _assert_regime_matches_the_census(g, k):
     groups, exponents, census_basis = spectrum._spectra(g, 4)
     scale = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
     census_mu = [Fraction(0)] * len(census_basis)
-    for (_, subsets), (signings, sums) in zip(groups, exponents):
-        weight = scale * sum(_covering_weight(g, s, k) for s in subsets)
+    for (h, shapes), (signings, sums) in zip(groups, exponents):
+        weight = scale * sum(c * _covering_weight(h, *shape, k) for shape, c in shapes)
         census_mu = [m + weight * e / signings for m, e in zip(census_mu, sums)]
     common = coprime_basis(list(basis) + list(census_basis))
 
@@ -97,6 +98,29 @@ def _assert_regime_matches_the_census(g, k):
         return out
 
     assert refined(basis, mu) == refined(census_basis, census_mu), (g, k)
+
+
+def _alternating_weights(g, subset, ks):
+    """w_k(C) of the connected edge subset C by its definition, at each k:
+    the sum over every set S of edges outside C touching V(C) of
+    (-1)^|S| D_k(C + S)."""
+    verts = {x for i in subset for x in g.edges[i]}
+    touching = [i for i, e in enumerate(g.edges) if i not in subset and verts & set(e)]
+    signs = Counter()
+    for size in range(len(touching) + 1):
+        for extra in itertools.combinations(touching, size):
+            grown = verts.union(*(g.edges[i] for i in extra))
+            signs[len(grown), len(subset) + size] += (-1) ** size
+    return {
+        k: sum(c * power_moment_prefactor(v, e, k) for (v, e), c in signs.items())
+        for k in ks
+    }
+
+
+def _weight_of(g, subset, k):
+    """`_covering_weight` of one connected edge subset, from its shape."""
+    ((x, ts), _), = spectrum._shapes(g, [subset])
+    return _covering_weight(g.subgraph_of_edges(subset), x, ts, k)
 
 
 class TestScriptS:
@@ -230,18 +254,8 @@ class TestCharPolyPower:
         # outside C touching V(C) of (-1)^|S| D_k(C + S)
         g = Graph(5, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)))
         for subset in connected_edge_subsets(g, g.m):
-            verts = {x for i in subset for x in g.edges[i]}
-            touching = [
-                i for i, e in enumerate(g.edges)
-                if i not in subset and verts & set(e)
-            ]
-            for k in (2, 3, 4):
-                expected = 0
-                for size in range(len(touching) + 1):
-                    for extra in itertools.combinations(touching, size):
-                        h = g.subgraph_of_edges(set(subset) | set(extra))
-                        expected += (-1) ** size * power_moment_prefactor(h.n, h.m, k)
-                assert _covering_weight(g, subset, k) == expected, (subset, k)
+            for k, expected in _alternating_weights(g, subset, (2, 3, 4)).items():
+                assert _weight_of(g, subset, k) == expected, (subset, k)
 
     def test_corrupted_multiplicity_fails_moment_identity(self):
         fsf = char_poly_power(C3, 3)
@@ -628,6 +642,23 @@ def _kernel_shift(g, fsf, basis, rows):
     return mu, shifted
 
 
+class TestShapes:
+    """`_shapes` counts each subset's boundary once per class, and both
+    weight routes read those counts."""
+
+    @settings(max_examples=25)
+    @given(small_graphs())
+    def test_shapes_count_every_subset_and_give_its_weight(self, g):
+        ks = range(2, 6)
+        for h, subsets in connected_subgraph_classes(g, g.m) if g.m else ():
+            shapes = spectrum._shapes(g, subsets)
+            assert sum(c for _, c in shapes) == len(subsets), (g, h)
+            brute = [_alternating_weights(g, s, ks) for s in subsets]
+            for k in ks:
+                weight = sum(c * _covering_weight(h, *shape, k) for shape, c in shapes)
+                assert weight == sum(w[k] for w in brute), (g, h, k)
+
+
 class TestDeletionMoments:
     """`_deletion_moments` against the brute-force sum over every vertex
     and edge set, and against the covering route of `script_S`."""
@@ -644,7 +675,8 @@ class TestDeletionMoments:
     @settings(max_examples=30)
     @given(small_graphs(), st.sampled_from([4, 5, 6]))
     def test_matches_the_covering_route(self, g, k):
-        groups = connected_subgraph_classes(g, g.m) if g.m else ()
+        classes = connected_subgraph_classes(g, g.m) if g.m else ()
+        groups = [(h, spectrum._shapes(g, subsets)) for h, subsets in classes]
         covering = [script_S(g, k * ell, k) for ell in range(1, 9)]
         assert spectrum._deletion_moments(g, k, 8, groups) == covering
 
@@ -839,9 +871,15 @@ class TestBetaProperties:
         }
         for subset in connected_edge_subsets(g, g.m) if g.m else ():
             expected = 1 if subset in components else 0
-            assert _covering_weight(g, subset, 2) == expected, subset
+            assert _weight_of(g, subset, 2) == expected, subset
+        # the k = 2 groups are the induced components, each of the one shape
+        # that `_shapes` gives a whole component: no further edge, no join
+        whole = (((0, ()), 1),)
         groups = spectrum._spectra(g, 2)[0]
-        assert {s for _, subsets in groups for s in subsets} == components
+        induced = [g.induced(vs) for vs in g.components() if len(vs) > 1]
+        assert [h for h, _ in groups] == induced
+        assert all(shapes == whole for _, shapes in groups)
+        assert all(spectrum._shapes(g, [s]) == whole for s in components)
 
     @given(small_graphs())
     def test_geometric_mean_identity(self, g):

@@ -154,3 +154,20 @@ def test_corpus_digraphs_built_once_per_suite(monkeypatch):
     report = verify.run_verify_suite("quick")
     assert report.ok
     assert len(calls) == 8
+
+
+def test_beta_details_count_the_graphs_checked():
+    # the full scope's 29 pipeline seeds include K1, which has no edge, so
+    # both beta groups check 28; an edgeless seed alone checks none
+    seeds = [
+        g for g in verify.full_corpus()
+        if g.m <= verify.FULL_SCOPE_PIPELINE_EDGE_LIMIT
+    ]
+    assert len(seeds) == 29
+    ctx = verify._PipelineCache()
+    for check in (verify._check_beta_forest, verify._check_beta_radius_exponent):
+        assert check(seeds, ctx) == ("pass", "28 graphs")
+    report = verify.run_verify_suite("quick", seed_graphs=["3 0"])
+    details = {c.name: c.detail for c in report.checks}
+    assert details["beta/forest-polynomiality"] == "0 graphs"
+    assert details["beta/radius-exponent"] == "0 graphs"
