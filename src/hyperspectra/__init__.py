@@ -5,7 +5,9 @@ multiplicities) of the k-uniform power of a graph from exact combinatorial
 data: covering parity-closed walk counts of its motifs, occurrence counts of
 those motifs, and the squared eigenvalues of its signed subgraphs.  Exact
 brute-force oracles for every identity involved ship alongside the closed
-forms; `hyperspectra verify` replays all of them.
+forms, each a function of its own: the averages over signings in `means`,
+the backtracking Eulerian count in `digraphs`; `hyperspectra verify`
+replays all of them.
 
 `import hyperspectra` loads only the exact pipeline: `graphs`, `algebra`,
 `signed`, `walks` and `spectrum`.  The oracle names from `digraphs`, `means`
@@ -28,14 +30,7 @@ from .graphs import (
     power_hypergraph,
     star_graph,
 )
-from .walks import (
-    WalkCount,
-    closed_walk_count,
-    covering_parity_closed_count,
-    covering_parity_profile,
-    parity_closed_count,
-    parity_closed_profile,
-)
+from .walks import closed_walk_profile, covering_parity_profile, parity_closed_profile
 from .signed import (
     SignedGraph,
     char_poly_exact,
@@ -60,7 +55,6 @@ __all__ = [
     "Multidigraph",
     "SignedGraph",
     "TraceTerm",
-    "WalkCount",
     "FactoredSpectralFunction",
     "VerifyReport",
     "amgm_check",
@@ -69,23 +63,24 @@ __all__ = [
     "canonical_certificate",
     "char_poly_exact",
     "char_poly_power",
-    "closed_walk_count",
+    "closed_walk_profile",
     "complete_graph",
     "connected_subgraph_classes",
-    "covering_parity_closed_count",
     "covering_parity_profile",
     "covering_parity_via_best",
     "cycle_graph",
     "eigenvalues",
     "enumerate_signings",
     "eulerian_walk_count",
+    "eulerian_walks_by_backtracking",
     "geometric_mean_evaluate",
     "is_balanced",
     "lift_from_core",
     "matching_polynomial",
+    "mean_signed_char_poly",
+    "mean_signed_moments",
     "moment_coefficient",
     "naive_tensor_trace",
-    "parity_closed_count",
     "parity_closed_profile",
     "parse_graph",
     "path_graph",
@@ -108,6 +103,7 @@ _ORACLES = {
         "arborescence_count",
         "covering_parity_via_best",
         "eulerian_walk_count",
+        "eulerian_walks_by_backtracking",
         "lift_from_core",
         "moment_coefficient",
         "naive_tensor_trace",
@@ -115,7 +111,10 @@ _ORACLES = {
         "spanning_tree_reduction_check",
         "trace_terms",
     ),
-    "means": ("amgm_check", "geometric_mean_evaluate", "matching_polynomial"),
+    "means": (
+        "amgm_check", "geometric_mean_evaluate", "matching_polynomial",
+        "mean_signed_char_poly", "mean_signed_moments",
+    ),
     "verify": ("VerifyReport", "run_verify_suite"),
 }
 _ORACLE_MODULE = {name: module for module, names in _ORACLES.items() for name in names}

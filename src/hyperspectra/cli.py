@@ -133,16 +133,20 @@ def _factored_payload(fsf):
 def _cmd_walks(args):
     g = _load_graph(args.graph)
     if args.covering:
-        count = walks.covering_parity_closed_count(
-            g, args.d, state_budget=args.budget
-        ).value
+        profile = walks.covering_parity_profile(g, args.d, state_budget=args.budget)
         kind = "covering-parity-closed"
     elif args.method == "closed":
-        count = walks.closed_walk_count(g, args.d).value
+        profile = walks.closed_walk_profile(g, args.d)
         kind = "closed"
+    elif args.method == "signed_mean":
+        from . import means
+
+        profile = means.mean_signed_moments(g, args.d)
+        kind = "parity-closed/signed_mean"
     else:
-        count = walks.parity_closed_count(g, args.d, method=args.method).value
-        kind = f"parity-closed/{args.method}"
+        profile = walks.parity_closed_profile(g, args.d)
+        kind = "parity-closed/dp"
+    count = profile[args.d]
     payload = {"d": args.d, "kind": kind, "count": str(count)}
     _emit(args, payload, f"{kind} walks of length {args.d}: {count}")
     return 0
@@ -219,8 +223,8 @@ def _cmd_oracle(args):
         # a structure of length ell has 2 ell arcs; brute force takes 10 at most
         for ell in range(g.m, min(max(g.m + 1, args.d // args.k), 5) + 1):
             for dstar in digraphs.eulerian_structures_on(g, ell):
-                formula = digraphs.eulerian_walk_count(dstar, "best")
-                brute = digraphs.eulerian_walk_count(dstar, "brute")
+                formula = digraphs.eulerian_walk_count(dstar)
+                brute = digraphs.eulerian_walks_by_backtracking(dstar)
                 ok = ok and formula == brute
                 checks.append(
                     {
@@ -257,7 +261,10 @@ def _cmd_matching(args):
     from . import means
 
     g = _load_graph(args.graph)
-    poly = means.matching_polynomial(g, method=args.method)
+    if args.method == "signed_mean":
+        poly = means.mean_signed_char_poly(g)
+    else:
+        poly = means.matching_polynomial(g)
     payload = {"coefficients": [_exact_str(c) for c in poly]}
     terms = []
     for power in range(len(poly) - 1, -1, -1):

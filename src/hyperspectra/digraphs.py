@@ -1,5 +1,6 @@
 """Multi-digraph machinery: arborescence counts via the matrix-tree theorem,
-Eulerian-walk counting (closed formula and backtracking), the core-vertex
+Eulerian-walk counting (the BEST formula, `eulerian_walk_count`, and its
+reference, `eulerian_walks_by_backtracking`), the core-vertex
 lift/reduction between a digraph on a motif and the digraph on its k-power,
 the spanning-tree reduction identity, the naive tensor trace oracle, and the
 closed-form spectral-moment coefficients.
@@ -21,7 +22,7 @@ from .algebra import det_bareiss
 from .errors import BudgetError, ConsistencyError
 from .graphs import Graph, _classes, _Value, power_hypergraph
 from .spectrum import power_moment_prefactor
-from .walks import TRACE_TERM_BUDGET, covering_parity_closed_count
+from .walks import TRACE_TERM_BUDGET, covering_parity_profile
 
 BRUTE_ARC_LIMIT = 12
 
@@ -147,57 +148,58 @@ def arborescence_count(d, root):
     return det_bareiss(minor)
 
 
-def eulerian_walk_count(d, method="best"):
-    """Number of Eulerian walks (starting-arc convention).
-
-    best:  |E(D)|/b(D) * t(D) * prod (deg+(v) - 1)!  with t(D) checked to be
-           root-independent.
-    brute: backtracking over arc sequences; bounded by BRUTE_ARC_LIMIT arcs.
-    """
+def eulerian_walk_count(d):
+    """Number of Eulerian walks (starting-arc convention), by the BEST
+    formula |E(D)|/b(D) * t(D) * prod (deg+(v) - 1)!, with t(D) checked to
+    be root-independent."""
     if not d.is_eulerian():
         raise ValueError("Eulerian walk counting needs an Eulerian multi-digraph")
-    if method == "best":
-        # spanning trees live on the support; ambient isolated vertices
-        # (e.g. untouched hypergraph vertices) must not zero the minor
-        core = d.restricted_to_support()
-        trees = [arborescence_count(core, r) for r in range(core.n)]
-        if len(set(trees)) != 1:
-            raise ConsistencyError("arborescence count is root-dependent")
-        prod = 1
-        for v in range(core.n):
-            prod *= math.factorial(core.out_degree(v) - 1)
-        numerator = core.arc_count * trees[0] * prod
-        q, r = divmod(numerator, core.b_value())
-        if r != 0:
-            raise ConsistencyError("Eulerian walk formula did not divide evenly")
-        return q
-    if method == "brute":
-        if d.arc_count > BRUTE_ARC_LIMIT:
-            raise BudgetError(
-                f"brute Eulerian enumeration capped at {BRUTE_ARC_LIMIT} arcs"
-            )
-        remaining = d.multiplicity_map()
-        out_arcs = {}
-        for (u, v), _ in d.arcs:
-            out_arcs.setdefault(u, []).append(v)
-        total_arcs = d.arc_count
+    # spanning trees live on the support; ambient isolated vertices
+    # (e.g. untouched hypergraph vertices) must not zero the minor
+    core = d.restricted_to_support()
+    trees = [arborescence_count(core, r) for r in range(core.n)]
+    if len(set(trees)) != 1:
+        raise ConsistencyError("arborescence count is root-dependent")
+    prod = 1
+    for v in range(core.n):
+        prod *= math.factorial(core.out_degree(v) - 1)
+    numerator = core.arc_count * trees[0] * prod
+    q, r = divmod(numerator, core.b_value())
+    if r != 0:
+        raise ConsistencyError("Eulerian walk formula did not divide evenly")
+    return q
 
-        def walks_from(v, used):
-            if used == total_arcs:
-                return 1 if v == start else 0
-            count = 0
-            for w in out_arcs.get(v, ()):  # arc types in sorted order
-                if remaining[(v, w)] > 0:
-                    remaining[(v, w)] -= 1
-                    count += walks_from(w, used + 1)
-                    remaining[(v, w)] += 1
-            return count
 
-        total = 0
-        for start in d.support_vertices():
-            total += walks_from(start, 0)
-        return total
-    raise ValueError(f"unknown method {method!r}")
+def eulerian_walks_by_backtracking(d):
+    """The Eulerian walks of `eulerian_walk_count`, counted by backtracking
+    over arc sequences; bounded by BRUTE_ARC_LIMIT arcs."""
+    if not d.is_eulerian():
+        raise ValueError("Eulerian walk counting needs an Eulerian multi-digraph")
+    if d.arc_count > BRUTE_ARC_LIMIT:
+        raise BudgetError(
+            f"brute Eulerian enumeration capped at {BRUTE_ARC_LIMIT} arcs"
+        )
+    remaining = d.multiplicity_map()
+    out_arcs = {}
+    for (u, v), _ in d.arcs:
+        out_arcs.setdefault(u, []).append(v)
+    total_arcs = d.arc_count
+
+    def walks_from(v, used):
+        if used == total_arcs:
+            return 1 if v == start else 0
+        count = 0
+        for w in out_arcs.get(v, ()):  # arc types in sorted order
+            if remaining[(v, w)] > 0:
+                remaining[(v, w)] -= 1
+                count += walks_from(w, used + 1)
+                remaining[(v, w)] += 1
+        return count
+
+    total = 0
+    for start in d.support_vertices():
+        total += walks_from(start, 0)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +398,7 @@ def trace_terms(h, d, term_budget=200_000):
         digraph = Multidigraph(h.n, tuple(arcs.items()))
         if not digraph.is_eulerian():
             continue
-        walks = eulerian_walk_count(digraph, method="best")
+        walks = eulerian_walk_count(digraph)
         if walks == 0:
             continue
         c_val = 1
@@ -445,7 +447,7 @@ def naive_tensor_trace(h, d, term_budget=TRACE_TERM_BUDGET):
         digraph = Multidigraph(h.n, tuple(arcs.items()))
         if not digraph.is_eulerian():
             continue
-        walks = eulerian_walk_count(digraph, method="best")
+        walks = eulerian_walk_count(digraph)
         if walks == 0:
             continue
         multinom = 1
@@ -505,7 +507,7 @@ def covering_parity_via_best(motif, ell, structure_budget=200_000):
         raise BudgetError("too many digraph structures to enumerate")
     total = 0
     for digraph in eulerian_structures_on(motif, ell):
-        total += eulerian_walk_count(digraph, method="best")
+        total += eulerian_walk_count(digraph)
     return total
 
 
@@ -513,5 +515,5 @@ def moment_coefficient(motif, ell, k):
     """Spectral-moment coefficient of the motif's k-power at order ell*k."""
     if k < 3:
         raise ValueError("moment coefficients are defined for k >= 3")
-    p = covering_parity_closed_count(motif, 2 * ell).value
+    p = covering_parity_profile(motif, 2 * ell)[2 * ell]
     return power_moment_prefactor(motif.n, motif.m, k) * p

@@ -1,6 +1,13 @@
-"""Matching polynomial, the arithmetic-mean identity relating it to signed
-characteristic polynomials, the geometric-mean evaluation of the
-pseudo-characteristic function, and the AM-GM comparison between the two.
+"""The averages over the 2^|E| signings of a graph, one function each: the
+arithmetic means of their characteristic polynomials (the matching
+polynomial, by Godsil-Gutman) and of their spectral moments (the
+parity-closed walk counts), the geometric mean of their polynomials
+(beta's pseudo-characteristic function), and the AM-GM comparison.
+
+Every mean reads `signed.signing_polynomials`, each distinct signed
+characteristic polynomial with its number of signings; this module is its
+one reader.  The two arithmetic means are the independent twins of
+`matching_polynomial` and `walks.parity_closed_profile`.
 
 All exact, except the geometric mean: an integer product over signings,
 whose 2^|E|-th root is taken by nested integer square roots, to a double.
@@ -12,6 +19,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .algebra import power_sums_from_charpoly
 from .errors import ConsistencyError
 from .signed import signing_polynomials
 
@@ -40,27 +48,46 @@ def matchings_by_size(g):
     return counts
 
 
-def matching_polynomial(g, method="direct"):
-    """sum_r (-1)^r m_r lambda^(n-2r), exact rational coefficients ascending.
+def matching_polynomial(g):
+    """sum_r (-1)^r m_r lambda^(n-2r), exact rational coefficients
+    ascending, by counting matchings."""
+    coeffs = [Fraction(0)] * (g.n + 1)
+    for r, m_r in enumerate(matchings_by_size(g)):
+        coeffs[g.n - 2 * r] += Fraction((-1) ** r * m_r)
+    return coeffs
 
-    direct counts matchings; signed_mean averages the characteristic
-    polynomials of all 2^|E| signings coefficient-wise, as a sum over the
-    distinct polynomials (one per switching class or fewer) weighted by how
-    many signings share each.  The two agree by the arithmetic-mean identity
-    and cross-check each other in the test suite.
-    """
-    if method == "direct":
-        coeffs = [Fraction(0)] * (g.n + 1)
-        for r, m_r in enumerate(matchings_by_size(g)):
-            coeffs[g.n - 2 * r] += Fraction((-1) ** r * m_r)
-        return coeffs
-    if method == "signed_mean":
-        totals = [0] * (g.n + 1)
-        for poly, count in signing_polynomials(g):
-            totals = [t + count * c for t, c in zip(totals, poly)]
-        scale = Fraction(1, 2**g.m)
-        return [scale * c for c in totals]
-    raise ValueError(f"unknown method {method!r}")
+
+def mean_signed_char_poly(g):
+    """The coefficient-wise mean of the characteristic polynomials of all
+    2^|E| signings, exact rational coefficients ascending; equal to the
+    matching polynomial by the arithmetic-mean identity."""
+    totals = [0] * (g.n + 1)
+    for poly, count in signing_polynomials(g):
+        totals = [t + count * c for t, c in zip(totals, poly)]
+    scale = Fraction(1, 2**g.m)
+    return [scale * c for c in totals]
+
+
+def mean_signed_moments(g, max_d):
+    """The mean of trace(A_signed^d) over all 2^|E| signings, for every
+    length 0..max_d, read from the power sums of each distinct signed
+    characteristic polynomial; equal to the parity-closed walk counts."""
+    if max_d < 0:
+        raise ValueError("walk length must be non-negative")
+    totals = [0] * (max_d + 1)
+    for poly, count in signing_polynomials(g):
+        traces = power_sums_from_charpoly(poly, max_d)
+        totals = [t + count * s for t, s in zip(totals, traces)]
+    scale = 1 << g.m
+    profile = []
+    for t, total in enumerate(totals):
+        q, r = divmod(total, scale)
+        if r != 0:
+            raise ConsistencyError(
+                f"signed trace average is not an integer at length {t}"
+            )
+        profile.append(q)
+    return profile
 
 
 def _scaled_value(poly, p, q):

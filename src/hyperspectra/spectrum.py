@@ -313,14 +313,21 @@ def _exponents(g, k):
     on each component of g.
     """
     groups, exponents, basis = _spectra(g, min(k, 4))
-    scale = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
-    mu = [Fraction(0)] * len(basis)
+    weighted = []
     for (h, shapes), (signings, sums) in zip(groups, exponents):
         weight = sum(c * _covering_weight(h, *shape, k) for shape, c in shapes)
-        weight *= scale / signings
         if weight:
-            mu = [m + weight * e for m, e in zip(mu, sums)]
-    return basis, mu
+            weighted.append((weight / signings, sums))
+    # integer sums over one common denominator, of the nonzero entries only
+    den = lcm(*(w.denominator for w, _ in weighted))
+    totals = [0] * len(basis)
+    for w, sums in weighted:
+        scale = w.numerator * (den // w.denominator)
+        for i, e in enumerate(sums):
+            if e:
+                totals[i] += scale * e
+    prefactor = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
+    return basis, [prefactor * Fraction(t, den) for t in totals]
 
 
 def _factors(pairs):

@@ -125,8 +125,8 @@ class VerifyReport(NamedTuple):
 def _check_walk_methods(seeds, ctx):
     max_d = WALK_METHODS_MAX_D
     for g in seeds:
-        dp = walks.parity_closed_profile(g, max_d, method="dp")
-        mean = walks.parity_closed_profile(g, max_d, method="signed_mean")
+        dp = walks.parity_closed_profile(g, max_d)
+        mean = means.mean_signed_moments(g, max_d)
         if dp != mean:
             return "fail", f"method mismatch on {g}: {dp} vs {mean}"
         for d in range(1, max_d + 1, 2):
@@ -189,8 +189,8 @@ def _corpus_digraphs(seeds, ctx):
 def _check_best_theorem(seeds, ctx):
     cases = _synthetic_digraphs() + ctx.corpus_digraphs(seeds)
     for d in cases:
-        formula = digraphs.eulerian_walk_count(d, method="best")
-        brute = digraphs.eulerian_walk_count(d, method="brute")
+        formula = digraphs.eulerian_walk_count(d)
+        brute = digraphs.eulerian_walks_by_backtracking(d)
         if formula != brute:
             return "fail", f"BEST {formula} != brute {brute} on {d.arcs}"
     two_cycle, triangle = cases[0], cases[1]
@@ -361,8 +361,8 @@ def _check_beta_radius_exponent(seeds, ctx):
 
 def _check_godsil_gutman(seeds, ctx):
     for g in seeds:
-        direct = means.matching_polynomial(g, method="direct")
-        mean = means.matching_polynomial(g, method="signed_mean")
+        direct = means.matching_polynomial(g)
+        mean = means.mean_signed_char_poly(g)
         if direct != mean:
             return "fail", f"matching polynomial mismatch on {g}"
     c3 = cycle_graph(3)

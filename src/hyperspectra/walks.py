@@ -32,24 +32,19 @@ each orbit and weight its counts by the orbit's size.  The orbits come from
 the memoised canonical search (`graphs.vertex_orbits`); a host above the
 canonical form's vertex limit gets one orbit per vertex.
 
-The parity DP has an independent twin, the signed-trace average: the mean
-over all 2^|E| signings of trace(A_signed^d), read from the power sums of
-each distinct signed characteristic polynomial, weighted by the number of
-signings (a whole switching class, or several) that share it.  The two
-cross-check each other; the covering DP is checked in the tests against
-subset inclusion-exclusion.  All arithmetic is arbitrary-precision
-integer; no floats appear anywhere.
+The parity DP is checked against its twin in `means`, the mean over all
+2^|E| signings of trace(A_signed^d); the covering DP is checked in the
+tests against subset inclusion-exclusion.  All arithmetic is
+arbitrary-precision integer; no floats appear anywhere.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
-from .algebra import mat_power_traces, power_sums_from_charpoly
-from .errors import BudgetError, ConsistencyError
+from .algebra import mat_power_traces
+from .errors import BudgetError
 from .graphs import vertex_orbits
-from .signed import signing_polynomials
 
 PARITY_DP_EDGE_LIMIT = 24
 COVERING_STATE_BUDGET = 40_000_000
@@ -59,39 +54,19 @@ COVERING_STATE_BUDGET = 40_000_000
 TRACE_TERM_BUDGET = 5_000_000
 
 
-class WalkCount(NamedTuple):
-    d: int
-    value: int
-
-
-def closed_walk_count(g, d):
-    """trace(A^d): the number of closed walks of length d."""
-    if d < 0:
-        raise ValueError("walk length must be non-negative")
-    return WalkCount(d, mat_power_traces(g.adjacency(), d)[d])
-
-
 def closed_walk_profile(g, max_d):
+    """trace(A^d), the number of closed walks of length d, for every length
+    0..max_d at once."""
+    if max_d < 0:
+        raise ValueError("walk length must be non-negative")
     return mat_power_traces(g.adjacency(), max_d)
 
 
-def parity_closed_count(g, d, method="dp"):
-    """Closed walks of length d using each edge an even number of times."""
-    return WalkCount(d, parity_closed_profile(g, d, method=method)[d])
-
-
-def parity_closed_profile(g, max_d, method="dp"):
-    """Parity-closed walk counts for every length 0..max_d at once."""
+def parity_closed_profile(g, max_d):
+    """Parity-closed walk counts, the closed walks using each edge an even
+    number of times, for every length 0..max_d at once."""
     if max_d < 0:
         raise ValueError("walk length must be non-negative")
-    if method == "dp":
-        return _parity_profile_dp(g, max_d)
-    if method == "signed_mean":
-        return _parity_profile_signed_mean(g, max_d)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _parity_profile_dp(g, max_d):
     if g.m > PARITY_DP_EDGE_LIMIT:
         raise BudgetError(
             f"parity bitmask DP supports at most {PARITY_DP_EDGE_LIMIT} edges, got {g.m}"
@@ -122,36 +97,14 @@ def _parity_profile_dp(g, max_d):
     return profile
 
 
-def _parity_profile_signed_mean(g, max_d):
-    totals = [0] * (max_d + 1)
-    for poly, count in signing_polynomials(g):
-        traces = power_sums_from_charpoly(poly, max_d)
-        totals = [t + count * s for t, s in zip(totals, traces)]
-    scale = 1 << g.m
-    profile = []
-    for t, total in enumerate(totals):
-        q, r = divmod(total, scale)
-        if r != 0:
-            raise ConsistencyError(
-                f"signed trace average is not an integer at length {t}"
-            )
-        profile.append(q)
-    return profile
-
-
 # ---------------------------------------------------------------------------
 # covering parity-closed walks
 
 
-def covering_parity_closed_count(motif, d, state_budget=COVERING_STATE_BUDGET):
-    """Closed walks of length d in the motif using every edge a positive even
-    number of times."""
-    profile = covering_parity_profile(motif, d, state_budget=state_budget)
-    return WalkCount(d, profile[d])
-
-
 def covering_parity_profile(motif, max_d, state_budget=COVERING_STATE_BUDGET):
-    """Covering parity-closed counts for all lengths 0..max_d in one sweep.
+    """Covering parity-closed counts, the closed walks in the motif using
+    every edge a positive even number of times, for all lengths 0..max_d in
+    one sweep.
 
     Results are cached per motif as given; census motifs are in canonical
     form, so hosts that share a motif class share its cache entry.

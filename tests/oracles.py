@@ -22,7 +22,6 @@ from math import gcd, lcm
 
 from hyperspectra.algebra import poly_derivative, poly_trim
 from hyperspectra.graphs import Graph
-from hyperspectra.walks import WalkCount
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +371,6 @@ def covering_parity_profile_by_subsets(motif, max_d):
             profile = parity_profile_all_starts(restricted, max_d)
             totals = [t + sign * p for t, p in zip(totals, profile)]
     return totals
-
-
-def covering_parity_closed_by_subsets(motif, d):
-    """The inclusion-exclusion oracle at one length d."""
-    return WalkCount(d, covering_parity_profile_by_subsets(motif, d)[d])
 
 
 # ---------------------------------------------------------------------------

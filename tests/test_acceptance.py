@@ -39,8 +39,8 @@ def test_01_parity_walk_oracle_equivalence(desk_corpus):
     with criterion(1, "parity-walk DP equals signed-mean on <=5 vertices, d<=10"):
         start = time.perf_counter()
         for g in desk_corpus:
-            dp = walks.parity_closed_profile(g, 10, method="dp")
-            mean = walks.parity_closed_profile(g, 10, method="signed_mean")
+            dp = walks.parity_closed_profile(g, 10)
+            mean = means.mean_signed_moments(g, 10)
             assert dp == mean, g
         assert time.perf_counter() - start < 60.0
 
@@ -61,9 +61,7 @@ def test_02_decomposition_identity(desk_corpus):
 def test_03_godsil_gutman(desk_corpus):
     with criterion(3, "matching polynomial equals the signed mean, coefficient-exact"):
         for g in desk_corpus:
-            assert means.matching_polynomial(g, "direct") == means.matching_polynomial(
-                g, "signed_mean"
-            ), g
+            assert means.matching_polynomial(g) == means.mean_signed_char_poly(g), g
         assert means.matching_polynomial(cycle_graph(3)) == [
             Fraction(0),
             Fraction(-3),
@@ -127,9 +125,8 @@ def test_04_best_theorem(desk_corpus):
         cases = [two_cycle, triangle] + _corpus_eulerian_digraphs(desk_corpus)
         assert len(cases) > 200
         for d in cases:
-            assert digraphs.eulerian_walk_count(d) == digraphs.eulerian_walk_count(
-                d, "brute"
-            ), d.arcs
+            brute = digraphs.eulerian_walks_by_backtracking(d)
+            assert digraphs.eulerian_walk_count(d) == brute, d.arcs
 
 
 def test_05_spanning_tree_reduction(desk_corpus):

@@ -11,6 +11,7 @@ from hyperspectra.digraphs import (
     covering_parity_via_best,
     eulerian_structures_on,
     eulerian_walk_count,
+    eulerian_walks_by_backtracking,
     lift_core_map,
     lift_from_core,
     moment_coefficient,
@@ -27,7 +28,7 @@ from hyperspectra.graphs import (
     power_hypergraph,
 )
 from hyperspectra.spectrum import script_S
-from hyperspectra.walks import covering_parity_closed_count
+from hyperspectra.walks import covering_parity_profile
 from oracles import is_connected_on_support_dfs
 from test_signed import small_graphs
 
@@ -103,24 +104,23 @@ class TestArborescences:
 class TestEulerianWalks:
     def test_two_cycle(self):
         assert eulerian_walk_count(TWO_CYCLE) == 2
-        assert eulerian_walk_count(TWO_CYCLE, "brute") == 2
+        assert eulerian_walks_by_backtracking(TWO_CYCLE) == 2
 
     def test_triangle(self):
         assert eulerian_walk_count(TRIANGLE) == 3
-        assert eulerian_walk_count(TRIANGLE, "brute") == 3
+        assert eulerian_walks_by_backtracking(TRIANGLE) == 3
 
     def test_doubled(self):
         assert eulerian_walk_count(DOUBLED) == 2
-        assert eulerian_walk_count(DOUBLED, "brute") == 2
+        assert eulerian_walks_by_backtracking(DOUBLED) == 2
 
     def test_formula_matches_brute_on_motif_structures(self):
         for motif in (path_graph(2), path_graph(3), cycle_graph(3), path_graph(4)):
             for ell in range(motif.m, motif.m + 3):
                 for d in eulerian_structures_on(motif, ell):
                     if d.arc_count <= 10:
-                        assert eulerian_walk_count(d) == eulerian_walk_count(
-                            d, "brute"
-                        ), d.arcs
+                        brute = eulerian_walks_by_backtracking(d)
+                        assert eulerian_walk_count(d) == brute, d.arcs
 
     def test_non_eulerian_rejected(self):
         lopsided = Multidigraph(2, (((0, 1), 2), ((1, 0), 1)))
@@ -132,7 +132,7 @@ class TestEulerianWalks:
 
         heavy = Multidigraph(2, (((0, 1), 7), ((1, 0), 7)))
         with pytest.raises(BudgetError):
-            eulerian_walk_count(heavy, method="brute")
+            eulerian_walks_by_backtracking(heavy)
 
     def test_trace_term_budget(self):
         from hyperspectra.errors import BudgetError
@@ -423,7 +423,7 @@ class TestCoveringViaBest:
             for ell in range(1, 5):
                 assert (
                     covering_parity_via_best(g, ell)
-                    == covering_parity_closed_count(g, 2 * ell).value
+                    == covering_parity_profile(g, 2 * ell)[2 * ell]
                 ), (g, ell)
 
 
@@ -445,7 +445,7 @@ class TestMomentCoefficient:
                 continue
             for k in (3, 4):
                 for ell in range(1, 4):
-                    p = covering_parity_closed_count(g, 2 * ell).value
+                    p = covering_parity_profile(g, 2 * ell)[2 * ell]
                     tree_form = (
                         Fraction(k ** (g.m * (k - 2) + 1))
                         / (2 * Fraction(k - 1) ** (g.n + g.m * (k - 2) - 1))

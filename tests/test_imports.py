@@ -80,6 +80,41 @@ def test_oracle_commands_load_their_module():
     assert seen["verify"] == [0, list(ORACLES)]
 
 
+def test_walk_modes_load_only_their_mean():
+    seen = _run_fresh(
+        f"""
+        import contextlib, io, json, sys
+        from hyperspectra import cli
+        out = {{}}
+        for mode in (["--method", "dp"], ["--method", "closed"], ["--covering"],
+                     ["--method", "signed_mean"]):
+            argv = ["walks", "--graph", "cycle:4", "--d", "4", *mode]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            out[" ".join(mode)] = [code, [m for m in {ORACLES!r} if m in sys.modules]]
+        print(json.dumps(out))
+        """
+    )
+    # the signed mean runs last, as the modules accumulate
+    assert seen == {
+        "--method dp": [0, []],
+        "--method closed": [0, []],
+        "--covering": [0, []],
+        "--method signed_mean": [0, ["hyperspectra.means"]],
+    }
+
+
+def test_walks_binds_no_name_from_signed():
+    from hyperspectra import signed, walks
+
+    bound = [
+        name
+        for name, value in vars(walks).items()
+        if value is signed or getattr(value, "__module__", None) == signed.__name__
+    ]
+    assert bound == []
+
+
 def test_oracle_names_resolve_through_the_defining_module(monkeypatch):
     from hyperspectra import run_verify_suite
 

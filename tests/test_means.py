@@ -15,10 +15,13 @@ from hyperspectra.means import (
     geometric_mean_evaluate,
     matching_polynomial,
     matchings_by_size,
+    mean_signed_char_poly,
+    mean_signed_moments,
     signed_char_poly_values,
 )
 from hyperspectra.signed import all_positive, char_poly_exact
 from hyperspectra.spectrum import beta
+from test_signed import small_graphs
 
 K2 = path_graph(2)
 P3 = path_graph(3)
@@ -53,9 +56,7 @@ class TestMatchingPolynomial:
 
     def test_mean_identity_exact(self, small_corpus):
         for g in small_corpus:
-            assert matching_polynomial(g, "direct") == matching_polynomial(
-                g, "signed_mean"
-            ), g
+            assert matching_polynomial(g) == mean_signed_char_poly(g), g
 
     def test_forest_matching_equals_char_poly(self, small_corpus):
         for g in small_corpus:
@@ -63,6 +64,12 @@ class TestMatchingPolynomial:
                 continue
             phi = [Fraction(c) for c in char_poly_exact(all_positive(g))]
             assert matching_polynomial(g) == phi
+
+    @given(small_graphs())
+    def test_mean_identity_on_small_graphs(self, g):
+        # Godsil-Gutman beyond the connected corpus: disconnected graphs,
+        # isolated vertices and the empty graph
+        assert matching_polynomial(g) == mean_signed_char_poly(g), g
 
 
 class TestGeometricMean:
@@ -157,7 +164,8 @@ class TestAmGm:
         for call in (
             lambda g: amgm_check(g, 3.0),
             lambda g: geometric_mean_evaluate(g, 3.0),
-            lambda g: matching_polynomial(g, method="signed_mean"),
+            mean_signed_char_poly,
+            lambda g: mean_signed_moments(g, 2),
         ):
             with pytest.raises(BudgetError, match="supports at most 20 edges"):
                 call(complete_graph(7))

@@ -22,6 +22,7 @@ from hyperspectra.graphs import (
     cycle_graph,
     path_graph,
 )
+from hyperspectra.means import mean_signed_moments
 from hyperspectra.signed import (
     SignedGraph,
     all_positive,
@@ -141,9 +142,7 @@ class TestSigningTable:
         # each switching class holds 2^|F| signings, F the BFS forest, whose
         # size |V| - components the table's scale reads
         assert len(spanning_forest_edges(g)) == g.n - len(g.components())
-        assert parity_closed_profile(g, 10, "dp") == parity_closed_profile(
-            g, 10, "signed_mean"
-        )
+        assert parity_closed_profile(g, 10) == mean_signed_moments(g, 10)
 
     def test_cycle3(self):
         # the balanced class (all signs +1 up to switching) and its negation

@@ -13,19 +13,13 @@ from hyperspectra.graphs import (
     parse_graph,
     path_graph,
 )
+from hyperspectra.means import mean_signed_moments
 from hyperspectra.walks import (
-    closed_walk_count,
     closed_walk_profile,
-    covering_parity_closed_count,
     covering_parity_profile,
-    parity_closed_count,
     parity_closed_profile,
 )
-from oracles import (
-    covering_parity_closed_by_subsets,
-    covering_parity_profile_by_subsets,
-    parity_profile_all_starts,
-)
+from oracles import covering_parity_profile_by_subsets, parity_profile_all_starts
 from test_signed import small_graphs
 
 K2 = path_graph(2)
@@ -36,23 +30,21 @@ C3 = cycle_graph(3)
 class TestParityClosed:
     def test_length_two_is_twice_edges(self, small_corpus):
         for g in small_corpus:
-            assert parity_closed_count(g, 2).value == 2 * g.m
+            assert parity_closed_profile(g, 2)[2] == 2 * g.m
 
     def test_cycle3_odd_is_zero(self):
-        assert parity_closed_count(C3, 3).value == 0
+        assert parity_closed_profile(C3, 3)[3] == 0
 
     def test_cycle3_length4(self):
-        assert parity_closed_count(C3, 4).value == 18
-        assert parity_closed_count(C3, 4, method="signed_mean").value == 18
+        assert parity_closed_profile(C3, 4)[4] == 18
+        assert mean_signed_moments(C3, 4)[4] == 18
 
     def test_path3_length4(self):
-        assert parity_closed_count(P3, 4).value == 8
+        assert parity_closed_profile(P3, 4)[4] == 8
 
     def test_methods_agree(self, small_corpus):
         for g in small_corpus:
-            assert parity_closed_profile(g, 8) == parity_closed_profile(
-                g, 8, method="signed_mean"
-            )
+            assert parity_closed_profile(g, 8) == mean_signed_moments(g, 8)
 
     def test_odd_lengths_vanish(self, small_corpus):
         for g in small_corpus:
@@ -66,48 +58,54 @@ class TestParityClosed:
             assert parity_closed_profile(g, 8) == closed_walk_profile(g, 8)
 
     def test_length_zero(self):
-        assert parity_closed_count(C3, 0).value == 3
+        assert parity_closed_profile(C3, 0)[0] == 3
 
     def test_dp_budget(self):
         wide = Graph(26, tuple((0, i) for i in range(1, 26)))
         with pytest.raises(BudgetError):
-            parity_closed_count(wide, 2)
+            parity_closed_profile(wide, 2)
 
     def test_signed_mean_budget(self):
         wide = Graph(22, tuple((0, i) for i in range(1, 22)))
         with pytest.raises(BudgetError, match="supports at most 20 edges, got 21"):
-            parity_closed_count(wide, 2, method="signed_mean")
+            mean_signed_moments(wide, 2)
+
+
+def test_negative_length_is_refused_by_every_profile():
+    for profile in (closed_walk_profile, parity_closed_profile, covering_parity_profile):
+        with pytest.raises(ValueError, match="^walk length must be non-negative$"):
+            profile(C3, -1)
 
 
 class TestClosedWalks:
     def test_k2(self):
-        assert closed_walk_count(K2, 4).value == 2
+        assert closed_walk_profile(K2, 4)[4] == 2
 
     def test_cycle3(self):
         # eigenvalues 2, -1, -1
-        assert closed_walk_count(C3, 4).value == 18
+        assert closed_walk_profile(C3, 4)[4] == 18
 
     def test_path3(self):
         # eigenvalues +-sqrt(2), 0
-        assert closed_walk_count(P3, 4).value == 8
+        assert closed_walk_profile(P3, 4)[4] == 8
 
 
 class TestCovering:
     def test_k2_back_and_forth(self):
-        assert covering_parity_closed_count(K2, 2).value == 2
+        assert covering_parity_profile(K2, 2)[2] == 2
 
     def test_path3_length4(self):
-        assert covering_parity_closed_count(P3, 4).value == 4
+        assert covering_parity_profile(P3, 4)[4] == 4
 
     def test_cycle3_too_short(self):
-        assert covering_parity_closed_count(C3, 4).value == 0
+        assert covering_parity_profile(C3, 4)[4] == 0
 
     def test_zero_below_twice_edges(self, small_corpus):
         for g in small_corpus:
             if g.m == 0 or not g.is_connected():
                 continue
             for d in range(0, 2 * g.m):
-                assert covering_parity_closed_count(g, d).value == 0
+                assert covering_parity_profile(g, d)[d] == 0
 
     def test_matches_inclusion_exclusion(self, small_corpus):
         for g in small_corpus:
@@ -115,21 +113,21 @@ class TestCovering:
                 continue
             for d in range(0, 9):
                 assert (
-                    covering_parity_closed_count(g, d).value
-                    == covering_parity_closed_by_subsets(g, d).value
+                    covering_parity_profile(g, d)[d]
+                    == covering_parity_profile_by_subsets(g, d)[d]
                 )
 
     def test_edgeless_motif_at_length_zero(self):
         # the length-0 walk covers the empty edge set of a single vertex
         point = Graph(1, ())
         assert covering_parity_profile(point, 3) == [
-            covering_parity_closed_by_subsets(point, d).value for d in range(4)
+            covering_parity_profile_by_subsets(point, d)[d] for d in range(4)
         ] == [1, 0, 0, 0]
 
     def test_disconnected_rejected(self):
         disconnected = Graph(4, ((0, 1), (2, 3)))
         with pytest.raises(ValueError):
-            covering_parity_closed_count(disconnected, 4)
+            covering_parity_profile(disconnected, 4)
 
 
 @st.composite
@@ -189,9 +187,7 @@ class TestWalkDPProperties:
     @given(graphs_with_components())
     def test_parity_methods_agree(self, g):
         for D in (0, 1, 2 * g.m, 2 * g.m + 1):
-            assert parity_closed_profile(g, D, "dp") == parity_closed_profile(
-                g, D, "signed_mean"
-            ), (g, D)
+            assert parity_closed_profile(g, D) == mean_signed_moments(g, D), (g, D)
 
 
 class TestDecomposition:
@@ -210,14 +206,14 @@ class TestDecomposition:
 
     def test_cycle3_length6_value(self):
         # every closed 6-walk in a triangle is parity-closed
-        assert parity_closed_count(C3, 6).value == closed_walk_count(C3, 6).value == 66
+        assert parity_closed_profile(C3, 6)[6] == closed_walk_profile(C3, 6)[6] == 66
 
     def test_profile_matches_per_length_counts(self):
         profile = parity_closed_profile(complete_graph(4), 6)
         for d in (0, 2, 4, 6):
-            assert profile[d] == parity_closed_count(complete_graph(4), d).value
+            assert profile[d] == parity_closed_profile(complete_graph(4), d)[d]
 
 
 def test_inline_parse_roundtrip():
     g = parse_graph("4 2\n0 1\n2 3")
-    assert parity_closed_count(g, 2).value == 4
+    assert parity_closed_profile(g, 2)[2] == 4
