@@ -80,6 +80,11 @@ def _count(text):
     return int(text)
 
 
+class _Default(int):
+    """A count left at its default, told apart from the same count given on
+    the command line."""
+
+
 def _finite(text):
     """argparse type: a malformed, infinite or NaN point is a usage error."""
     try:
@@ -131,6 +136,8 @@ def _factored_payload(fsf):
 
 
 def _cmd_walks(args):
+    if not args.covering and not isinstance(args.budget, _Default):
+        args.usage_error("--budget applies only with --covering")
     g = _load_graph(args.graph)
     if args.covering:
         profile = walks.covering_parity_profile(g, args.d, state_budget=args.budget)
@@ -162,7 +169,7 @@ def _cmd_census(args):
             "vertices": h.n,
             "count": len(subsets),
         }
-        for h, subsets in connected_subgraph_classes(g, max(1, max_edges))
+        for h, subsets in connected_subgraph_classes(g, max_edges)
     ]
     lines = [
         f"{entry['vertices']}v {entry['edges']}e  count {entry['count']}  "
@@ -377,17 +384,17 @@ def build_parser():
 
     p = sub.add_parser("walks", parents=[common], help="exact walk counts")
     p.add_argument("--d", type=_count, required=True)
-    p.add_argument(
-        "--method", choices=("dp", "signed_mean", "closed"), default="dp"
-    )
-    p.add_argument("--covering", action="store_true")
+    # a default would let argparse pass "--method dp --covering"; None is dp
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--method", choices=("dp", "signed_mean", "closed"))
+    kind.add_argument("--covering", action="store_true")
     p.add_argument(
         "--budget",
         type=_count,
-        default=walks.COVERING_STATE_BUDGET,
+        default=_Default(walks.COVERING_STATE_BUDGET),
         help="covering-walk DP states (default %(default)s)",
     )
-    p.set_defaults(func=_cmd_walks)
+    p.set_defaults(func=_cmd_walks, usage_error=p.error)
 
     p = sub.add_parser("census", parents=[common], help="connected motif census")
     p.add_argument("--max-edges", type=_count, default=0, help="0: all edges")

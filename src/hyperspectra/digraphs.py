@@ -25,6 +25,7 @@ from .spectrum import power_moment_prefactor
 from .walks import TRACE_TERM_BUDGET, covering_parity_profile
 
 BRUTE_ARC_LIMIT = 12
+STRUCTURE_BUDGET = 200_000
 
 
 class Multidigraph(_Value):
@@ -493,18 +494,23 @@ def eulerian_structures_on(motif, ell):
     return out
 
 
-def covering_parity_via_best(motif, ell, structure_budget=200_000):
+def covering_parity_via_best(motif, ell):
     """p_{2 ell}(motif) summed over Eulerian digraph structures with the
     Eulerian-walk counting formula; cross-checked elsewhere against the
-    covering walk dynamic program."""
+    covering walk dynamic program.  Refused when the bound
+    C(ell-1, m-1) (2 ell // m + 1)^m on the structures to list exceeds
+    STRUCTURE_BUDGET."""
     if not motif.is_connected():
         raise ValueError("motif must be connected")
     m = motif.m
     if m == 0:
         return 0
     n_structures = math.comb(ell - 1, m - 1) * (2 * ell // m + 1) ** m if ell >= m else 0
-    if n_structures > structure_budget:
-        raise BudgetError("too many digraph structures to enumerate")
+    if n_structures > STRUCTURE_BUDGET:
+        raise BudgetError(
+            f"digraph structure enumeration needs up to {n_structures} "
+            f"structures, budget is {STRUCTURE_BUDGET}"
+        )
     total = 0
     for digraph in eulerian_structures_on(motif, ell):
         total += eulerian_walk_count(digraph)

@@ -417,9 +417,10 @@ def connected_edge_subsets(g, max_edges):
     connected, as frozensets by size, then by bitmask: the `_connected_sets`
     of the line graph, in which two edges neighbour when they share an
     endpoint (a set of edges spans a connected subgraph exactly when it is
-    connected there)."""
+    connected there).  Empty when max_edges < 1 or g has no edge, since no
+    subset then has between 1 and max_edges edges."""
     if max_edges < 1:
-        raise ValueError("max_edges must be at least 1")
+        return []
     touching = [0] * g.n
     for i, (u, v) in enumerate(g.edges):
         touching[u] |= 1 << i

@@ -196,7 +196,7 @@ def _spectra(g, regime):
         if regime == 3:
             classes = connected_induced_subgraph_classes(g)
         else:
-            classes = connected_subgraph_classes(g, g.m) if g.m else ()
+            classes = connected_subgraph_classes(g, g.m)
         groups = tuple((h, _shapes(g, subsets)) for h, subsets in classes)
     exponents, basis = _signing_spectra(h for h, _ in groups)
     return groups, exponents, basis
@@ -261,7 +261,7 @@ def script_S(g, d, k):
     # there, to reach graphs too large for the full census
     top = d // k
     total = Fraction(0)
-    for h, subsets in connected_subgraph_classes(g, min(top, g.m)) if g.m else ():
+    for h, subsets in connected_subgraph_classes(g, min(top, g.m)):
         count = covering_parity_profile(h, 2 * top)[2 * top]
         total += power_moment_prefactor(h.n, h.m, k) * count * len(subsets)
     return Fraction(k - 1) ** (g.n + g.m * (k - 2) - 1) * total

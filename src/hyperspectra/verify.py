@@ -8,6 +8,7 @@ beta checks are limited to graphs with at most 8 edges).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -41,43 +42,30 @@ RADIUS_CONVERGENCE_ELL = 30
 class _PipelineCache:
     """Per-suite-run memo for the factored spectra, the motif censuses and
     the corpus digraphs, so the check groups can share results without any
-    cross-run state."""
+    cross-run state: each attribute is a `functools.cache` of its own, and
+    none refers back to the instance, so all four are freed with it."""
 
     def __init__(self):
-        self._charpoly = {}
-        self._beta = {}
-        self._census = {}
-        self._digraphs = {}
-
-    def charpoly(self, g, k):
-        key = (g, k)
-        if key not in self._charpoly:
-            self._charpoly[key] = spectrum.char_poly_power(g, k)
-        return self._charpoly[key]
-
-    def beta(self, g):
-        if g not in self._beta:
-            self._beta[g] = spectrum.beta(g)
-        return self._beta[g]
-
-    def census(self, g):
-        """((form, count), ...) for the census classes of g to the edge count
-        the decomposition check needs, which also hold every motif the corpus
-        digraphs come from; the count is the class's number of subsets, the
-        subsets themselves are not kept."""
-        if g not in self._census:
-            max_edges = min(DECOMPOSITION_MAX_D // 2, g.m)
-            self._census[g] = tuple(
-                (h, len(subsets))
-                for h, subsets in connected_subgraph_classes(g, max_edges)
-            )
-        return self._census[g]
+        self.charpoly = functools.cache(spectrum.char_poly_power)
+        self.beta = functools.cache(spectrum.beta)
+        self.census = functools.cache(_census)
+        self._digraphs = functools.cache(
+            functools.partial(_corpus_digraphs, census=self.census)
+        )
 
     def corpus_digraphs(self, seeds):
-        key = tuple(seeds)
-        if key not in self._digraphs:
-            self._digraphs[key] = _corpus_digraphs(seeds, self)
-        return self._digraphs[key]
+        return self._digraphs(tuple(seeds))
+
+
+def _census(g):
+    """((form, count), ...) for the census classes of g to the edge count the
+    decomposition check needs, which also hold every motif the corpus
+    digraphs come from; the count is the class's number of subsets, the
+    subsets themselves are not kept."""
+    max_edges = min(DECOMPOSITION_MAX_D // 2, g.m)
+    return tuple(
+        (h, len(subsets)) for h, subsets in connected_subgraph_classes(g, max_edges)
+    )
 
 
 def quick_corpus():
@@ -144,10 +132,9 @@ def _check_decomposition(seeds, ctx):
     for g in seeds:
         profile = walks.parity_closed_profile(g, max_d)
         totals = [0] * (max_d + 1)
-        if g.m:
-            for h, count in ctx.census(g):
-                covering = walks.covering_parity_profile(h, max_d)
-                totals = [t + c * count for t, c in zip(totals, covering)]
+        for h, count in ctx.census(g):
+            covering = walks.covering_parity_profile(h, max_d)
+            totals = [t + c * count for t, c in zip(totals, covering)]
         for d in range(2, max_d + 1, 2):
             if totals[d] != profile[d]:
                 return "fail", f"decomposition off at d={d} on {g}"
@@ -162,16 +149,14 @@ def _synthetic_digraphs():
     ]
 
 
-def _corpus_digraphs(seeds, ctx):
+def _corpus_digraphs(seeds, census):
     """Eulerian digraph structures of length |E| and |E| + 1, at most 6 per
     motif, on the seed motifs of at most 3 edges and 4 vertices, read from
     the suite's census of each seed."""
     out = []
     seen = set()
     for g in seeds:
-        if g.m == 0:
-            continue
-        for h, _ in ctx.census(g):
+        for h, _ in census(g):
             if h.m > 3:
                 break
             if h.n > 4 or h in seen:

@@ -144,6 +144,13 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert [entry["count"] for entry in payload] == [3, 3, 1]
 
+    def test_census_of_an_edgeless_graph(self, capsys):
+        for argv in ([], ["--max-edges", "0"], ["--max-edges", "2"]):
+            code, out, _ = run_cli(capsys, "census", "--graph", "3 0", *argv)
+            assert (code, out) == (0, "no motifs\n"), argv
+        _, out, _ = run_cli(capsys, "census", "--graph", "3 0", "--format", "json")
+        assert out == "[]\n"
+
     def test_signed_listing(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -399,6 +406,28 @@ class TestErrors:
             assert err.value.code == 2, argv
         # the defaults still apply
         code, out, _ = run_cli(capsys, *walks)
+        assert code == 0 and out.strip().endswith(": 4")
+
+    def test_walks_refuses_flags_it_would_ignore(self, capsys):
+        # --method and --covering each pick the count, and only the covering
+        # DP reads --budget
+        walks = ["walks", "--graph", "path:3", "--d", "4"]
+        for extra in (
+            ["--method", "closed", "--covering"],
+            ["--method", "dp", "--covering"],
+            ["--budget", "5"],
+            ["--method", "closed", "--budget", "40000000"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                cli.main([*walks, *extra])
+            assert err.value.code == 2, extra
+        usage = capsys.readouterr().err
+        assert "argument --covering: not allowed with argument --method" in usage
+        assert "--budget applies only with --covering" in usage
+        # with --covering the budget still binds: P3 needs 3 * 3^2 states
+        code, _, err = run_cli(capsys, *walks, "--covering", "--budget", "26")
+        assert code == 1 and "needs 27 states, budget is 26" in err
+        code, out, _ = run_cli(capsys, *walks, "--covering", "--budget", "27")
         assert code == 0 and out.strip().endswith(": 4")
 
     def test_negative_lengths_exit_2(self, capsys):

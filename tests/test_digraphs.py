@@ -426,6 +426,17 @@ class TestCoveringViaBest:
                     == covering_parity_profile(g, 2 * ell)[2 * ell]
                 ), (g, ell)
 
+    def test_structure_budget_names_the_count(self):
+        # C6 at ell = 30: C(29, 5) * 11^6 structures at most
+        from hyperspectra.errors import BudgetError
+
+        with pytest.raises(BudgetError) as err:
+            covering_parity_via_best(cycle_graph(6), 30)
+        assert str(err.value) == (
+            "digraph structure enumeration needs up to 210381726555 "
+            "structures, budget is 200000"
+        )
+
 
 class TestMomentCoefficient:
     def test_k2(self):

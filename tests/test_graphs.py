@@ -339,6 +339,14 @@ class TestCensus:
                     counted = sum(len(s) for h, s in classes if h.m == size)
                     assert counted == raw
 
+    def test_no_subset_below_one_edge(self):
+        # no subset has between 1 and max_edges edges when max_edges < 1 or
+        # the graph has no edge, so the census is empty rather than refused
+        assert connected_edge_subsets(cycle_graph(3), 0) == []
+        assert connected_edge_subsets(cycle_graph(3), -1) == []
+        assert connected_subgraph_classes(cycle_graph(3), 0) == ()
+        assert connected_subgraph_classes(Graph(3, ()), 3) == ()
+
     def test_cap_past_the_largest_subset_returns_at_once(self):
         # the enumeration stops at the first size with no connected subset,
         # however far the cap lies beyond it

@@ -156,6 +156,17 @@ def test_corpus_digraphs_built_once_per_suite(monkeypatch):
     assert len(calls) == 8
 
 
+def test_pipeline_memo_computes_each_result_once(monkeypatch):
+    # one factored spectrum per (quick graph, k in {3, 4}) and one beta per
+    # graph a beta check reads: the 8 quick graphs and C6 of the cycle
+    # identity
+    charpoly = _count_calls(monkeypatch, spectrum, "char_poly_power")
+    beta = _count_calls(monkeypatch, spectrum, "beta")
+    assert verify.run_verify_suite("quick").ok
+    assert len(charpoly) == len(set(charpoly)) == 16
+    assert len(beta) == len(set(beta)) == 9
+
+
 def test_beta_details_count_the_graphs_checked():
     # the full scope's 29 pipeline seeds include K1, which has no edge, so
     # both beta groups check 28; an edgeless seed alone checks none
