@@ -5,7 +5,12 @@ spectra, and balance.
 
 Switching representatives and balance both read the one BFS spanning forest,
 `_bfs_forest`: representatives fix its edges to +1, and balance compares
-every edge's sign with the potentials read down it.
+every edge's sign with the potentials read down it.  The switching-class
+table reads it too: with the forest at +1, each cycle's sign is a character
+of its free edges, so Sachs' coefficient theorem over one enumeration of
+the elementary subgraphs and one Walsh-Hadamard transform give every
+class's polynomial at once.  `char_poly_exact` (Faddeev-LeVerrier) expands
+single signings.
 
 Real spectra come from the exact integer characteristic polynomial: each
 eigenvalue is a root of one factor of its squarefree decomposition, isolated
@@ -31,6 +36,7 @@ from .errors import BudgetError, ConsistencyError
 from .graphs import _Value
 
 SIGNING_EDGE_LIMIT = 20
+SIGNING_TABLE_LIMIT = 1 << 21  # entries of a switching-class table
 
 
 class SignedGraph(_Value):
@@ -121,11 +127,17 @@ def check_cycle_space(dimension):
         )
 
 
-def largest_cycle_rank(g):
-    """The largest cycle rank |E(C)| - |V(C)| + 1 over the components C of g
-    (0 for a forest), which bounds the cycle rank of every connected
-    subgraph of g."""
-    return max((h.m - h.n + 1 for h in map(g.induced, g.components())), default=0)
+def check_signing_table(rank, n):
+    """Refuse a switching-class table, 2^rank rows of n + 1 coefficients,
+    whose cycle space is too large to list (`check_cycle_space`) or whose
+    entries exceed SIGNING_TABLE_LIMIT."""
+    check_cycle_space(rank)
+    entries = (n + 1) << rank
+    if entries > SIGNING_TABLE_LIMIT:
+        raise BudgetError(
+            f"switching-class table needs {entries} entries ({1 << rank} "
+            f"classes of {n + 1} coefficients), budget is {SIGNING_TABLE_LIMIT}"
+        )
 
 
 def _bfs_forest(g):
@@ -220,19 +232,104 @@ def poly_of_squares(phi):
 def switching_class_polynomials(g):
     """The distinct characteristic polynomials of the switching classes of
     g, each with the number of classes that have it: a tuple of (ascending
-    integer coefficients, count) pairs whose counts sum to 2^(|E|-|V|+c)
-    for c components.
+    integer coefficients, count) pairs whose counts sum to 2^r, r =
+    |E|-|V|+c the cycle rank for c components, in order of first
+    appearance among the representatives of `enumerate_signings(g,
+    up_to_switching=True)`.
 
-    Switching is a +-1 diagonal similarity, so every signing of a class has
-    the class's polynomial, and one representative per class is expanded.
-    Memoised per graph; refuses a cycle space of dimension above
-    SIGNING_EDGE_LIMIT, as the enumeration of switching classes does.
+    Read from `_class_rows`, one enumeration of the elementary subgraphs
+    and one Walsh-Hadamard transform.  Memoised per graph; refuses a table
+    past `check_signing_table`.
     """
-    table = Counter(
-        tuple(char_poly_exact(sg))
-        for sg in enumerate_signings(g, up_to_switching=True)
+    rows, width = _class_rows(g)
+    return tuple(
+        (_unpack(row, width, g.n + 1), count) for row, count in Counter(rows).items()
     )
-    return tuple(table.items())
+
+
+def _class_rows(g):
+    """Each switching class's characteristic polynomial, in the order of
+    `enumerate_signings(g, up_to_switching=True)`, packed as the integer
+    sum_i a_i 2^(width i) of its coefficients a_i; returns (rows, width).
+
+    Sachs' coefficient theorem for signed graphs: the coefficient of
+    lambda^(n-i) is the sum, over the elementary subgraphs H on i vertices
+    (vertex-disjoint K2s and cycles), of (-1)^p(H) 2^c(H) times the sign
+    products of H's c(H) cycles, p(H) its components.  With the BFS forest
+    fixed to +1, free edge j (of r, ascending) carries bit r-1-j, and a
+    cycle's sign in class t is (-1)^|z & t|, z the bits of its free edges.
+    So row F_z sums the terms of the H whose cycles' bits XOR to z, and the
+    class rows are the Walsh-Hadamard transform of F.  No coefficient
+    exceeds sum_H 2^c(H) in absolute value, the sum of the permanents of
+    the principal submatrices of the adjacency matrix, at most (1 + max
+    degree)^n, so a width of n bitlength(1 + max degree) + 2 bits holds
+    each signed digit, and equal rows are equal polynomials.
+    """
+    n = g.n
+    tree = spanning_forest_edges(g)
+    free = [e for i, e in enumerate(g.edges) if i not in tree]
+    rank = len(free)
+    check_signing_table(rank, n)
+    nbrs = g.neighbors()
+    width = n * (1 + max(map(len, nbrs), default=0)).bit_length() + 2
+    bit = [[0] * n for _ in range(n)]
+    for j, (u, v) in enumerate(free):
+        bit[u][v] = bit[v][u] = 1 << (rank - 1 - j)
+    # pieces[v]: the K2s and cycles whose least vertex is v, as (vertex
+    # mask, vertex count, factor -1 or -2, free-edge bits z)
+    pieces = [[] for _ in range(n)]
+    for u, v in g.edges:
+        pieces[u].append((1 << u | 1 << v, 2, -1, 0))
+    for v in range(n):
+        # simple paths v, a, ..., u through vertices above v; each cycle
+        # closes twice, and is kept in the direction with a < u
+        stack = [(w, w, 1 << v | 1 << w, 2, bit[v][w]) for w in nbrs[v] if w > v]
+        while stack:
+            a, u, mask, count, z = stack.pop()
+            for w in nbrs[u]:
+                if w == v and count > 2 and a < u:
+                    pieces[v].append((mask, count, -2, z ^ bit[u][v]))
+                elif w > v and not mask >> w & 1:
+                    stack.append((a, w, mask | 1 << w, count + 1, z ^ bit[u][w]))
+    rows = [0] * (1 << rank)
+    # each elementary subgraph once, its pieces by ascending least vertex
+    stack = [(0, 0, 0, 1, 0)]
+    while stack:
+        start, used, count, term, z = stack.pop()
+        rows[z] += term << width * (n - count)
+        for v in range(start, n):
+            if not used >> v & 1:
+                for mask, size, factor, cycle in pieces[v]:
+                    if not mask & used:
+                        stack.append(
+                            (v + 1, used | mask, count + size, term * factor, z ^ cycle)
+                        )
+    _walsh_hadamard(rows)
+    return rows, width
+
+
+def _walsh_hadamard(rows):
+    """In place: rows[t] becomes sum_z rows[z] (-1)^|z & t|, for a list of
+    length a power of two."""
+    half = 1
+    while half < len(rows):
+        for start in range(0, len(rows), 2 * half):
+            for i in range(start, start + half):
+                a, b = rows[i], rows[i + half]
+                rows[i], rows[i + half] = a + b, a - b
+        half *= 2
+
+
+def _unpack(row, width, length):
+    """The length signed width-bit digits of a packed row, lowest first."""
+    coeffs = []
+    for _ in range(length):
+        digit = row & ((1 << width) - 1)
+        if digit >> (width - 1):
+            digit -= 1 << width
+        coeffs.append(digit)
+        row = (row - digit) >> width
+    return tuple(coeffs)
 
 
 def signing_polynomials(g):

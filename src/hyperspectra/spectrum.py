@@ -50,8 +50,7 @@ from .algebra import (
 from .errors import ConsistencyError
 from .graphs import connected_induced_subgraph_classes, connected_subgraph_classes
 from .signed import (
-    check_cycle_space,
-    largest_cycle_rank,
+    check_signing_table,
     poly_of_squares,
     spectral_radius,
     switching_class_polynomials,
@@ -185,9 +184,10 @@ def _spectra(g, regime):
     component with an edge is its own group, of one shape ((0, ()), 1) and
     no canonical form, so no vertex limit; at k = 3 the connected induced
     subgraphs, at k >= 4 every connected edge subset, one group per
-    `graphs` census class.  A component whose cycle space is too large to
-    list its switching classes is refused first."""
-    check_cycle_space(largest_cycle_rank(g))
+    `graphs` census class.  A component whose switching-class table is too
+    large is refused first: no connected subgraph has a larger one."""
+    for h in map(g.induced, g.components()):
+        check_signing_table(h.m - h.n + 1, h.n)
     if regime == 2:
         groups = tuple(
             (g.induced(c), (((0, ()), 1),)) for c in g.components() if len(c) > 1
@@ -285,16 +285,28 @@ def _covering_weight(h, x, ts, k):
 
     The prefactor D_k(v, e) is c * r^v * s^e, so the sum factors into
     (1 - s) for each of the x further edges inside V(C) and 1 - r + r (1 -
-    s)^t for each t in ts.  At k = 3, s = 1: any further edge inside V(C)
-    makes w(C) = 0, so the k = 3 census lists only induced C, and each
-    outside vertex gives 1 - r = 1/4.  At k = 2, r = s = 1 and c = 1: w(C)
-    = 1 when C is a whole component and 0 otherwise.
+    s)^t for each t in ts (`_boundary_factor`).  At k = 3, s = 1: any
+    further edge inside V(C) makes w(C) = 0, so the k = 3 census lists only
+    induced C, and each outside vertex gives 1 - r = 1/4.  At k = 2, r = s
+    = 1 and c = 1: w(C) = 1 when C is a whole component and 0 otherwise.
     """
+    return power_moment_prefactor(h.n, h.m, k) * _boundary_factor(
+        x, ts, *_vertex_and_edge_ratios(k)
+    )
+
+
+def _vertex_and_edge_ratios(k):
+    """r and s of D_k(v, e) = c * r^v * s^e, read from
+    `power_moment_prefactor`."""
     base = power_moment_prefactor(1, 1, k)
     r = power_moment_prefactor(2, 1, k) / base
     s = power_moment_prefactor(1, 2, k) / base
-    joined = prod(1 - r + r * (1 - s) ** t for t in ts)
-    return power_moment_prefactor(h.n, h.m, k) * (1 - s) ** x * joined
+    return r, s
+
+
+def _boundary_factor(x, ts, r, s):
+    """(1 - s)^x prod_t (1 - r + r (1 - s)^t), w(C) over D_k(C)."""
+    return (1 - s) ** x * prod(1 - r + r * (1 - s) ** t for t in ts)
 
 
 def _exponents(g, k):
@@ -308,14 +320,18 @@ def _exponents(g, k):
     when no other edge of F touches V(C), so the inner sum keeps only those
     C whose vertices touch every edge of H, with sign (-1)^(|H|-|C|).
     Exchanging the sums gives mu(x) = scale * sum_C w(C) abar_C(x), where
-    w(C) = 0 unless `_spectra` lists C for the regime, and w(C) is read
-    once per class and boundary shape.  At k = 2, scale = 1/2 and w(C) = 1
-    on each component of g.
+    w(C) = 0 unless `_spectra` lists C for the regime, and w(C), the
+    `_covering_weight`, is D_k read once per class times one
+    `_boundary_factor` per boundary shape.  At k = 2, scale = 1/2 and w(C)
+    = 1 on each component of g.
     """
     groups, exponents, basis = _spectra(g, min(k, 4))
+    r, s = _vertex_and_edge_ratios(k)
     weighted = []
     for (h, shapes), (signings, sums) in zip(groups, exponents):
-        weight = sum(c * _covering_weight(h, *shape, k) for shape, c in shapes)
+        weight = power_moment_prefactor(h.n, h.m, k) * sum(
+            c * _boundary_factor(x, ts, r, s) for (x, ts), c in shapes
+        )
         if weight:
             weighted.append((weight / signings, sums))
     # integer sums over one common denominator, of the nonzero entries only

@@ -8,7 +8,8 @@ isomorphism test and subset enumeration for the motif census, vertex
 subset enumeration for the induced census, every permutation for the
 automorphism orbits, breadth- and depth-first search for the components of
 a graph and the connectivity of a digraph's support, every switching for
-balance, the parity DP from every start vertex, subset
+balance, Faddeev-LeVerrier on every switching representative for the
+switching-class table, the parity DP from every start vertex, subset
 inclusion-exclusion over it for the covering walk counts, the
 deletion sum over all vertex and edge sets for the moments, and cyclic
 Jacobi rotations in floats for the real spectra read off exact
@@ -17,11 +18,13 @@ polynomials.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
 from hyperspectra.algebra import poly_derivative, poly_trim
 from hyperspectra.graphs import Graph
+from hyperspectra.signed import char_poly_exact, enumerate_signings
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +282,16 @@ def is_balanced_by_switching(sg):
         all(s * diag[u] * diag[v] == 1 for s, (u, v) in zip(sg.signs, edges))
         for diag in itertools.product((1, -1), repeat=sg.base.n)
     )
+
+
+def switching_class_polynomials_by_faddeev_leverrier(g):
+    """Independent oracle for `signed.switching_class_polynomials`: the
+    characteristic polynomial of each switching representative by
+    Faddeev-LeVerrier, counted in the representatives' order."""
+    table = Counter(
+        tuple(char_poly_exact(sg)) for sg in enumerate_signings(g, up_to_switching=True)
+    )
+    return tuple(table.items())
 
 
 def parity_profile_all_starts(g, max_d):

@@ -145,18 +145,19 @@ class TestAmGm:
         assert report.status == "skipped"
 
     def test_one_polynomial_per_signing(self, monkeypatch):
-        # the geometric mean reuses the values the arithmetic mean reads,
-        # one polynomial per switching class: 2 on C4 (16 signings)
-        calls = []
+        # the geometric mean reuses the values the arithmetic mean reads:
+        # one switching-class table, of 2 classes on C4 (16 signings)
+        transformed = []
+        walsh_hadamard = signed._walsh_hadamard
 
-        def counted(sg):
-            calls.append(sg)
-            return char_poly_exact(sg)
+        def counted(rows):
+            transformed.append(len(rows))
+            return walsh_hadamard(rows)
 
-        monkeypatch.setattr(signed, "char_poly_exact", counted)
+        monkeypatch.setattr(signed, "_walsh_hadamard", counted)
         signed.switching_class_polynomials.cache_clear()
         report = amgm_check(cycle_graph(4), 3.0)
-        assert len(calls) == 2
+        assert transformed == [2]
         assert report.beta_value == geometric_mean_evaluate(cycle_graph(4), 3.0)
 
     def test_signing_budget(self):

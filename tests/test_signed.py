@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperspectra import spectrum
+from hyperspectra import signed, spectrum
 from hyperspectra.algebra import (
     basis_exponents,
     coprime_basis,
@@ -31,15 +31,20 @@ from hyperspectra.signed import (
     eigenvalues,
     enumerate_signings,
     is_balanced,
-    largest_cycle_rank,
     signed_spectral_moment,
     signing_polynomials,
     spanning_forest_edges,
     spectral_radius,
+    switching_class_polynomials,
 )
 from hyperspectra.spectrum import beta, char_poly_power
 from hyperspectra.walks import parity_closed_profile
-from oracles import is_balanced_by_switching, jacobi_eigenvalues
+from oracles import (
+    is_balanced_by_switching,
+    jacobi_eigenvalues,
+    switching_class_polynomials_by_faddeev_leverrier as faddeev_leverrier_table,
+)
+from test_graphs import PETERSEN
 
 K2 = path_graph(2)
 P3 = path_graph(3)
@@ -152,13 +157,64 @@ class TestSigningTable:
         with pytest.raises(BudgetError, match="supports at most 20 edges"):
             signing_polynomials(Graph(22, tuple((0, i) for i in range(1, 22))))
 
-    def test_largest_cycle_rank(self):
-        assert largest_cycle_rank(Graph(0, ())) == 0
-        assert largest_cycle_rank(path_graph(4)) == 0
-        # C3 and K4 side by side: the largest component rank, not the sum
-        c3_k4 = Graph(7, C3.edges + tuple((u + 3, v + 3) for u, v in complete_graph(4).edges))
-        assert largest_cycle_rank(c3_k4) == 3
-        assert largest_cycle_rank(complete_graph(8)) == 21
+
+def disjoint_union(*graphs):
+    edges, n = [], 0
+    for g in graphs:
+        edges.extend((u + n, v + n) for u, v in g.edges)
+        n += g.n
+    return Graph(n, tuple(edges))
+
+
+class TestSwitchingClassTable:
+    """The table from Sachs' theorem and one Walsh-Hadamard transform
+    against Faddeev-LeVerrier on every switching representative."""
+
+    @given(small_graphs())
+    def test_equals_the_oracle(self, g):
+        assert switching_class_polynomials(g) == faddeev_leverrier_table(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(5),
+            complete_graph(6),
+            Graph(6, tuple((a, b) for a in range(3) for b in range(3, 6))),  # K3,3
+            Graph(5, cycle_graph(4).edges + tuple((i, 4) for i in range(4))),  # W4
+            PETERSEN,
+            disjoint_union(C3, cycle_graph(4), Graph(1, ())),
+        ],
+        ids=["K5", "K6", "K3,3", "W4", "Petersen", "C3+C4+K1"],
+    )
+    def test_fixed_graphs(self, g):
+        assert switching_class_polynomials(g) == faddeev_leverrier_table(g)
+
+    def test_k7_sampled_classes(self):
+        # the full oracle on K7's 32 768 classes takes seconds; every 512th
+        # class's row is compared with its representative's polynomial
+        k7 = complete_graph(7)
+        assert sum(count for _, count in switching_class_polynomials(k7)) == 2**15
+        rows, width = signed._class_rows(k7)
+        reps = enumerate_signings(k7, up_to_switching=True)
+        assert len(rows) == len(reps) == 2**15
+        for t in range(0, 2**15, 512):
+            assert signed._unpack(rows[t], width, 8) == tuple(char_poly_exact(reps[t]))
+
+    def test_table_budget_names_the_table_size(self):
+        # K8 minus an edge: cycle rank 27 - 8 + 1 = 20, within the cycle
+        # space limit, but 2^20 rows of 9 coefficients
+        k8_minus_edge = Graph(8, complete_graph(8).edges[1:])
+        with pytest.raises(
+            BudgetError,
+            match=r"switching-class table needs 9437184 entries "
+            r"\(1048576 classes of 9 coefficients\), budget is 2097152",
+        ):
+            switching_class_polynomials(k8_minus_edge)
+        # the budget is read on the table of the whole graph: two K7s side
+        # by side have cycle rank 30
+        two_k7 = disjoint_union(complete_graph(7), complete_graph(7))
+        with pytest.raises(BudgetError, match="cycle space dimension 30 exceeds 20"):
+            switching_class_polynomials(two_k7)
 
 
 class TestCharPoly:

@@ -41,7 +41,7 @@ from hyperspectra.spectrum import (
 from hyperspectra.walks import covering_parity_profile, parity_closed_profile
 from oracles import deletion_moments
 from test_graphs import small_graphs as census_graphs
-from test_signed import small_graphs
+from test_signed import disjoint_union, small_graphs
 
 K2 = path_graph(2)
 P3 = path_graph(3)
@@ -342,6 +342,24 @@ class TestCharPolyPower:
         for call in (lambda g: char_poly_power(g, 3), beta):
             with pytest.raises(BudgetError, match="cycle space dimension 21 exceeds 20"):
                 call(complete_graph(8))
+
+    def test_table_budget_reads_each_component(self):
+        # seven disjoint K4s have cycle rank 7 * 3 = 21 in all, but no
+        # connected subgraph has a table larger than one K4's 2^3 rows
+        seven_k4 = disjoint_union(*[complete_graph(4)] * 7)
+        expected = "(λ^2 - 1)^63/8 (λ^2 - 5)^21/4 (λ^2 - 9)^7/8"
+        assert beta(seven_k4).to_text() == expected
+
+    def test_oversized_table_refused_before_the_census(self, monkeypatch):
+        # K8 minus an edge has cycle rank 20, inside the cycle space limit,
+        # but its switching-class table would hold 2^20 rows of 9
+        # coefficients; no subset is listed before the refusal
+        listed = []
+        monkeypatch.setattr(graphs, "_connected_sets", lambda *a: listed.append(a))
+        for call in (lambda g: char_poly_power(g, 3), beta):
+            with pytest.raises(BudgetError, match="table needs 9437184 entries"):
+                call(Graph(8, complete_graph(8).edges[1:]))
+        assert listed == []
 
     def test_k2_rejected(self):
         with pytest.raises(ValueError):

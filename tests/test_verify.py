@@ -133,16 +133,17 @@ def _count_calls(monkeypatch, module, name):
 
 def test_signed_polynomials_computed_once_per_graph(monkeypatch):
     # methods-agree, geometric-mean, godsil-gutman and am-gm read one table
-    # of signed polynomials per graph, one polynomial per switching class:
-    # the sum of 2^(|E|-|V|+1) over the quick corpus is 21 (166 for one per
-    # signing).  A first run fills the motif spectra, which read the same
-    # memoised table; clearing it then leaves only the means to refill it.
+    # of signed polynomials per graph, one switching-class table each: 8
+    # tables on the quick corpus, whose 2^(|E|-|V|+1) classes sum to 21.
+    # A first run fills the motif spectra, which read the same memoised
+    # table; clearing it then leaves only the means to refill it.
     assert verify.run_verify_suite("quick").ok
-    calls = _count_calls(monkeypatch, signed, "char_poly_exact")
+    transformed = _count_calls(monkeypatch, signed, "_walsh_hadamard")
     signed.switching_class_polynomials.cache_clear()
     report = verify.run_verify_suite("quick")
     assert report.ok
-    assert len(calls) == 1 + 1 + 1 + 2 + 2 + 2 + 4 + 8
+    classes = [len(rows) for rows, in transformed]
+    assert (len(classes), sum(classes)) == (8, 21)
 
 
 def test_corpus_digraphs_built_once_per_suite(monkeypatch):
