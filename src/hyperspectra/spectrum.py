@@ -24,11 +24,10 @@ roots sigma^2 of each b, each the double nearest to the exact root: an
 integer Sturm sequence isolates it and bisection at dyadic points narrows it
 until its interval rounds to one double.  `abs_power` evaluates |f(x)|^n
 exactly, so beta's identities are checked in rationals.  Each result is
-checked against exact moments from walk counts, not signed spectra, by one
-route for every k: vertex and edge deletion, one parity profile per group.
-The check runs to the rank of the power-sum matrix of the regime's basis
-(its size when that matrix is nonsingular mod 2^61 - 1, else its total
-degree), which pins every multiplicity.
+checked against walk counts, not signed spectra, by one route for every k:
+each class's table against its parity profile, to a length read from the
+class's own basis elements, then the exponents recombined from the tables
+by vertex and edge deletion.
 """
 
 from __future__ import annotations
@@ -135,8 +134,8 @@ def power_moment_prefactor(v_count, e_count, k):
 def _signing_spectra(graphs):
     """The gcd-free basis Sigma of the `char_poly_of_squares` of every
     switching class of the given graphs, and per graph the number of its
-    switching classes and the sum of their exponent vectors over Sigma.
-    Each graph's classes come from its memoised
+    switching classes, the sum of their exponent vectors over Sigma and
+    the sum of their degrees.  Each graph's classes come from its memoised
     `switching_class_polynomials`, which `signing_polynomials` also reads."""
     tables = [
         [(tuple(poly_of_squares(phi)), c) for phi, c in switching_class_polynomials(h)]
@@ -150,6 +149,7 @@ def _signing_spectra(graphs):
             tuple(
                 sum(c * over_basis[q][i] for q, c in table) for i in range(len(basis))
             ),
+            sum(c * (len(q) - 1) for q, c in table),
         )
         for table in tables
     )
@@ -160,7 +160,8 @@ def _shapes(g, subsets):
     """One class's connected edge subsets C of g counted by boundary shape:
     ((x, ts), count), with x the further edges inside V(C) and ts the sorted
     edge counts t_u of the outside vertices u joined to V(C).  Both weight
-    routes, `_covering_weight` and `_deletion_moments`, read C through these."""
+    routes, `_covering_weight` and `check_moment_identity`, read C through
+    these."""
     shapes = Counter()
     for subset in subsets:
         inside = {x for i in subset for x in g.edges[i]}
@@ -200,48 +201,6 @@ def _spectra(g, regime):
         groups = tuple((h, _shapes(g, subsets)) for h, subsets in classes)
     exponents, basis = _signing_spectra(h for h, _ in groups)
     return groups, exponents, basis
-
-
-def _deletion_moments(g, k, top, groups):
-    """[S_k, S_2k, ..., S_{top k}] of the k-power of g (k >= 2) by vertex
-    and edge deletion, from the groups of `_spectra(g, min(k, 4))` and one
-    parity profile per group.
-
-    The prefactor D_k(v, e) is (k-1) r^v s^e with r = k / (2 (k-1)) and
-    s = 2 k^(k-3) / (k-1)^(k-2), so a parity-closed walk w weighs
-    (k-1)^(n+(k-2)m) r^|V(w)| s^|E(w)|.  Write r^|V(w)| as the sum, over
-    the vertex sets X that w avoids, of (1-r)^|X| r^(n-|X|), and s^|E(w)|
-    likewise over the edge sets Y it avoids, and group by the component C
-    of G - X - Y that holds w.  C is a component exactly when every further
-    edge inside V(C) is in Y and each outside vertex u joined to V(C) by
-    t_u edges is in X or keeps all t_u of them in Y, so
-    S_{k ell} = (k-1)^(n+(k-2)m) sum_C r^|V(C)| s^|E(C)| (1-s)^x
-    prod_u (1 - r + r (1-s)^t_u) P_C(2 ell), with x the further edges
-    inside V(C).  At k = 3, s = 1: only induced C remain, and each outside
-    neighbour gives 1 - r = 1/4.  At k = 2, r = 1 as well, so only the
-    components of g remain and the prefactor is 1.  The counts x and t_u
-    are the `_shapes` that `_covering_weight` reads too, but the formulas
-    are separate: r and s come from k, not `power_moment_prefactor`, so an
-    error in the exponents' weight cannot cancel in the check.
-    """
-    r = Fraction(k, 2 * (k - 1))
-    s = 2 * Fraction(k) ** (k - 3) / Fraction(k - 1) ** (k - 2)
-    weighted = []
-    for h, shapes in groups:
-        weight = r**h.n * s**h.m * sum(
-            c * (1 - s) ** x * prod(1 - r + r * (1 - s) ** t for t in ts)
-            for (x, ts), c in shapes
-        )
-        if weight:
-            weighted.append((weight, parity_closed_profile(h, 2 * top)[2::2]))
-    # integer sums over one common denominator
-    den = lcm(*(w.denominator for w, _ in weighted))
-    totals = [0] * top
-    for w, profile in weighted:
-        scale = w.numerator * (den // w.denominator)
-        totals = [t + scale * p for t, p in zip(totals, profile)]
-    prefactor = (k - 1) ** (g.n + (k - 2) * g.m)
-    return [Fraction(prefactor * total, den) for total in totals]
 
 
 def script_S(g, d, k):
@@ -328,7 +287,7 @@ def _exponents(g, k):
     groups, exponents, basis = _spectra(g, min(k, 4))
     r, s = _vertex_and_edge_ratios(k)
     weighted = []
-    for (h, shapes), (signings, sums) in zip(groups, exponents):
+    for (h, shapes), (signings, sums, _) in zip(groups, exponents):
         weight = power_moment_prefactor(h.n, h.m, k) * sum(
             c * _boundary_factor(x, ts, r, s) for (x, ts), c in shapes
         )
@@ -356,24 +315,34 @@ def _factors(pairs):
 
 
 def check_moment_identity(g, fsf):
-    """Check a factored result against the exact moments, in Fractions:
-    mu0 + k sum_b mu_b deg(b) is the degree of the characteristic
-    polynomial (ell = 0), and k sum_b mu_b p_ell(b) = S_{ell k}, or
-    2 sum_b mu_b p_ell(b) = P_{2 ell} for beta, where p_ell(b) is the ell-th
-    power sum of the roots of b.  Every b must be in the basis Sigma of g
-    in the regime (`_spectra`), and the S_{k ell} come from
-    `_deletion_moments`: walk counts, not signed spectra.
+    """Check a factored result in Fractions against walk counts, one class
+    C of `_spectra` at a time.  Every b of the result must be in the
+    regime's basis Sigma, and mu0 + k sum_b mu_b deg(b) must be the degree
+    of the characteristic polynomial (ell = 0).
 
-    The check runs to ell <= L, read from the basis, not from the result.
-    Each p_ell(b) is an integer, since b is monic with integer
-    coefficients, so when the |Sigma| x |Sigma| matrix [p_ell(b)] is
-    nonsingular mod 2^61 - 1 it is nonsingular over Q, and L = |Sigma|
-    moments pin every exponent.  Otherwise L is the total degree D of the
-    basis: its roots are D distinct nonzero numbers, so the rows [x^ell]
-    (ell <= D) form a nonsingular Vandermonde matrix times diag(x).
-    Raises ConsistencyError on a mismatch."""
+    Grouping each parity-closed walk by the component C of G - X - Y that
+    holds it, over the vertex sets X and edge sets Y it avoids, gives
+    S_{k ell} = (k-1)^(n+(k-2)m) sum_C W_C P_C(2 ell), P_C the parity-closed
+    walk count, with W_C = r^|V(C)| s^|E(C)| (1-s)^x prod_u (1 - r + r
+    (1-s)^t_u) from the `_shapes` of C, r = k / (2 (k-1)) and
+    s = 2 k^(k-3) / (k-1)^(k-2): from k, never `power_moment_prefactor`,
+    so an error in the exponents' weight cannot cancel.
+
+    Each C with W_C != 0 has signings_C switching classes, whose exponent
+    vectors over Sigma sum to sums_C and whose degrees sum to deg_C.
+    Averaging their traces gives signings_C P_C(2 ell) =
+    sum_b sums_C(b) p_ell(b), p_ell(b) the power sums of the roots of b,
+    and p_0(b) = deg(b) against deg_C.  The rows run to L_C = |support| of
+    sums_C when the support's integer matrix [p_ell(b)], ell = 1..|support|,
+    is nonsingular mod 2^61 - 1, hence over Q, else to the support's total
+    degree D, whose D distinct nonzero roots make the Vandermonde rows
+    [x^ell] (ell <= D) nonsingular: either way they pin sums_C on its
+    support.  Last, every b of Sigma must recombine: k mu_b =
+    (k-1)^(n+(k-2)m) sum_C W_C sums_C(b) / signings_C, so the result gives
+    every S_{k ell}, or P_{2 ell} for beta, by linearity.  Raises
+    ConsistencyError on a mismatch."""
     k = fsf.k
-    groups, _, basis = _spectra(g, min(k, 4))
+    groups, spectra, basis = _spectra(g, min(k, 4))
     mu_of = {f.b: Fraction(f.mu) for f in fsf.factors}
     members = set(basis)
     for b in mu_of:
@@ -384,17 +353,48 @@ def check_moment_identity(g, fsf):
         raise ConsistencyError(
             f"moment identity fails at ell=0: degree {degree} != {_degree(g, k)}"
         )
-    top = len(basis)
-    sums = [power_sums_from_charpoly(b, top) for b in basis]
-    if mat_rank_mod_p([[p[ell] for p in sums] for ell in range(1, top + 1)]) < top:
-        top = sum(len(b) - 1 for b in basis)
-        sums = [power_sums_from_charpoly(b, top) for b in basis]
-    mu = [mu_of.get(b, 0) for b in basis]
-    for ell, rhs in enumerate(_deletion_moments(g, k, top, groups), start=1):
-        lhs = k * sum(m * p[ell] for m, p in zip(mu, sums) if m)
+    r = Fraction(k, 2 * (k - 1))
+    s = 2 * Fraction(k) ** (k - 3) / Fraction(k - 1) ** (k - 2)
+    classes, tops = [], [0] * len(basis)
+    for (h, shapes), (signings, sums, deg) in zip(groups, spectra):
+        weight = r**h.n * s**h.m * sum(
+            c * (1 - s) ** x * prod(1 - r + r * (1 - s) ** t for t in ts)
+            for (x, ts), c in shapes
+        )
+        if weight:
+            support = [i for i, e in enumerate(sums) if e]
+            classes.append((h, signings, sums, deg, support, weight / signings))
+            for i in support:
+                tops[i] = max(tops[i], len(support))
+    # each element's power sums once, to the largest support that holds it
+    power = [power_sums_from_charpoly(b, top) for b, top in zip(basis, tops)]
+    # integer sums over one common denominator
+    den = lcm(*(w.denominator for *_, w in classes))
+    totals = [0] * len(basis)
+    for h, signings, sums, deg, support, w in classes:
+        top = len(support)
+        rows = [[power[i][ell] for i in support] for ell in range(1, top + 1)]
+        if mat_rank_mod_p(rows) < top:
+            top = sum(len(basis[i]) - 1 for i in support)
+            for i in support:
+                if len(power[i]) <= top:
+                    power[i] = power_sums_from_charpoly(basis[i], top)
+        walks = parity_closed_profile(h, 2 * top)[2::2]
+        for ell, rhs in enumerate([deg] + [signings * p for p in walks]):
+            lhs = sum(sums[i] * power[i][ell] for i in support)
+            if lhs != rhs:
+                raise ConsistencyError(
+                    f"moment identity of the class with edges {h.edges} fails "
+                    f"at ell={ell}: {lhs} != {rhs}"
+                )
+        for i in support:
+            totals[i] += w.numerator * (den // w.denominator) * sums[i]
+    prefactor = (k - 1) ** (g.n + (k - 2) * g.m)
+    for b, total in zip(basis, totals):
+        lhs, rhs = k * mu_of.get(b, 0), Fraction(prefactor * total, den)
         if lhs != rhs:
             raise ConsistencyError(
-                f"moment identity fails at ell={ell}: {lhs} != {rhs}"
+                f"exponent of {b} fails the recombination: k mu = {lhs} != {rhs}"
             )
 
 

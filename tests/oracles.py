@@ -11,7 +11,8 @@ a graph and the connectivity of a digraph's support, every switching for
 balance, Faddeev-LeVerrier on every switching representative for the
 switching-class table, the parity DP from every start vertex, subset
 inclusion-exclusion over it for the covering walk counts, the
-deletion sum over all vertex and edge sets for the moments, and cyclic
+deletion sum over all vertex and edge sets for the moments and its sum
+grouped by component over every length at once, and cyclic
 Jacobi rotations in floats for the real spectra read off exact
 polynomials.
 """
@@ -366,6 +367,28 @@ def deletion_moments(g, k, top):
     totals = [Fraction(0)] * top
     for kept, weight in weights.items():
         profile = parity_profile_all_starts(Graph(g.n, kept), 2 * top)[2::2]
+        totals = [t + weight * p for t, p in zip(totals, profile)]
+    return [(k - 1) ** (g.n + (k - 2) * g.m) * t for t in totals]
+
+
+def grouped_deletion_moments(g, k, top, groups):
+    """[S_k, S_2k, ..., S_{top k}] of the k-power of g (k >= 2) by the
+    deletion sum grouped by component: the groups (graph, `_shapes`) of
+    `spectrum._spectra(g, min(k, 4))` and one parity profile each, all
+    lengths summed at once.  The vertex sets X and edge sets Y that a walk
+    avoids leave it in a component C of G - X - Y, which gives
+    S_{k ell} = (k-1)^(n+(k-2)m) sum_C r^|V(C)| s^|E(C)| (1-s)^x
+    prod_u (1 - r + r (1-s)^t_u) P_C(2 ell), with x the further edges
+    inside V(C) and t_u the edges joining an outside vertex u to V(C)."""
+    r = Fraction(k, 2 * (k - 1))
+    s = 2 * Fraction(k) ** (k - 3) / Fraction(k - 1) ** (k - 2)
+    totals = [Fraction(0)] * top
+    for h, shapes in groups:
+        weight = r**h.n * s**h.m * sum(
+            c * (1 - s) ** x * math.prod(1 - r + r * (1 - s) ** t for t in ts)
+            for (x, ts), c in shapes
+        )
+        profile = parity_profile_all_starts(h, 2 * top)[2::2]
         totals = [t + weight * p for t, p in zip(totals, profile)]
     return [(k - 1) ** (g.n + (k - 2) * g.m) * t for t in totals]
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -39,7 +40,13 @@ from hyperspectra.spectrum import (
     spectral_radius_multiplicity,
 )
 from hyperspectra.walks import covering_parity_profile, parity_closed_profile
-from oracles import deletion_moments
+from oracles import (
+    deletion_moments,
+    grouped_deletion_moments,
+    parity_profile_all_starts,
+    rank_over_q,
+    switching_class_polynomials_by_faddeev_leverrier,
+)
 from test_graphs import small_graphs as census_graphs
 from test_signed import disjoint_union, small_graphs
 
@@ -86,7 +93,7 @@ def _assert_regime_matches_the_census(g, k):
     groups, exponents, census_basis = spectrum._spectra(g, 4)
     scale = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
     census_mu = [Fraction(0)] * len(census_basis)
-    for (h, shapes), (signings, sums) in zip(groups, exponents):
+    for (h, shapes), (signings, sums, _) in zip(groups, exponents):
         weight = scale * sum(c * _covering_weight(h, *shape, k) for shape, c in shapes)
         census_mu = [m + weight * e / signings for m, e in zip(census_mu, sums)]
     common = coprime_basis(list(basis) + list(census_basis))
@@ -593,8 +600,8 @@ class TestBetaMomentCheck:
     def test_check_pins_every_exponent(self, g, size):
         # exponents shifted along the kernel of the first |Sigma| - 1 moment
         # rows [p_ell(b)], with mu0 keeping the degree, keep those moments;
-        # the check, which runs to the rank |Sigma| of beta's basis, still
-        # refuses them
+        # the check, which recombines every exponent from the class tables
+        # its parity rows pinned, still refuses them
         fsf = beta(g)
         basis = list(dict.fromkeys(f.b for f in fsf.factors))
         assert len(basis) == size
@@ -606,7 +613,7 @@ class TestBetaMomentCheck:
         moments = parity_closed_profile(g, 2 * (size - 1))
         for ell in range(1, size):
             assert 2 * sum(mu[b] * sums[b][ell] for b in basis) == moments[2 * ell]
-        with pytest.raises(ConsistencyError, match=f"ell={size}:"):
+        with pytest.raises(ConsistencyError, match="fails the recombination"):
             check_moment_identity(g, shifted)
 
 
@@ -625,20 +632,21 @@ class TestK2MomentCheck:
         for g in desk_corpus + unions:
             groups = spectrum._spectra(g, 2)[0]
             expected = parity_closed_profile(g, 16)[2::2]
-            assert spectrum._deletion_moments(g, 2, 8, groups) == expected, g
+            assert grouped_deletion_moments(g, 2, 8, groups) == expected, g
 
 
-def _recorded_tops(monkeypatch):
-    """The top of every `_deletion_moments` call, as the check makes them."""
-    tops = []
-    moments = spectrum._deletion_moments
+def _recorded_lengths(monkeypatch):
+    """The length L_C that the check reads for each class, as half the
+    length of each `parity_closed_profile` call it makes."""
+    lengths = []
+    profile = spectrum.parity_closed_profile
 
-    def recorded(g, k, top, groups):
-        tops.append(top)
-        return moments(g, k, top, groups)
+    def recorded(h, max_d):
+        lengths.append(max_d // 2)
+        return profile(h, max_d)
 
-    monkeypatch.setattr(spectrum, "_deletion_moments", recorded)
-    return tops
+    monkeypatch.setattr(spectrum, "parity_closed_profile", recorded)
+    return lengths
 
 
 def _kernel_shift(g, fsf, basis, rows):
@@ -654,7 +662,7 @@ def _kernel_shift(g, fsf, basis, rows):
     shift.update(zip(basis, (x // math.gcd(*ints) for x in ints)))
     mu, shifted = _shifted(fsf, shift)
     groups = spectrum._spectra(g, min(fsf.k, 4))[0]
-    moments = spectrum._deletion_moments(g, fsf.k, rows, groups)
+    moments = grouped_deletion_moments(g, fsf.k, rows, groups)
     for ell in range(1, rows + 1):
         assert fsf.k * sum(m * sums[b][ell] for b, m in mu.items()) == moments[ell - 1]
     return mu, shifted
@@ -678,8 +686,9 @@ class TestShapes:
 
 
 class TestDeletionMoments:
-    """`_deletion_moments` against the brute-force sum over every vertex
-    and edge set, and against the covering route of `script_S`."""
+    """The deletion sum grouped by component, which the check splits by
+    class, against the brute-force sum over every vertex and edge set, and
+    against the covering route of `script_S`."""
 
     def test_matches_the_sum_over_every_vertex_and_edge_set(self, desk_corpus):
         for g in desk_corpus:
@@ -688,7 +697,7 @@ class TestDeletionMoments:
             for k in range(2, 7):
                 groups = spectrum._spectra(g, min(k, 4))[0]
                 brute = deletion_moments(g, k, 5)
-                assert spectrum._deletion_moments(g, k, 5, groups) == brute, (g, k)
+                assert grouped_deletion_moments(g, k, 5, groups) == brute, (g, k)
 
     @settings(max_examples=30)
     @given(small_graphs(), st.sampled_from([4, 5, 6]))
@@ -696,7 +705,7 @@ class TestDeletionMoments:
         classes = connected_subgraph_classes(g, g.m) if g.m else ()
         groups = [(h, spectrum._shapes(g, subsets)) for h, subsets in classes]
         covering = [script_S(g, k * ell, k) for ell in range(1, 9)]
-        assert spectrum._deletion_moments(g, k, 8, groups) == covering
+        assert grouped_deletion_moments(g, k, 8, groups) == covering
 
 
 class TestK3MomentCheck:
@@ -710,41 +719,49 @@ class TestK3MomentCheck:
             brute = deletion_moments(g, 3, 6)
             assert brute == [script_S(g, 3 * ell, 3) for ell in range(1, 7)], g
             induced = spectrum._spectra(g, 3)[0]
-            assert brute == spectrum._deletion_moments(g, 3, 6, induced), g
+            assert brute == grouped_deletion_moments(g, 3, 6, induced), g
 
     @pytest.mark.parametrize("g", [complete_graph(5), PETERSEN])
     def test_vertex_deletion_matches_the_covering_route_to_8(self, g):
         brute = deletion_moments(g, 3, 8)
         assert brute == [script_S(g, 3 * ell, 3) for ell in range(1, 9)]
         induced = spectrum._spectra(g, 3)[0]
-        assert brute == spectrum._deletion_moments(g, 3, 8, induced)
+        assert brute == grouped_deletion_moments(g, 3, 8, induced)
 
     def test_check_runs_to_the_rank(self, monkeypatch):
-        # the power-sum matrix of each basis is nonsingular, so the check
-        # stops at |Sigma|: 7, 14 and 18, not the total degrees 9, 23, 33
-        tops = _recorded_tops(monkeypatch)
+        # each class runs to the rank of its own support's power-sum matrix:
+        # at most 6, 10 and 8, where the joint basis needed 7, 14 and 18
+        lengths = _recorded_lengths(monkeypatch)
+        largest = []
         for g in (complete_graph(5), complete_graph(6), PETERSEN):
+            lengths.clear()
             char_poly_power(g, 3)
-        assert tops == [7, 14, 18]
+            largest.append(max(lengths))
+        assert largest == [6, 10, 8]
 
     def test_a_singular_basis_runs_to_the_total_degree(self, monkeypatch):
-        # were the power-sum matrix singular mod p, the check would fall back
-        # to the total degree D, where the Vandermonde argument holds
+        # were each power-sum matrix singular mod p, every class would fall
+        # back to its support's total degree D, where the Vandermonde
+        # argument holds: at most 8, where the joint basis needed 9
         monkeypatch.setattr(spectrum, "mat_rank_mod_p", lambda mat: 0)
-        tops = _recorded_tops(monkeypatch)
+        lengths = _recorded_lengths(monkeypatch)
         char_poly_power(complete_graph(5), 3)
-        assert tops == [9]
+        _, spectra, basis = spectrum._spectra(complete_graph(5), 3)
+        degrees = [
+            sum(len(b) - 1 for b, e in zip(basis, sums) if e) for _, sums, _ in spectra
+        ]
+        assert lengths == degrees and max(degrees) == 8
 
     def test_check_pins_every_multiplicity(self):
         # multiplicities shifted along an integer kernel vector of the first
         # 8 moment rows [p_ell(b)] keep S_3, ..., S_24, all that a check
-        # capped at ell <= 8 reads; the check, which runs to the rank 18 of
-        # the 18-element k=3 basis, still refuses them
+        # capped at ell <= 8 reads; the check, which pins each class table
+        # and recombines the multiplicities from them, still refuses them
         fsf = char_poly_power(PETERSEN, 3)
         basis = list(dict.fromkeys(f.b for f in fsf.factors))
         assert len(basis) == 18
         _, shifted = _kernel_shift(PETERSEN, fsf, basis, 8)
-        with pytest.raises(ConsistencyError, match="ell=9:"):
+        with pytest.raises(ConsistencyError, match="fails the recombination"):
             check_moment_identity(PETERSEN, shifted)
 
 
@@ -753,29 +770,142 @@ class TestK4MomentCheck:
     connected edge subset, to the rank of the census basis."""
 
     def test_check_runs_to_the_rank(self, monkeypatch):
-        tops = _recorded_tops(monkeypatch)
+        # at most 3 on K4 and 7 on K5, where the joint basis needed 9 and 35
+        lengths = _recorded_lengths(monkeypatch)
+        largest = []
         for g in (complete_graph(4), complete_graph(5)):
+            lengths.clear()
             char_poly_power(g, 4)
-        assert tops == [9, 35]
+            largest.append(max(lengths))
+        assert largest == [3, 7]
 
     @pytest.mark.slow
     def test_check_runs_to_the_rank_on_petersen(self, monkeypatch):
-        tops = _recorded_tops(monkeypatch)
+        # 164 classes, none past 20, where the joint basis needed 179
+        lengths = _recorded_lengths(monkeypatch)
         char_poly_power(PETERSEN, 4)
-        assert tops == [179]
+        assert (len(lengths), max(lengths)) == (164, 20)
 
     def test_check_pins_every_multiplicity(self):
         # 9 exponents of K5 at k=4 shifted along an integer kernel vector of
         # the first 8 moment rows stay nonnegative and keep S_4, ..., S_32,
-        # all that a check capped at ell <= 8 reads; the check, which runs
-        # to the rank 35 of the basis, refuses them
+        # all that a check capped at ell <= 8 reads; the check, which
+        # recombines every exponent from the pinned class tables, refuses
+        # them
         fsf = char_poly_power(complete_graph(5), 4)
         basis = list(dict.fromkeys(f.b for f in fsf.factors))
         assert len(basis) == 35
         mu, shifted = _kernel_shift(complete_graph(5), fsf, basis[24:33], 8)
         assert min(mu.values()) >= 0 and shifted.mu0 >= 0
-        with pytest.raises(ConsistencyError, match="ell=9:"):
+        with pytest.raises(ConsistencyError, match="fails the recombination"):
             check_moment_identity(complete_graph(5), shifted)
+
+
+def _corrupted(monkeypatch, g, regime, index, sums):
+    """Patch `spectrum._spectra`, which the exponents and the check both
+    read, so that class index of g in the regime has the exponent sums
+    sums."""
+    groups, spectra, basis = spectrum._spectra(g, regime)
+    spectra = list(spectra)
+    spectra[index] = (spectra[index][0], tuple(sums), spectra[index][2])
+    honest = spectrum._spectra
+
+    def patched(h, r):
+        return (groups, tuple(spectra), basis) if (h, r) == (g, regime) else honest(h, r)
+
+    monkeypatch.setattr(spectrum, "_spectra", patched)
+
+
+class TestPerClassCheck:
+    """Each class's table against its own parity profile, to the length L_C
+    read from its own support, and the ell = 0 row of each class."""
+
+    @settings(max_examples=40)
+    @given(small_graphs(), st.sampled_from([2, 3, 4]))
+    def test_every_class_holds_past_its_length(self, g, regime):
+        groups, spectra, basis = spectrum._spectra(g, regime)
+        for (h, _), (signings, sums, degree) in zip(groups, spectra):
+            table = switching_class_polynomials_by_faddeev_leverrier(h)
+            assert signings == sum(c for _, c in table), h
+            exponent = {b: e for b, e in zip(basis, sums) if e}
+            # ell = 0: deg_C counts the nonzero eigenvalues of the table
+            zeros = [next(i for i, a in enumerate(phi) if a) for phi, _ in table]
+            nonzero = [len(phi) - 1 - z for (phi, _), z in zip(table, zeros)]
+            assert degree == sum(c * d for (_, c), d in zip(table, nonzero)), h
+            assert sum(e * (len(b) - 1) for b, e in exponent.items()) == degree, h
+            size = len(exponent)
+            rank = rank_over_q([power_sums_from_charpoly(b, size)[1:] for b in exponent])
+            length = size if rank == size else sum(len(b) - 1 for b in exponent)
+            top = length + 3
+            power = {b: power_sums_from_charpoly(b, top) for b in exponent}
+            walks = parity_profile_all_starts(h, 2 * top)
+            for ell in range(1, top + 1):
+                expected = sum(e * power[b][ell] for b, e in exponent.items())
+                assert signings * walks[2 * ell] == expected, (h, ell)
+
+    @pytest.mark.slow
+    def test_k6_at_k4_runs_each_class_to_its_own_rank(self, monkeypatch):
+        # 142 classes, none past 29, where the joint basis needed 444
+        lengths = _recorded_lengths(monkeypatch)
+        char_poly_power(complete_graph(6), 4)
+        assert (len(lengths), max(lengths)) == (142, 29)
+
+    @pytest.mark.slow
+    def test_k6_at_k4_unchanged(self):
+        # the 71 730 characters of the joint check's result, by digest
+        text = char_poly_power(complete_graph(6), 4).to_text()
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (
+            71730,
+            "0bad1c1ed72c7f7d00f6a4384d974b8086b66803015e027e950b267dc1ecdb4b",
+        )
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("g", [complete_graph(4), complete_graph(5), cycle_graph(6)])
+    def test_a_lost_entry_is_refused(self, monkeypatch, g, k):
+        # one nonzero entry of one class's sums set to 0: the ell = 0 row of
+        # that class sees the lost degree even where its other rows, pinned
+        # on the shrunken support, would not
+        spectra = spectrum._spectra(g, min(k, 4))[1]
+        for index, (_, sums, _) in enumerate(spectra):
+            lost = list(sums)
+            lost[next(i for i, e in enumerate(sums) if e)] = 0
+            with monkeypatch.context() as m:
+                _corrupted(m, g, min(k, 4), index, lost)
+                with pytest.raises(ConsistencyError):
+                    char_poly_power(g, k)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("g", [complete_graph(4), complete_graph(5), cycle_graph(6)])
+    def test_an_entry_moved_off_the_support_is_refused(self, monkeypatch, g, k):
+        spectra = spectrum._spectra(g, min(k, 4))[1]
+        moved = 0
+        for index, (_, sums, _) in enumerate(spectra):
+            outside = [i for i, e in enumerate(sums) if not e]
+            if not outside:
+                continue
+            shifted = list(sums)
+            at = next(i for i, e in enumerate(sums) if e)
+            shifted[at], shifted[outside[0]] = 0, sums[at]
+            with monkeypatch.context() as m:
+                _corrupted(m, g, min(k, 4), index, shifted)
+                with pytest.raises(ConsistencyError):
+                    char_poly_power(g, k)
+            moved += 1
+        assert moved
+
+    def test_an_entry_moved_off_the_support_is_refused_at_ell_1(self, monkeypatch):
+        # K5's own class at k = 3: the moved entry changes its first
+        # parity row
+        g = complete_graph(5)
+        groups, spectra, _ = spectrum._spectra(g, 3)
+        index = next(i for i, (h, _) in enumerate(groups) if h.m == 10)
+        sums = list(spectra[index][1])
+        at, outside = sums.index(next(filter(None, sums))), sums.index(0)
+        sums[at], sums[outside] = 0, sums[at]
+        fsf = char_poly_power(g, 3)
+        _corrupted(monkeypatch, g, 3, index, sums)
+        with pytest.raises(ConsistencyError, match="ell=1:"):
+            check_moment_identity(g, fsf)
 
 
 @st.composite
