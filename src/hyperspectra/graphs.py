@@ -6,7 +6,8 @@ from one enumerator), and k-power hypergraph construction.
 The census lists classes as ((form, (subset, ...)), ...): the canonical
 form of each isomorphism class, with the edge-index sets of g that span it,
 so its occurrence count is len(subsets).  Classes are ordered by (|E|, |V|,
-certificate).
+certificate).  It runs one canonical search per orbit of subsets under the
+automorphisms that g's own canonical search finds.
 
 Connectivity (of graphs and of digraph supports) and the automorphism
 orbits share one union-find, `_classes`; `power_hypergraph` is the one core
@@ -260,7 +261,9 @@ def _canonical_search(g):
     """The slot-by-slot search behind `canonical_form`, memoised per labelled
     graph (at most CERTIFICATE_VERTEX_LIMIT vertices): the canonical form,
     g relabelled by the minimising leaf (slot i -> the vertex placed there),
-    and the vertex orbits of Aut(g) as sorted tuples, by least vertex.
+    the vertex orbits of Aut(g) as sorted tuples, by least vertex, and
+    automorphisms that generate a group with those orbits, each as the
+    tuple of vertex images, for the census.
 
     The search fills slots 0..n-1 in turn instead of trying permutations.  A
     state is the vertices placed so far plus an ordered list of cells, masks
@@ -278,7 +281,9 @@ def _canonical_search(g):
     q[i] is an automorphism; every automorphism maps the first leaf to a
     minimising leaf, which is a surviving one after some skipped twin swaps.
     So the swaps and the maps from the first leaf to the others generate
-    Aut(g), and the orbits are the classes they join.
+    Aut(g), and the orbits are the classes they join.  Of these maps only
+    those that join two classes in the union-find are kept, at most n - 1:
+    they may generate less than Aut(g), but with the same orbits.
     """
     if g.n > CERTIFICATE_VERTEX_LIMIT:
         raise BudgetError(
@@ -321,13 +326,20 @@ def _canonical_search(g):
     perm = [0] * g.n
     for slot, v in enumerate(leaf):
         perm[v] = slot
-    maps = (pair for placed, _ in states[1:] for pair in zip(leaf, placed))
-    return g.relabel(perm), _classes(g.n, itertools.chain(swaps, maps))
+    images = [
+        tuple(w if v == u else u if v == w else v for v in range(g.n)) for u, w in swaps
+    ] + [tuple(w for _, w in sorted(zip(leaf, placed))) for placed, _ in states[1:]]
+    joined = []
+    orbits = _classes(g.n, ((v, p[v]) for p in images for v in range(g.n)), joined)
+    kept = tuple(images[i] for i in dict.fromkeys(i // g.n for i in joined))
+    return g.relabel(perm), orbits, kept
 
 
-def _classes(n, pairs):
+def _classes(n, pairs, joined=None):
     """The classes of range(n) joined by the given pairs, as sorted tuples
-    by least vertex (union-find, each class rooted at its least vertex)."""
+    by least vertex (union-find, each class rooted at its least vertex).
+    The index of each pair that joins two classes is appended to the list
+    `joined`, when one is given."""
     root = list(range(n))
 
     def find(v):
@@ -336,10 +348,12 @@ def _classes(n, pairs):
             v = root[v]
         return v
 
-    for u, w in pairs:
+    for i, (u, w) in enumerate(pairs):
         a, b = find(u), find(w)
         if a != b:
             root[max(a, b)] = min(a, b)
+            if joined is not None:
+                joined.append(i)
     classes = {}
     for v in range(n):
         classes.setdefault(find(v), []).append(v)
@@ -412,13 +426,18 @@ def _connected_sets(nbr, max_size):
     return found
 
 
-def connected_edge_subsets(g, max_edges):
-    """All edge-index subsets of size 1..max_edges whose subgraph is
-    connected, as frozensets by size, then by bitmask: the `_connected_sets`
-    of the line graph, in which two edges neighbour when they share an
-    endpoint (a set of edges spans a connected subgraph exactly when it is
-    connected there).  Empty when max_edges < 1 or g has no edge, since no
-    subset then has between 1 and max_edges edges."""
+def _bits(mask):
+    """The indexes of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _edge_masks(g, max_edges):
+    """Bitmasks over g's edge indexes of the connected edge subsets of size
+    1..max_edges, by size, then by mask: the `_connected_sets` of the line
+    graph, in which two edges neighbour when they share an endpoint (a set
+    of edges spans a connected subgraph exactly when it is connected there).
+    Empty when max_edges < 1 or g has no edge, since no subset then has
+    between 1 and max_edges edges."""
     if max_edges < 1:
         return []
     touching = [0] * g.n
@@ -426,21 +445,51 @@ def connected_edge_subsets(g, max_edges):
         touching[u] |= 1 << i
         touching[v] |= 1 << i
     line = [touching[u] | touching[v] for u, v in g.edges]
-    return [
-        frozenset(i for i in range(g.m) if mask >> i & 1)
-        for mask in _connected_sets(line, max_edges)
-    ]
+    return _connected_sets(line, max_edges)
 
 
-def _grouped_by_class(g, subsets):
-    """Edge subsets of g that span connected subgraphs, grouped by
-    isomorphism class: ((form, (subset, ...)), ...), keyed by the canonical
-    form, which is equal exactly for isomorphic subgraphs, and ordered by
-    (|E|, |V|, certificate), the certificate taken once per class."""
-    buckets = {}
-    for subset in subsets:
-        form = canonical_form(g.subgraph_of_edges(subset))
-        buckets.setdefault(form, []).append(subset)
+def connected_edge_subsets(g, max_edges):
+    """All edge-index subsets of size 1..max_edges whose subgraph is
+    connected, as frozensets by size, then by bitmask (`_edge_masks`)."""
+    return [frozenset(_bits(mask)) for mask in _edge_masks(g, max_edges)]
+
+
+def _grouped_by_class(g, masks):
+    """Bitmasks of edge subsets of g that span connected subgraphs, grouped
+    by isomorphism class: ((form, (subset, ...)), ...), the subsets as
+    frozensets in the given order, keyed by the canonical form, which is
+    equal exactly for isomorphic subgraphs, and ordered by (|E|, |V|,
+    certificate), the certificate taken once per class.
+
+    An automorphism of g maps a connected subset onto one spanning an
+    isomorphic subgraph, and both census families are closed under Aut(g),
+    so each orbit under the automorphisms `_canonical_search(g)` returns
+    takes its form from one search.  If they generate less than Aut(g),
+    orbits split finer, never classes.  A host above CERTIFICATE_VERTEX_LIMIT
+    is not searched: one search per subset."""
+    masks = list(masks)
+    moves = []
+    if masks and g.n <= CERTIFICATE_VERTEX_LIMIT:
+        index = {e: i for i, e in enumerate(g.edges)}
+        moves = [
+            [1 << index[min(p[u], p[v]), max(p[u], p[v])] for u, v in g.edges]
+            for p in _canonical_search(g)[2]
+        ]
+    form_of, buckets = {}, {}
+    for mask in masks:
+        if mask not in form_of:
+            form = form_of[mask] = canonical_form(g.subgraph_of_edges(_bits(mask)))
+            orbit = [mask]
+            for member in orbit:
+                edges = _bits(member)
+                for move in moves:
+                    image = 0
+                    for i in edges:
+                        image |= move[i]
+                    if image not in form_of:
+                        form_of[image] = form
+                        orbit.append(image)
+        buckets.setdefault(form_of[mask], []).append(frozenset(_bits(mask)))
     return tuple(
         (form, tuple(buckets[form]))
         for form in sorted(buckets, key=lambda h: (h.m, h.n, _form_certificate(h)))
@@ -452,7 +501,7 @@ def connected_subgraph_classes(g, max_edges):
     isomorphism class: ((form, (subset, ...)), ...) by (|E|, |V|,
     certificate), where form is the canonical form of the class and
     len(subsets) its occurrence count in g."""
-    return _grouped_by_class(g, connected_edge_subsets(g, max_edges))
+    return _grouped_by_class(g, _edge_masks(g, max_edges))
 
 
 def connected_induced_subgraph_classes(g):
@@ -460,14 +509,12 @@ def connected_induced_subgraph_classes(g):
     by isomorphism class in the shape and order of
     `connected_subgraph_classes`; each subset is the set of edge indexes of
     G[U], one per connected vertex set U."""
-    subsets = (
-        frozenset(
-            i for i, (u, v) in enumerate(g.edges) if mask >> u & 1 and mask >> v & 1
-        )
+    masks = (
+        sum(1 << i for i, (u, v) in enumerate(g.edges) if mask >> u & mask >> v & 1)
         for mask in _connected_sets(_neighbour_masks(g), g.n)
         if mask & (mask - 1)
     )
-    return _grouped_by_class(g, subsets)
+    return _grouped_by_class(g, masks)
 
 
 def all_connected_graphs(n):

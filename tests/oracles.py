@@ -3,18 +3,17 @@
 Each is a slow or rational-arithmetic twin of a production routine: Euclid
 over `Fraction` polynomials for the integer gcd-free basis of
 `hyperspectra.algebra`, the inverse Newton recurrence, Gauss-Jordan
-elimination in `Fraction`s for the rank mod p, a brute-force
-isomorphism test and subset enumeration for the motif census, vertex
-subset enumeration for the induced census, every permutation for the
-automorphism orbits, breadth- and depth-first search for the components of
-a graph and the connectivity of a digraph's support, every switching for
-balance, Faddeev-LeVerrier on every switching representative for the
-switching-class table, the parity DP from every start vertex, subset
-inclusion-exclusion over it for the covering walk counts, the
-deletion sum over all vertex and edge sets for the moments and its sum
-grouped by component over every length at once, and cyclic
-Jacobi rotations in floats for the real spectra read off exact
-polynomials.
+elimination in `Fraction`s for the rank mod p, a brute-force isomorphism
+test, subset enumeration and one canonical search per subset for the motif
+census, vertex subset enumeration for the induced census, every permutation
+for the automorphism orbits, breadth- and depth-first search for the
+components of a graph and the connectivity of a digraph's support, every
+switching for balance, Faddeev-LeVerrier on every switching representative
+for the switching-class table, the parity DP from every start vertex, subset
+inclusion-exclusion over it for the covering walk counts, the deletion sum
+over all vertex and edge sets for the moments and its sum grouped by
+component over every length at once, and cyclic Jacobi rotations in floats
+for the real spectra read off exact polynomials.
 """
 
 import itertools
@@ -24,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from hyperspectra.algebra import poly_derivative, poly_trim
-from hyperspectra.graphs import Graph
+from hyperspectra.graphs import Graph, canonical_certificate, canonical_form
 from hyperspectra.signed import char_poly_exact, enumerate_signings
 
 
@@ -328,6 +327,21 @@ def connected_edge_subsets_brute(g, max_edges):
             if len(components_bfs(sub)) == 1:
                 out.append(frozenset(combo))
     return out
+
+
+def grouped_by_class_per_subset(g, subsets):
+    """The census grouping with one canonical search per subset: ((form,
+    (subset, ...)), ...), each subset bucketed by the canonical form of the
+    subgraph it spans, in the given order, classes by (|E|, |V|,
+    certificate)."""
+    buckets = {}
+    for subset in subsets:
+        form = canonical_form(g.subgraph_of_edges(subset))
+        buckets.setdefault(form, []).append(subset)
+    return tuple(
+        (form, tuple(buckets[form]))
+        for form in sorted(buckets, key=lambda h: (h.m, h.n, canonical_certificate(h)))
+    )
 
 
 def connected_vertex_sets_brute(g):

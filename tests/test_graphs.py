@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperspectra import cli
+from hyperspectra import cli, graphs
 from hyperspectra.errors import BudgetError, GraphParseError
 from hyperspectra.graphs import (
     Graph,
+    _classes,
     _connected_sets,
     _encode_upper_triangle,
     _neighbour_masks,
@@ -27,12 +28,14 @@ from hyperspectra.graphs import (
     star_graph,
     vertex_orbits,
 )
+from hyperspectra.spectrum import script_S
 from oracles import (
     are_isomorphic,
     automorphism_orbits,
     components_bfs,
     connected_edge_subsets_brute,
     connected_vertex_sets_brute,
+    grouped_by_class_per_subset,
 )
 
 
@@ -304,6 +307,47 @@ class TestVertexOrbits:
         assert vertex_orbits(cycle_graph(12)) == tuple((v,) for v in range(12))
 
 
+class TestSearchAutomorphisms:
+    """The automorphisms `_canonical_search` returns for the census."""
+
+    @staticmethod
+    def _check(g, orbits):
+        generators = graphs._canonical_search(g)[2]
+        assert len(generators) <= max(g.n - 1, 0)
+        for p in generators:
+            assert sorted(p) == list(range(g.n))
+            assert {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == set(g.edges)
+        pairs = ((v, p[v]) for p in generators for v in range(g.n))
+        assert _classes(g.n, pairs) == vertex_orbits(g) == orbits, g
+
+    def test_relabelled_desk_corpus(self, desk_corpus):
+        rng = random.Random(20261020)
+        for g in desk_corpus:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            self._check(h, automorphism_orbits(h))
+
+    @given(small_graphs())
+    def test_small_graphs(self, g):
+        self._check(g, automorphism_orbits(g))
+
+    def test_vertex_transitive_graphs(self):
+        for g in (PETERSEN, complete_graph(7), cycle_graph(9)):
+            self._check(g, (tuple(range(g.n)),))
+
+    def test_a_host_past_the_vertex_limit_is_not_searched(self, capsys):
+        # a host past the vertex limit lends the census no automorphisms:
+        # cycle:12 takes one search per subset and raises no BudgetError
+        assert cli.main(["census", "--graph", "cycle:12", "--max-edges", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "2v 1e  count 12  cert 0201\n"
+            "3v 2e  count 12  cert 0306\n"
+            "4v 3e  count 12  cert 042c\n"
+        )
+        assert script_S(cycle_graph(12), 6, 3) == 566231040
+
+
 class TestCensus:
     def test_cycle3(self):
         classes = connected_subgraph_classes(cycle_graph(3), 3)
@@ -416,6 +460,53 @@ class TestCensus:
         classes = connected_induced_subgraph_classes(g)
         listed = [s for _, subsets in classes for s in subsets]
         assert len(listed) == len(induced) and set(listed) == induced
+
+    @given(small_graphs(), st.integers(1, 11))
+    def test_both_censuses_against_one_search_per_subset(self, g, max_edges):
+        # the same classes in the same order, each listing its subsets in
+        # enumeration order, as one canonical search per subset gives; each
+        # subset spans a subgraph isomorphic to its class's first, so the
+        # subsets of a class are pairwise isomorphic
+        induced = [
+            frozenset(
+                i for i, (u, v) in enumerate(g.edges) if mask >> u & mask >> v & 1
+            )
+            for mask in _connected_sets(_neighbour_masks(g), g.n)
+            if mask & (mask - 1)
+        ]
+        edge = connected_edge_subsets(g, max_edges)
+        for classes, subsets in (
+            (connected_subgraph_classes(g, max_edges), edge),
+            (connected_induced_subgraph_classes(g), induced),
+        ):
+            assert classes == grouped_by_class_per_subset(g, subsets)
+            for h, members in classes:
+                first = g.subgraph_of_edges(members[0])
+                assert are_isomorphic(first, h)
+                for s in members[1:]:
+                    assert are_isomorphic(g.subgraph_of_edges(s), first)
+
+    @staticmethod
+    def _census_searches(g):
+        graphs._canonical_search.cache_clear()
+        classes = connected_subgraph_classes(g, g.m)
+        return (
+            len(classes),
+            sum(len(s) for _, s in classes),
+            graphs._canonical_search.cache_info().misses,
+        )
+
+    def test_one_search_per_class_on_k5(self):
+        # the twin swaps of K5's own search generate S5, under which each
+        # class of connected edge subsets is one orbit: 30 searches, K5's
+        # own among them, where one per labelled subgraph took 771
+        assert self._census_searches(complete_graph(5)) == (30, 968, 30)
+
+    @pytest.mark.slow
+    def test_one_search_per_class_on_k6(self):
+        # likewise S6 on K6: 142 searches, where one per labelled subgraph
+        # took 27 475
+        assert self._census_searches(complete_graph(6)) == (142, 31737, 142)
 
     @settings(max_examples=50)
     @given(small_graphs())

@@ -292,12 +292,17 @@ class TestCharPolyPower:
     def test_one_canonical_search_per_subgraph(self, monkeypatch):
         # k=3 and its moment check share one census of connected induced
         # subgraphs: C8 has 8 * 6 + 1 = 49 connected vertex sets of at least
-        # 2 vertices.  They are 27 distinct labelled subgraphs, and the
-        # parity DPs search 4 class forms that are none of those for their
-        # orbits: 31 searches.  k=4 adds the census of its 8 * 7 + 1 = 57
-        # connected edge subsets, whose 8 new labelled P8s and the P8 form
-        # make 9 more searches.  beta's parity DP finds C8 in the memo, and
-        # repeats search no more
+        # 2 vertices, in 7 orbits under the automorphisms that C8's own
+        # search finds (the arcs of each size, and C8), so 7 forms are
+        # asked for.  C8's search and those of the 6 arc representatives
+        # (the full set is C8 itself) make 7 searches, and the parity DPs
+        # search the 6 class forms that are none of those for their orbits
+        # (K2 is its own form): 13.  k=4 adds the census of its 8 * 7 + 1 =
+        # 57 connected edge subsets in 8 orbits (the paths of each length,
+        # and C8).  The first mask of each length picks the edges (0, 1)
+        # and (0, 7), so P2 to P4 and C8 are labelled subgraphs already
+        # searched, while P5 to P8 and the P8 form make 5 more searches.
+        # beta's parity DP finds C8 in the memo, and repeats search no more
         calls = []
         form = graphs.canonical_form
 
@@ -314,13 +319,13 @@ class TestCharPolyPower:
         spectrum._spectra.cache_clear()
         g = cycle_graph(8)
         char_poly_power(g, 3)
-        assert (len(calls), searches()) == (49, 31)
+        assert (len(calls), searches()) == (7, 13)
         char_poly_power(g, 4)
-        assert (len(calls), searches()) == (49 + 57, 31 + 9)
+        assert (len(calls), searches()) == (7 + 8, 13 + 5)
         beta(g)
         char_poly_power(g, 3)
         char_poly_power(g, 4)
-        assert (len(calls), searches()) == (49 + 57, 31 + 9)
+        assert (len(calls), searches()) == (7 + 8, 13 + 5)
 
     def test_moment_check_range_comes_from_the_graph(self):
         # a result that lost its factors must not pass with nothing checked
