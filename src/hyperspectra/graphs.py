@@ -7,7 +7,8 @@ The census lists classes as ((form, (subset, ...)), ...): the canonical
 form of each isomorphism class, with the edge-index sets of g that span it,
 so its occurrence count is len(subsets).  Classes are ordered by (|E|, |V|,
 certificate).  It runs one canonical search per orbit of subsets under the
-automorphisms that g's own canonical search finds.
+automorphisms that g's own canonical search finds, and each search also
+records its form's orbits, which the walk DPs read.
 
 Connectivity (of graphs and of digraph supports) and the automorphism
 orbits share one union-find, `_classes`; `power_hypergraph` is the one core
@@ -27,7 +28,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from collections import OrderedDict
+from functools import _CacheInfo
 from typing import NamedTuple
 
 from .errors import BudgetError, GraphParseError
@@ -256,7 +258,23 @@ def _neighbour_masks(g):
     return nbr
 
 
-@lru_cache(maxsize=4096)
+class _Memo(OrderedDict):
+    """`_canonical_search`'s memo, like functools.lru_cache(4096), but that
+    the search also stores the entry of the form it finds."""
+
+    maxsize, hits, misses = 4096, 0, 0
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self))
+
+    def cache_clear(self):
+        self.clear()
+        self.hits = self.misses = 0
+
+
+_SEARCHES = _Memo()
+
+
 def _canonical_search(g):
     """The slot-by-slot search behind `canonical_form`, memoised per labelled
     graph (at most CERTIFICATE_VERTEX_LIMIT vertices): the canonical form,
@@ -284,7 +302,17 @@ def _canonical_search(g):
     Aut(g), and the orbits are the classes they join.  Of these maps only
     those that join two classes in the union-find are kept, at most n - 1:
     they may generate less than Aut(g), but with the same orbits.
+
+    The memo is `_SEARCHES`.  The form's entry is stored with g's, unless
+    the memo holds it: the form of a form is the form, and the leaf carries
+    g's orbits and kept maps onto the form's, so `vertex_orbits` of a
+    census class form, which the walk DPs read, costs no second search.
     """
+    if g in _SEARCHES:
+        _SEARCHES.hits += 1
+        _SEARCHES.move_to_end(g)
+        return _SEARCHES[g]
+    _SEARCHES.misses += 1
     if g.n > CERTIFICATE_VERTEX_LIMIT:
         raise BudgetError(
             f"canonical form supports at most {CERTIFICATE_VERTEX_LIMIT} "
@@ -332,7 +360,19 @@ def _canonical_search(g):
     joined = []
     orbits = _classes(g.n, ((v, p[v]) for p in images for v in range(g.n)), joined)
     kept = tuple(images[i] for i in dict.fromkeys(i // g.n for i in joined))
-    return g.relabel(perm), orbits, kept
+    form = g.relabel(perm)
+    entry = _SEARCHES[g] = form, orbits, kept
+    if form not in _SEARCHES:
+        pairs = ((perm[orbit[0]], perm[v]) for orbit in orbits for v in orbit)
+        moved = tuple(tuple(perm[p[v]] for v in leaf) for p in kept)
+        _SEARCHES[form] = form, _classes(g.n, pairs), moved
+    while len(_SEARCHES) > _SEARCHES.maxsize:
+        _SEARCHES.popitem(last=False)
+    return entry
+
+
+_canonical_search.cache_info = _SEARCHES.cache_info
+_canonical_search.cache_clear = _SEARCHES.cache_clear
 
 
 def _classes(n, pairs, joined=None):
@@ -371,7 +411,8 @@ def canonical_form(g):
 
 def vertex_orbits(g):
     """The vertex orbits of the automorphism group of g, as sorted tuples by
-    least vertex, from the memoised `_canonical_search`.  Above
+    least vertex, from the memoised `_canonical_search`, which stored a
+    canonical form's entry with the search that found it.  Above
     CERTIFICATE_VERTEX_LIMIT vertices, which the search does not reach,
     every vertex is its own class."""
     if g.n > CERTIFICATE_VERTEX_LIMIT:

@@ -18,7 +18,7 @@ k = 3, the components of g, with no canonical form, at k = 2), each with
 its subsets counted once by boundary shape (`_shapes`), `_exponents` sums
 their switching classes, and `_factored` builds and checks the result.
 Both weights, the exponents' and the check's, read those counts by
-separate formulas.  The only
+separate formulas, each one integer per class.  The only
 floats are the convergence ratio, an exact rational rounded once, and the
 roots sigma^2 of each b, each the double nearest to the exact root: an
 integer Sturm sequence isolates it and bisection at dyadic points narrows it
@@ -160,7 +160,7 @@ def _shapes(g, subsets):
     """One class's connected edge subsets C of g counted by boundary shape:
     ((x, ts), count), with x the further edges inside V(C) and ts the sorted
     edge counts t_u of the outside vertices u joined to V(C).  Both weight
-    routes, `_covering_weight` and `check_moment_identity`, read C through
+    routes, `_exponents` and `check_moment_identity`, read C through
     these."""
     shapes = Counter()
     for subset in subsets:
@@ -237,37 +237,6 @@ def _degree(g, k):
 # exact multiplicities
 
 
-def _covering_weight(h, x, ts, k):
-    """w(C) = sum over S of (-1)^|S| D_k(C + S) for a connected edge subset
-    C of class h and boundary shape (x, ts) (`_shapes`), where S ranges
-    over the sets of edges of g outside C that touch V(C).
-
-    The prefactor D_k(v, e) is c * r^v * s^e, so the sum factors into
-    (1 - s) for each of the x further edges inside V(C) and 1 - r + r (1 -
-    s)^t for each t in ts (`_boundary_factor`).  At k = 3, s = 1: any
-    further edge inside V(C) makes w(C) = 0, so the k = 3 census lists only
-    induced C, and each outside vertex gives 1 - r = 1/4.  At k = 2, r = s
-    = 1 and c = 1: w(C) = 1 when C is a whole component and 0 otherwise.
-    """
-    return power_moment_prefactor(h.n, h.m, k) * _boundary_factor(
-        x, ts, *_vertex_and_edge_ratios(k)
-    )
-
-
-def _vertex_and_edge_ratios(k):
-    """r and s of D_k(v, e) = c * r^v * s^e, read from
-    `power_moment_prefactor`."""
-    base = power_moment_prefactor(1, 1, k)
-    r = power_moment_prefactor(2, 1, k) / base
-    s = power_moment_prefactor(1, 2, k) / base
-    return r, s
-
-
-def _boundary_factor(x, ts, r, s):
-    """(1 - s)^x prod_t (1 - r + r (1 - s)^t), w(C) over D_k(C)."""
-    return (1 - s) ** x * prod(1 - r + r * (1 - s) ** t for t in ts)
-
-
 def _exponents(g, k):
     """The gcd-free basis of the regime of k and the exact exponent mu_b of
     each element in the factored result of the k-power (k >= 2).
@@ -279,30 +248,41 @@ def _exponents(g, k):
     when no other edge of F touches V(C), so the inner sum keeps only those
     C whose vertices touch every edge of H, with sign (-1)^(|H|-|C|).
     Exchanging the sums gives mu(x) = scale * sum_C w(C) abar_C(x), where
-    w(C) = 0 unless `_spectra` lists C for the regime, and w(C), the
-    `_covering_weight`, is D_k read once per class times one
-    `_boundary_factor` per boundary shape.  At k = 2, scale = 1/2 and w(C)
-    = 1 on each component of g.
+    w(C) = 0 unless `_spectra` lists C for the regime.  D_k(v, e) is
+    c * r^v * s^e (`power_moment_prefactor`), so w(C) is D_k(C) times
+    (1 - s) per further edge inside V(C) and 1 - r + r (1 - s)^t per outside
+    vertex joined by t edges, read from the `_shapes`.  At k = 3, s = 1: a
+    further edge makes w(C) = 0, so the k = 3 census lists only induced C.
+    At k = 2, r = s = 1 and c = 1: w(C) = 1 on each component of g, and
+    scale = 1/2.  With r = rn/rd and s = sn/sd, w(C) / D_k(C) is one
+    integer over rd^n sd^m, since C joins at most n outside vertices by at
+    most m further and joining edges.
     """
     groups, exponents, basis = _spectra(g, min(k, 4))
-    r, s = _vertex_and_edge_ratios(k)
+    base = power_moment_prefactor(1, 1, k)
+    r, s = (power_moment_prefactor(v, e, k) / base for v, e in ((2, 1), (1, 2)))
+    (rn, rd), (sn, sd) = r.as_integer_ratio(), s.as_integer_ratio()
     weighted = []
     for (h, shapes), (signings, sums, _) in zip(groups, exponents):
-        weight = power_moment_prefactor(h.n, h.m, k) * sum(
-            c * _boundary_factor(x, ts, r, s) for (x, ts), c in shapes
+        boundary = sum(
+            c * (sd - sn) ** x * rd ** (g.n - len(ts)) * sd ** (g.m - x - sum(ts))
+            * prod((rd - rn) * sd**t + rn * (sd - sn) ** t for t in ts)
+            for (x, ts), c in shapes
         )
-        if weight:
-            weighted.append((weight / signings, sums))
+        if boundary:
+            w = power_moment_prefactor(h.n, h.m, k)
+            weighted.append((w.numerator * boundary, w.denominator * signings, sums))
     # integer sums over one common denominator, of the nonzero entries only
-    den = lcm(*(w.denominator for w, _ in weighted))
+    den = lcm(*(d for _, d, _ in weighted))
     totals = [0] * len(basis)
-    for w, sums in weighted:
-        scale = w.numerator * (den // w.denominator)
+    for num, d, sums in weighted:
+        num *= den // d
         for i, e in enumerate(sums):
             if e:
-                totals[i] += scale * e
-    prefactor = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
-    return basis, [prefactor * Fraction(t, den) for t in totals]
+                totals[i] += num * e
+    den *= k * rd**g.n * sd**g.m
+    prefactor = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / den
+    return basis, [prefactor * t for t in totals]
 
 
 def _factors(pairs):
@@ -326,7 +306,9 @@ def check_moment_identity(g, fsf):
     walk count, with W_C = r^|V(C)| s^|E(C)| (1-s)^x prod_u (1 - r + r
     (1-s)^t_u) from the `_shapes` of C, r = k / (2 (k-1)) and
     s = 2 k^(k-3) / (k-1)^(k-2): from k, never `power_moment_prefactor`,
-    so an error in the exponents' weight cannot cancel.
+    so an error in the exponents' weight cannot cancel.  With r = rn/rd and
+    s = sn/sd, W_C rd^n sd^m is an integer: C and its joins span at most n
+    vertices and m edges.
 
     Each C with W_C != 0 has signings_C switching classes, whose exponent
     vectors over Sigma sum to sums_C and whose degrees sum to deg_C.
@@ -355,23 +337,26 @@ def check_moment_identity(g, fsf):
         )
     r = Fraction(k, 2 * (k - 1))
     s = 2 * Fraction(k) ** (k - 3) / Fraction(k - 1) ** (k - 2)
+    (rn, rd), (sn, sd) = r.as_integer_ratio(), s.as_integer_ratio()
     classes, tops = [], [0] * len(basis)
     for (h, shapes), (signings, sums, deg) in zip(groups, spectra):
-        weight = r**h.n * s**h.m * sum(
-            c * (1 - s) ** x * prod(1 - r + r * (1 - s) ** t for t in ts)
+        weight = rn**h.n * sn**h.m * sum(
+            c * (sd - sn) ** x * rd ** (g.n - h.n - len(ts))
+            * sd ** (g.m - h.m - x - sum(ts))
+            * prod((rd - rn) * sd**t + rn * (sd - sn) ** t for t in ts)
             for (x, ts), c in shapes
         )
         if weight:
             support = [i for i, e in enumerate(sums) if e]
-            classes.append((h, signings, sums, deg, support, weight / signings))
+            classes.append((h, signings, sums, deg, support, weight))
             for i in support:
                 tops[i] = max(tops[i], len(support))
     # each element's power sums once, to the largest support that holds it
     power = [power_sums_from_charpoly(b, top) for b, top in zip(basis, tops)]
     # integer sums over one common denominator
-    den = lcm(*(w.denominator for *_, w in classes))
+    den = lcm(*(signings for _, signings, *_ in classes))
     totals = [0] * len(basis)
-    for h, signings, sums, deg, support, w in classes:
+    for h, signings, sums, deg, support, weight in classes:
         top = len(support)
         rows = [[power[i][ell] for i in support] for ell in range(1, top + 1)]
         if mat_rank_mod_p(rows) < top:
@@ -388,8 +373,9 @@ def check_moment_identity(g, fsf):
                     f"at ell={ell}: {lhs} != {rhs}"
                 )
         for i in support:
-            totals[i] += w.numerator * (den // w.denominator) * sums[i]
+            totals[i] += weight * (den // signings) * sums[i]
     prefactor = (k - 1) ** (g.n + (k - 2) * g.m)
+    den *= rd**g.n * sd**g.m
     for b, total in zip(basis, totals):
         lhs, rhs = k * mu_of.get(b, 0), Fraction(prefactor * total, den)
         if lhs != rhs:

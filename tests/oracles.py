@@ -12,8 +12,9 @@ switching for balance, Faddeev-LeVerrier on every switching representative
 for the switching-class table, the parity DP from every start vertex, subset
 inclusion-exclusion over it for the covering walk counts, the deletion sum
 over all vertex and edge sets for the moments and its sum grouped by
-component over every length at once, and cyclic Jacobi rotations in floats
-for the real spectra read off exact polynomials.
+component over every length at once, both census weights of a class in
+Fractions, and cyclic Jacobi rotations in floats for the real spectra read
+off exact polynomials.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from math import gcd, lcm
 from hyperspectra.algebra import poly_derivative, poly_trim
 from hyperspectra.graphs import Graph, canonical_certificate, canonical_form
 from hyperspectra.signed import char_poly_exact, enumerate_signings
+from hyperspectra.spectrum import power_moment_prefactor
 
 
 # ---------------------------------------------------------------------------
@@ -385,23 +387,49 @@ def deletion_moments(g, k, top):
     return [(k - 1) ** (g.n + (k - 2) * g.m) * t for t in totals]
 
 
+def covering_weight(h, x, ts, k):
+    """w(C) = sum over S of (-1)^|S| D_k(C + S) in Fractions, for a
+    connected edge subset C of class h and boundary shape (x, ts)
+    (`spectrum._shapes`), where S ranges over the sets of edges of g outside
+    C that touch V(C).
+
+    The prefactor D_k(v, e) is c * r^v * s^e, so the sum factors into
+    (1 - s) for each of the x further edges inside V(C) and 1 - r + r (1 -
+    s)^t for each t in ts.  At k = 3, s = 1: any further edge inside V(C)
+    makes w(C) = 0, and each outside vertex gives 1 - r = 1/4.  At k = 2,
+    r = s = 1 and c = 1: w(C) = 1 when C is a whole component and 0
+    otherwise."""
+    base = power_moment_prefactor(1, 1, k)
+    r = power_moment_prefactor(2, 1, k) / base
+    s = power_moment_prefactor(1, 2, k) / base
+    boundary = (1 - s) ** x * math.prod(1 - r + r * (1 - s) ** t for t in ts)
+    return power_moment_prefactor(h.n, h.m, k) * boundary
+
+
+def deletion_weight(h, shapes, k):
+    """W_C = r^|V(C)| s^|E(C)| sum over the shapes ((x, ts), c) of C of
+    c (1-s)^x prod_t (1 - r + r (1-s)^t) in Fractions, with r = k / (2 (k-1))
+    and s = 2 k^(k-3) / (k-1)^(k-2): the weight of a component C of G - X - Y
+    in the deletion sum, x the further edges inside V(C) and t the edges
+    joining an outside vertex to V(C)."""
+    r = Fraction(k, 2 * (k - 1))
+    s = 2 * Fraction(k) ** (k - 3) / Fraction(k - 1) ** (k - 2)
+    return r**h.n * s**h.m * sum(
+        c * (1 - s) ** x * math.prod(1 - r + r * (1 - s) ** t for t in ts)
+        for (x, ts), c in shapes
+    )
+
+
 def grouped_deletion_moments(g, k, top, groups):
     """[S_k, S_2k, ..., S_{top k}] of the k-power of g (k >= 2) by the
     deletion sum grouped by component: the groups (graph, `_shapes`) of
     `spectrum._spectra(g, min(k, 4))` and one parity profile each, all
     lengths summed at once.  The vertex sets X and edge sets Y that a walk
     avoids leave it in a component C of G - X - Y, which gives
-    S_{k ell} = (k-1)^(n+(k-2)m) sum_C r^|V(C)| s^|E(C)| (1-s)^x
-    prod_u (1 - r + r (1-s)^t_u) P_C(2 ell), with x the further edges
-    inside V(C) and t_u the edges joining an outside vertex u to V(C)."""
-    r = Fraction(k, 2 * (k - 1))
-    s = 2 * Fraction(k) ** (k - 3) / Fraction(k - 1) ** (k - 2)
+    S_{k ell} = (k-1)^(n+(k-2)m) sum_C W_C P_C(2 ell) (`deletion_weight`)."""
     totals = [Fraction(0)] * top
     for h, shapes in groups:
-        weight = r**h.n * s**h.m * sum(
-            c * (1 - s) ** x * math.prod(1 - r + r * (1 - s) ** t for t in ts)
-            for (x, ts), c in shapes
-        )
+        weight = deletion_weight(h, shapes, k)
         profile = parity_profile_all_starts(h, 2 * top)[2::2]
         totals = [t + weight * p for t, p in zip(totals, profile)]
     return [(k - 1) ** (g.n + (k - 2) * g.m) * t for t in totals]

@@ -348,6 +348,38 @@ class TestSearchAutomorphisms:
         assert script_S(cycle_graph(12), 6, 3) == 566231040
 
 
+class TestSeededFormEntries:
+    """The entry that `_canonical_search(g)` stores for g's form: the form's
+    orbits and automorphisms, read with no search of the form's own."""
+
+    @staticmethod
+    def _check(g, orbits=None):
+        graphs._canonical_search.cache_clear()
+        form = canonical_form(g)
+        searches = graphs._canonical_search.cache_info().misses
+        assert vertex_orbits(form) == (orbits or automorphism_orbits(form)), g
+        TestSearchAutomorphisms._check(form, vertex_orbits(form))
+        assert graphs._canonical_search.cache_info().misses == searches, g
+
+    @given(small_graphs())
+    def test_small_graphs(self, g):
+        self._check(g)
+
+    def test_relabelled_desk_corpus(self, desk_corpus):
+        rng = random.Random(20261021)
+        for g in desk_corpus:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            self._check(g.relabel(perm))
+
+    def test_sparse_hosts_and_the_petersen_graph(self):
+        tadpole = Graph(8, cycle_graph(4).edges + ((0, 4), (4, 5), (5, 6), (6, 7)))
+        for g in (cycle_graph(8), path_graph(9), star_graph(7), tadpole):
+            self._check(g)
+        # vertex-transitive: one orbit, without trying 10! permutations
+        self._check(PETERSEN, (tuple(range(10)),))
+
+
 class TestCensus:
     def test_cycle3(self):
         classes = connected_subgraph_classes(cycle_graph(3), 3)

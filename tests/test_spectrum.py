@@ -29,7 +29,8 @@ from hyperspectra.graphs import (
 )
 from hyperspectra.signed import all_positive, char_poly_exact
 from hyperspectra.spectrum import (
-    _covering_weight,
+    FactoredSpectralFunction,
+    SpectralFactor,
     beta,
     char_poly_power,
     check_moment_identity,
@@ -41,7 +42,9 @@ from hyperspectra.spectrum import (
 )
 from hyperspectra.walks import covering_parity_profile, parity_closed_profile
 from oracles import (
+    covering_weight,
     deletion_moments,
+    deletion_weight,
     grouped_deletion_moments,
     parity_profile_all_starts,
     rank_over_q,
@@ -94,7 +97,7 @@ def _assert_regime_matches_the_census(g, k):
     scale = Fraction(k - 1) ** (g.n + (k - 2) * g.m - 1) / k
     census_mu = [Fraction(0)] * len(census_basis)
     for (h, shapes), (signings, sums, _) in zip(groups, exponents):
-        weight = scale * sum(c * _covering_weight(h, *shape, k) for shape, c in shapes)
+        weight = scale * sum(c * covering_weight(h, *shape, k) for shape, c in shapes)
         census_mu = [m + weight * e / signings for m, e in zip(census_mu, sums)]
     common = coprime_basis(list(basis) + list(census_basis))
 
@@ -125,9 +128,9 @@ def _alternating_weights(g, subset, ks):
 
 
 def _weight_of(g, subset, k):
-    """`_covering_weight` of one connected edge subset, from its shape."""
+    """`covering_weight` of one connected edge subset, from its shape."""
     ((x, ts), _), = spectrum._shapes(g, [subset])
-    return _covering_weight(g.subgraph_of_edges(subset), x, ts, k)
+    return covering_weight(g.subgraph_of_edges(subset), x, ts, k)
 
 
 class TestScriptS:
@@ -295,13 +298,14 @@ class TestCharPolyPower:
         # 2 vertices, in 7 orbits under the automorphisms that C8's own
         # search finds (the arcs of each size, and C8), so 7 forms are
         # asked for.  C8's search and those of the 6 arc representatives
-        # (the full set is C8 itself) make 7 searches, and the parity DPs
-        # search the 6 class forms that are none of those for their orbits
-        # (K2 is its own form): 13.  k=4 adds the census of its 8 * 7 + 1 =
-        # 57 connected edge subsets in 8 orbits (the paths of each length,
-        # and C8).  The first mask of each length picks the edges (0, 1)
-        # and (0, 7), so P2 to P4 and C8 are labelled subgraphs already
-        # searched, while P5 to P8 and the P8 form make 5 more searches.
+        # (the full set is C8 itself) make 7 searches; each stores its
+        # form's entry too, so the parity DPs search none of the class
+        # forms for their orbits: 7.  k=4 adds the census of its 8 * 7 + 1
+        # = 57 connected edge subsets in 8 orbits (the paths of each
+        # length, and C8).  The first mask of each length picks the edges
+        # (0, 1) and (0, 7): with 1 to 3 edges it spans the forms of K2, P3
+        # and P4, stored at k=3, and with 8 edges C8, while the P5 to P8
+        # representatives make 4 more searches, whose forms k=3 stored.
         # beta's parity DP finds C8 in the memo, and repeats search no more
         calls = []
         form = graphs.canonical_form
@@ -319,13 +323,13 @@ class TestCharPolyPower:
         spectrum._spectra.cache_clear()
         g = cycle_graph(8)
         char_poly_power(g, 3)
-        assert (len(calls), searches()) == (7, 13)
+        assert (len(calls), searches()) == (7, 7)
         char_poly_power(g, 4)
-        assert (len(calls), searches()) == (7 + 8, 13 + 5)
+        assert (len(calls), searches()) == (7 + 8, 7 + 4)
         beta(g)
         char_poly_power(g, 3)
         char_poly_power(g, 4)
-        assert (len(calls), searches()) == (7 + 8, 13 + 5)
+        assert (len(calls), searches()) == (7 + 8, 7 + 4)
 
     def test_moment_check_range_comes_from_the_graph(self):
         # a result that lost its factors must not pass with nothing checked
@@ -686,8 +690,38 @@ class TestShapes:
             assert sum(c for _, c in shapes) == len(subsets), (g, h)
             brute = [_alternating_weights(g, s, ks) for s in subsets]
             for k in ks:
-                weight = sum(c * _covering_weight(h, *shape, k) for shape, c in shapes)
+                weight = sum(c * covering_weight(h, *shape, k) for shape, c in shapes)
                 assert weight == sum(w[k] for w in brute), (g, h, k)
+
+
+class TestIntegerWeights:
+    """Both routes build each class's weight as one integer over a per-call
+    denominator; run on a `_spectra` that lists one class alone, each must
+    give that class's Fraction weight exactly."""
+
+    def test_each_class_against_the_fraction_weights(self, desk_corpus, monkeypatch):
+        # k = 2 and 3 included, where 1 - s = 0
+        spectra_of = spectrum._spectra
+        for g in desk_corpus:
+            for k in range(2, 7):
+                groups, spectra, basis = spectra_of(g, min(k, 4))
+                scale = Fraction((k - 1) ** (g.n + (k - 2) * g.m), k)
+                for (h, shapes), (signings, sums, deg) in zip(groups, spectra):
+                    one = (((h, shapes),), ((signings, sums, deg),), basis)
+                    monkeypatch.setattr(spectrum, "_spectra", lambda *_, one=one: one)
+                    # the exponents: D_k(C) times its boundary factors
+                    w = sum(c * covering_weight(h, *shape, k) for shape, c in shapes)
+                    mu = [scale / (k - 1) * w * e / signings for e in sums]
+                    assert spectrum._exponents(g, k) == (basis, mu), (g, k, h)
+                    # the check: W_C from r and s, recombined as k mu_b
+                    w = deletion_weight(h, shapes, k)
+                    mu = {b: scale * w * e / signings for b, e in zip(basis, sums) if e}
+                    factors = [SpectralFactor(0.0, m, b) for b, m in mu.items()]
+                    mu0 = spectrum._degree(g, k) - k * sum(
+                        m * (len(b) - 1) for b, m in mu.items()
+                    )
+                    fsf = FactoredSpectralFunction(k, mu0, tuple(factors))
+                    check_moment_identity(g, fsf)
 
 
 class TestDeletionMoments:
