@@ -6,10 +6,17 @@ primitive pseudo-remainder sequence and every division is exact, so no
 rational and no float is formed; the one float output is a real root,
 isolated by an integer Sturm sequence and bisected at dyadic points until
 its interval rounds to a single double.
+
+`coprime_basis` returns each input's exponent vector over the basis from
+the refinement itself, so no input is divided by the basis afterwards.
+Squarefree decompositions and real roots are memoised process-wide per
+coefficient tuple (bounded, with `cache_info` and `cache_clear`), since
+every regime and every k of a graph reads the same polynomials.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 
@@ -143,13 +150,14 @@ def poly_gcd(a, b):
     return [1]
 
 
-def squarefree_decomposition(p):
-    """Yun's algorithm: [f1, f2, ...] with p = c * f1 * f2^2 * f3^3 ...,
-    each f_i primitive, squarefree, with positive leading coefficient, and
-    pairwise coprime ([1] for a multiplicity with no roots)."""
+@lru_cache(maxsize=4096)
+def _squarefree_factors(p):
+    """`squarefree_decomposition` of the coefficient tuple p, as a tuple of
+    tuples; memoised, since every census and every k re-reads the same
+    switching-class polynomials."""
     p = poly_trim(p)
     if len(p) <= 1:
-        return []
+        return ()
     p = _primitive(p)
     dp = poly_derivative(p)
     g = poly_gcd(p, dp)
@@ -160,58 +168,65 @@ def squarefree_decomposition(p):
         a = poly_gcd(c, d)
         c = _divide(c, a)
         d = _poly_sub(_divide(d, a), poly_derivative(c))
-        factors.append(a)
-    return factors
+        factors.append(tuple(a))
+    return tuple(factors)
+
+
+def squarefree_decomposition(p):
+    """Yun's algorithm: [f1, f2, ...] with p = c * f1 * f2^2 * f3^3 ...,
+    each f_i primitive, squarefree, with positive leading coefficient, and
+    pairwise coprime ([1] for a multiplicity with no roots).  Memoised per
+    coefficient tuple; each call returns fresh lists."""
+    return [list(f) for f in _squarefree_factors(tuple(p))]
+
+
+squarefree_decomposition.cache_info = _squarefree_factors.cache_info
+squarefree_decomposition.cache_clear = _squarefree_factors.cache_clear
 
 
 def coprime_basis(polys):
-    """Gcd-free basis of nonzero integer polynomials: pairwise coprime,
-    squarefree, primitive integer polynomials with positive leading
-    coefficient, such that every input is a constant times a product of
-    powers of basis elements.  When every input has leading coefficient
-    +-1, so does each divisor, so every element is monic.
+    """Gcd-free basis of nonzero integer polynomials and the exponent vector
+    of each input over it: pairwise coprime, squarefree, primitive integer
+    polynomials with positive leading coefficient, such that every input p
+    is c * prod basis[j]^e[j] for a constant c.  When every input has
+    leading coefficient +-1, so does each divisor, so every element is
+    monic.  Returns (basis, exponents), exponents mapping each distinct
+    input, as a tuple, to its list e.
 
-    Repeated inputs are dropped.  Each factor f of an input's squarefree
-    decomposition is split against the basis built so far: a shared gcd g
-    replaces b by g and b/g, and f continues as f/g.  The result groups the
-    roots of the inputs by their multiplicity in every input.
+    Repeated inputs are dropped.  Each factor f of multiplicity i in an
+    input's squarefree decomposition is split against the basis built so
+    far: a shared gcd g replaces b by g and b/g, and f continues as f/g.
+    The exponents are kept through the refinement (Bach, Driscoll &
+    Shallit, "Factor refinement", J. Algorithms 15, 1993): both parts keep
+    b's exponents, g gains i in the input being split in, and what is left
+    of f enters with i.  That input holds no exponent on b before: its
+    earlier factors have other multiplicities, so are coprime to f.  The
+    result groups the roots of the inputs by their multiplicity in every
+    input.
     """
-    basis = []
-    for p in dict.fromkeys(map(tuple, polys)):
-        for f in squarefree_decomposition(p):
+    inputs = list(dict.fromkeys(map(tuple, polys)))
+    basis = []  # (element, ((input index, exponent), ...))
+    for at, p in enumerate(inputs):
+        for i, f in enumerate(_squarefree_factors(p), start=1):
             refined = []
-            for b in basis:
+            for b, owners in basis:
                 g = poly_gcd(b, f) if len(f) > 1 else [1]
                 if len(g) <= 1:
-                    refined.append(b)
+                    refined.append((b, owners))
                     continue
-                refined.append(g)
+                refined.append((g, owners + ((at, i),)))
                 rest = _divide(b, g)
                 if len(rest) > 1:
-                    refined.append(rest)
+                    refined.append((rest, owners))
                 f = _divide(f, g)
             if len(f) > 1:
-                refined.append(f)
+                refined.append((list(f), ((at, i),)))
             basis = refined
-    return basis
-
-
-def basis_exponents(p, basis):
-    """Exponents e_i with p = c * prod basis[i]^e_i for a constant c; raises
-    ArithmeticError when p does not factor over the basis."""
-    p = poly_trim(p)
-    exponents = []
-    for b in basis:
-        e = 0
-        while len(p) >= len(b):
-            q = _quotient(p, b)
-            if q is None:
-                break
-            p, e = q, e + 1
-        exponents.append(e)
-    if len(p) != 1:
-        raise ArithmeticError("polynomial does not factor over the basis")
-    return exponents
+    exponents = [[0] * len(basis) for _ in inputs]
+    for j, (_, owners) in enumerate(basis):
+        for at, e in owners:
+            exponents[at][j] = e
+    return [b for b, _ in basis], dict(zip(inputs, exponents))
 
 
 def _sign_at(p, m, s):
@@ -263,20 +278,15 @@ def _round_root(p, lo, hi, s):
     return hi / (1 << s)
 
 
-def real_roots(p):
-    """The roots of a squarefree integer polynomial whose roots are all
-    real, ascending, each as the double nearest to it (int / int division
-    rounds correctly).  Raises ArithmeticError for any other polynomial.
-
-    A Sturm sequence counts the roots in (lo, hi] for dyadic ends, starting
-    from a power of two above the Cauchy bound; intervals holding several
-    roots are halved until each holds one, which is then bisected by the
-    sign of p alone.
-    """
+@lru_cache(maxsize=4096)
+def _real_roots(p):
+    """`real_roots` of the coefficient tuple p, as a tuple; memoised, since
+    each basis element is read again for every k of its census.  A raise
+    is not stored, so it recurs on every call."""
     p = poly_trim(p)
     degree = len(p) - 1
     if degree < 1:
-        return []
+        return ()
     seq = _sturm_sequence(p)
     bound = 1 << (2 + max(map(abs, p[:-1])) // abs(p[-1])).bit_length()
     v_lo, v_hi = _variations(seq, -bound, 0), _variations(seq, bound, 0)
@@ -293,7 +303,25 @@ def real_roots(p):
             v_mid = _variations(seq, mid, s)
             stack.append((mid, hi, s, v_mid, v_hi))
             stack.append((lo, mid, s, v_lo, v_mid))
-    return roots
+    return tuple(roots)
+
+
+def real_roots(p):
+    """The roots of a squarefree integer polynomial whose roots are all
+    real, ascending, each as the double nearest to it (int / int division
+    rounds correctly).  Raises ArithmeticError for any other polynomial.
+
+    A Sturm sequence counts the roots in (lo, hi] for dyadic ends, starting
+    from a power of two above the Cauchy bound; intervals holding several
+    roots are halved until each holds one, which is then bisected by the
+    sign of p alone.  Memoised per coefficient tuple; each call returns a
+    fresh list.
+    """
+    return list(_real_roots(tuple(p)))
+
+
+real_roots.cache_info = _real_roots.cache_info
+real_roots.cache_clear = _real_roots.cache_clear
 
 
 def power_sums_from_charpoly(coeffs, d_max):

@@ -39,7 +39,6 @@ from math import lcm, prod
 from typing import NamedTuple
 
 from .algebra import (
-    basis_exponents,
     coprime_basis,
     mat_rank_mod_p,
     poly_eval,
@@ -136,24 +135,23 @@ def _signing_spectra(graphs):
     switching class of the given graphs, and per graph the number of its
     switching classes, the sum of their exponent vectors over Sigma and
     the sum of their degrees.  Each graph's classes come from its memoised
-    `switching_class_polynomials`, which `signing_polynomials` also reads."""
+    `switching_class_polynomials`, which `signing_polynomials` also reads;
+    their exponent vectors come out of the basis refinement."""
     tables = [
         [(tuple(poly_of_squares(phi)), c) for phi, c in switching_class_polynomials(h)]
         for h in graphs
     ]
-    basis = tuple(map(tuple, coprime_basis(q for table in tables for q, _ in table)))
-    over_basis = {q: basis_exponents(q, basis) for table in tables for q, _ in table}
-    exponents = tuple(
-        (
-            sum(c for _, c in table),
-            tuple(
-                sum(c * over_basis[q][i] for q, c in table) for i in range(len(basis))
-            ),
-            sum(c * (len(q) - 1) for q, c in table),
-        )
-        for table in tables
-    )
-    return exponents, basis
+    basis, over_basis = coprime_basis(q for table in tables for q, _ in table)
+    exponents = []
+    for table in tables:
+        sums = [0] * len(basis)
+        for q, c in table:
+            for i, e in enumerate(over_basis[q]):
+                if e:
+                    sums[i] += c * e
+        degree = sum(c * (len(q) - 1) for q, c in table)
+        exponents.append((sum(c for _, c in table), tuple(sums), degree))
+    return tuple(exponents), tuple(map(tuple, basis))
 
 
 def _shapes(g, subsets):

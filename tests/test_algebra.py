@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from hyperspectra import spectrum
 from hyperspectra.algebra import (
-    basis_exponents,
     coprime_basis,
     det_bareiss,
     mat_power_traces,
@@ -21,6 +21,9 @@ from hyperspectra.algebra import (
     real_roots,
     squarefree_decomposition,
 )
+from hyperspectra.graphs import complete_graph
+from hyperspectra.signed import poly_of_squares, switching_class_polynomials
+from hyperspectra.spectrum import beta, char_poly_power
 
 
 class TestPolynomials:
@@ -61,25 +64,32 @@ class TestPolynomials:
 
     def test_coprime_basis(self):
         # (x - 1)(x - 2), (x - 2)^2 (x - 3), x^2 - 2: the shared root 2 splits off
-        basis = coprime_basis([[2, -3, 1], [-12, 16, -7, 1], [-2, 0, 1]])
-        assert sorted(basis) == [[-3, 1], [-2, 0, 1], [-2, 1], [-1, 1]]
+        basis, exponents = coprime_basis([[2, -3, 1], [-12, 16, -7, 1], [-2, 0, 1]])
+        assert basis == [[-2, 1], [-1, 1], [-3, 1], [-2, 0, 1]]
+        assert exponents == {
+            (2, -3, 1): [1, 1, 0, 0],
+            (-12, 16, -7, 1): [2, 0, 1, 0],
+            (-2, 0, 1): [0, 0, 0, 1],
+        }
 
     def test_coprime_basis_refines_repeated_factors(self):
         # -(x - 1)^2 (x - 4): the squarefree part alone would give one element
         # (x - 1)(x - 4), over which the input does not factor
-        basis = coprime_basis([[4, -9, 6, -1]])
-        assert sorted(basis) == [[-4, 1], [-1, 1]]
-        assert basis_exponents([4, -9, 6, -1], sorted(basis)) == [1, 2]
+        basis, exponents = coprime_basis([[4, -9, 6, -1]])
+        assert basis == [[-4, 1], [-1, 1]]
+        assert exponents == {(4, -9, 6, -1): [1, 2]}
 
     def test_coprime_basis_drops_repeated_inputs(self):
-        assert coprime_basis([[-2, 1], [-2, 1], (-2, 1)]) == [[-2, 1]]
+        assert coprime_basis([[-2, 1], [-2, 1], (-2, 1)]) == ([[-2, 1]], {(-2, 1): [1]})
 
     def test_basis_exponents(self):
+        # trial division survives only as the oracle of the refinement's
+        # exponents
         basis = [[-1, 1], [-2, 1]]
         # -(x - 1)^2 (x - 2) = -x^3 + 4x^2 - 5x + 2
-        assert basis_exponents([2, -5, 4, -1], basis) == [2, 1]
+        assert oracles.basis_exponents([2, -5, 4, -1], basis) == [2, 1]
         with pytest.raises(ArithmeticError):
-            basis_exponents([-3, 1], basis)
+            oracles.basis_exponents([-3, 1], basis)
 
     def test_power_sums(self):
         # roots 2 and 3: x^2 - 5x + 6
@@ -135,6 +145,62 @@ class TestRealRoots:
         assert real_roots([3]) == []
 
 
+class TestMemos:
+    """Squarefree decompositions and real roots are memoised per
+    coefficient tuple, process-wide and bounded."""
+
+    def test_a_caller_cannot_change_the_next_result(self):
+        factors = squarefree_decomposition([4, -9, 6, -1])
+        factors[0].append(7)
+        factors.append([9])
+        assert squarefree_decomposition([4, -9, 6, -1]) == [[-4, 1], [-1, 1]]
+        roots = real_roots([6, -5, 1])
+        roots[0] = 0.0
+        roots.append(1.0)
+        assert real_roots([6, -5, 1]) == [2.0, 3.0]
+
+    def test_non_real_roots_raise_on_every_call(self):
+        real_roots.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ArithmeticError):
+                real_roots([1, 0, 1])
+        assert real_roots.cache_info().currsize == 0
+
+    def test_bounded(self):
+        assert squarefree_decomposition.cache_info().maxsize == 4096
+        assert real_roots.cache_info().maxsize == 4096
+
+    def test_one_miss_per_distinct_polynomial(self):
+        # K4 at k=3, k=4 and beta read three censuses, whose tables share
+        # polynomials, and three results, which share basis elements
+        g = complete_graph(4)
+
+        def jobs():
+            spectrum._spectra.cache_clear()
+            return char_poly_power(g, 3), char_poly_power(g, 4), beta(g)
+
+        def counts():
+            infos = squarefree_decomposition.cache_info(), real_roots.cache_info()
+            return tuple(i.misses for i in infos), tuple(i.hits for i in infos)
+
+        squarefree_decomposition.cache_clear()
+        real_roots.cache_clear()
+        results = jobs()
+        tables = {
+            tuple(poly_of_squares(phi))
+            for regime in (2, 3, 4)
+            for h, _ in spectrum._spectra(g, regime)[0]
+            for phi, _ in switching_class_polynomials(h)
+        }
+        elements = {f.b for fsf in results for f in fsf.factors}
+        misses, hits = counts()
+        assert misses == (len(tables), len(elements)) == (12, 9)
+        jobs()
+        again, more = counts()
+        assert again == misses
+        assert all(m > h for m, h in zip(more, hits))
+
+
 def _linear_factors():
     return st.lists(
         st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=1, max_size=3
@@ -163,23 +229,54 @@ def _polynomial_families(draw):
 class TestIntegerBasisAgainstFractionOracle:
     @given(_polynomial_families())
     def test_same_basis_and_exponents(self, polys):
-        basis = sorted(coprime_basis(polys))
-        assert basis == sorted(oracles.coprime_basis(polys))
+        basis, exponents = coprime_basis(polys)
+        assert sorted(basis) == sorted(oracles.coprime_basis(polys))
+        # the refinement's own vectors, one per distinct input, against
+        # trial division in Fractions
+        assert list(exponents) == list(dict.fromkeys(map(tuple, polys)))
         for p in polys:
-            assert basis_exponents(p, basis) == oracles.basis_exponents(p, basis)
+            assert exponents[tuple(p)] == oracles.basis_exponents(p, basis)
 
     @given(_polynomial_families())
     def test_every_input_factors_over_the_basis(self, polys):
-        basis = coprime_basis(polys)
+        basis, exponents = coprime_basis(polys)
         for i, a in enumerate(basis):
             for b in basis[i + 1 :]:
                 assert poly_gcd(a, b) == [1]
         for p in polys:
-            exponents = basis_exponents(p, basis)
             product = [1]
-            for b, e in zip(basis, exponents):
+            for b, e in zip(basis, exponents[tuple(p)]):
                 product = poly_mul(product, poly_pow(b, e))
             assert [c * product[-1] for c in p] == [c * p[-1] for c in product]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_census_tables_as_by_trial_division(self, desk_corpus, k):
+        # each class's (signings, sums, degree) and the basis of `_spectra`,
+        # rebuilt with the Fraction basis and exponents by trial division;
+        # the exponents of k read them through the oracle's weights
+        for g in desk_corpus:
+            groups, spectra, basis = spectrum._spectra(g, min(k, 4))
+            tables = [
+                [(poly_of_squares(phi), c) for phi, c in switching_class_polynomials(h)]
+                for h, _ in groups
+            ]
+            expected = oracles.coprime_basis(q for t in tables for q, _ in t)
+            assert basis == tuple(map(tuple, expected)), (g, k)
+            rebuilt = []
+            for table in tables:
+                sums = [0] * len(basis)
+                for q, c in table:
+                    for i, e in enumerate(oracles.basis_exponents(q, expected)):
+                        sums[i] += c * e
+                degree = sum(c * (len(q) - 1) for q, c in table)
+                rebuilt.append((sum(c for _, c in table), tuple(sums), degree))
+            assert spectra == tuple(rebuilt), (g, k)
+            scale = Fraction((k - 1) ** (g.n + (k - 2) * g.m - 1), k)
+            mu = [Fraction(0)] * len(basis)
+            for (h, shapes), (signings, sums, _) in zip(groups, rebuilt):
+                w = sum(c * oracles.covering_weight(h, *shape, k) for shape, c in shapes)
+                mu = [m + scale * w * e / signings for m, e in zip(mu, sums)]
+            assert spectrum._exponents(g, k) == (basis, mu), (g, k)
 
 
 class TestMatrices:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperspectra import signed
+from hyperspectra import algebra, signed
 from hyperspectra.algebra import poly_eval
 from hyperspectra.errors import BudgetError
 from hyperspectra.graphs import complete_graph, cycle_graph, path_graph
@@ -156,6 +156,8 @@ class TestAmGm:
 
         monkeypatch.setattr(signed, "_walsh_hadamard", counted)
         signed.switching_class_polynomials.cache_clear()
+        algebra.squarefree_decomposition.cache_clear()
+        algebra.real_roots.cache_clear()
         report = amgm_check(cycle_graph(4), 3.0)
         assert transformed == [2]
         assert report.beta_value == geometric_mean_evaluate(cycle_graph(4), 3.0)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hyperspectra import signed, spectrum
 from hyperspectra.algebra import (
-    basis_exponents,
     coprime_basis,
     poly_eval,
     power_sums_from_charpoly,
@@ -40,6 +39,7 @@ from hyperspectra.signed import (
 from hyperspectra.spectrum import beta, char_poly_power
 from hyperspectra.walks import parity_closed_profile
 from oracles import (
+    basis_exponents,
     is_balanced_by_switching,
     jacobi_eigenvalues,
     switching_class_polynomials_by_faddeev_leverrier as faddeev_leverrier_table,
@@ -357,7 +357,7 @@ def _basis(graphs):
             char_poly_of_squares(sg)
             for h in graphs
             for sg in enumerate_signings(h, up_to_switching=True)
-        )
+        )[0]
     }
 
 

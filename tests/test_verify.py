@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hyperspectra import signed, spectrum, verify
+from hyperspectra import algebra, signed, spectrum, verify
 from hyperspectra.errors import ConsistencyError
 from hyperspectra.graphs import cycle_graph, path_graph
 
@@ -140,6 +140,8 @@ def test_signed_polynomials_computed_once_per_graph(monkeypatch):
     assert verify.run_verify_suite("quick").ok
     transformed = _count_calls(monkeypatch, signed, "_walsh_hadamard")
     signed.switching_class_polynomials.cache_clear()
+    algebra.squarefree_decomposition.cache_clear()
+    algebra.real_roots.cache_clear()
     report = verify.run_verify_suite("quick")
     assert report.ok
     classes = [len(rows) for rows, in transformed]
