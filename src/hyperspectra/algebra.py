@@ -40,6 +40,16 @@ def poly_eval(p, x):
     return acc
 
 
+def poly_eval_scaled(p, num, den):
+    """den^deg(p) * p(num / den), by Horner's rule in integers (0 for the
+    zero polynomial [])."""
+    acc, power = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
 def poly_derivative(p):
     return [i * c for i, c in enumerate(p)][1:]
 

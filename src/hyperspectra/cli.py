@@ -27,7 +27,7 @@ from .graphs import (
     parse_graph,
     power_hypergraph,
 )
-from .signed import char_poly_exact, eigenvalues, enumerate_signings, is_balanced
+from .signed import _roots, char_poly_exact, enumerate_signings, is_balanced
 
 
 def _json_dump(obj):
@@ -186,8 +186,8 @@ def _cmd_signed(args):
     payload = []
     lines = []
     for sg in reps:
-        eigs = eigenvalues(sg)
         poly = char_poly_exact(sg)
+        eigs = _roots(poly)
         balanced = is_balanced(sg)
         payload.append(
             {

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -432,14 +434,21 @@ def naive_tensor_trace(h, d, term_budget=TRACE_TERM_BUDGET):
         raise BudgetError(
             f"trace enumeration needs {n_terms} terms, budget is {term_budget}"
         )
+    # a pair's net flow, out minus in, as one signed digit per vertex in a
+    # base past twice any vertex's net over d pairs: a multiset is balanced
+    # exactly when its flows sum to 0, and only then is a digraph built
+    base = 2 * d * (k - 1) + 1
+    flow = [
+        (k - 1) * base**r - sum(base**u for u in h.hyperedges[idx] if u != r)
+        for r, idx in pairs
+    ]
     total = Fraction(0)
     for combo in itertools.combinations_with_replacement(range(len(pairs)), d):
-        counts = {}
-        for idx in combo:
-            counts[idx] = counts.get(idx, 0) + 1
+        if sum(map(flow.__getitem__, combo)):
+            continue
         arcs = {}
         root_counts = {}
-        for idx, c in counts.items():
+        for idx, c in Counter(combo).items():
             r, edge_idx = pairs[idx]
             root_counts.setdefault(r, []).append(c)
             for u in h.hyperedges[edge_idx]:
@@ -449,18 +458,15 @@ def naive_tensor_trace(h, d, term_budget=TRACE_TERM_BUDGET):
         if not digraph.is_eulerian():
             continue
         walks = eulerian_walk_count(digraph)
-        if walks == 0:
-            continue
         multinom = 1
         for r, cs in root_counts.items():
             multinom *= math.factorial(sum(cs))
             for c in cs:
                 multinom //= math.factorial(c)
-        b_val = digraph.b_value()
         c_val = 1
         for v in digraph.support_vertices():
             c_val *= math.factorial(digraph.out_degree(v))
-        total += Fraction(multinom * b_val * walks, c_val)
+        total += Fraction(multinom * digraph.b_value() * walks, c_val)
     return (k - 1) ** (h.n - 1) * total
 
 
@@ -475,13 +481,19 @@ def eulerian_structures_on(motif, ell):
     if m == 0 or ell < m:
         return []
     out = []
+    # f of edge (u, v)'s t arcs forward add 2f - t to u's out minus in degree
+    # and take it from v's; as one signed digit per vertex, base past twice
+    # any net (2 ell), balanced exactly when sum 2f w = sum t w, w = base^u - base^v
+    base = 4 * ell + 1
+    weights = [base**u - base**v for u, v in motif.edges]
     # positive even totals per edge summing to 2*ell
     for split in itertools.combinations(range(ell - 1), m - 1):
         bounds = (-1,) + split + (ell - 1,)
         totals = [2 * (bounds[i + 1] - bounds[i]) for i in range(m)]
-        for orientation in itertools.product(
-            *(range(t + 1) for t in totals)
-        ):
+        half = sum(map(operator.mul, totals, weights)) // 2
+        for orientation in itertools.product(*(range(t + 1) for t in totals)):
+            if sum(map(operator.mul, orientation, weights)) != half:
+                continue
             arcs = {}
             for (u, v), total, fwd in zip(motif.edges, totals, orientation):
                 if fwd:

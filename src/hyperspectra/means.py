@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import power_sums_from_charpoly
+from .algebra import poly_eval_scaled, power_sums_from_charpoly
 from .errors import ConsistencyError
 from .signed import signing_polynomials
 
@@ -90,29 +90,13 @@ def mean_signed_moments(g, max_d):
     return profile
 
 
-def _scaled_value(poly, p, q):
-    """q^deg(poly) * poly(p / q), by Horner's rule in integers."""
-    acc, q_power = poly[-1], 1
-    for c in reversed(poly[:-1]):
-        q_power *= q
-        acc = acc * p + c * q_power
-    return acc
-
-
 def _scaled_values(g, lambda0):
     """q^n and, per distinct signed characteristic polynomial phi of g, the
     pair (q^n phi(p/q), number of signings with phi), where p/q is the exact
     binary value of lambda0; each value is one integer Horner pass."""
-    x = Fraction(lambda0)
-    p, q = x.numerator, x.denominator
-    return q**g.n, [(_scaled_value(phi, p, q), c) for phi, c in signing_polynomials(g)]
-
-
-def signed_char_poly_values(g, lambda0):
-    """The pairs (phi(lambda0), count) of `_scaled_values`, with each value
-    an exact rational."""
-    scale, values = _scaled_values(g, lambda0)
-    return tuple((Fraction(v, scale), count) for v, count in values)
+    p, q = Fraction(lambda0).as_integer_ratio()
+    values = [(poly_eval_scaled(phi, p, q), c) for phi, c in signing_polynomials(g)]
+    return q**g.n, values
 
 
 def geometric_mean_evaluate(g, lambda0):

@@ -363,18 +363,23 @@ def signed_spectral_moment(sg, d):
 
 def eigenvalues(sg):
     """Full real spectrum of the signed adjacency matrix, descending, each
-    value the double nearest the exact eigenvalue: the roots of each factor
-    of the squarefree decomposition of char_poly_exact, repeated by that
-    factor's multiplicity."""
-    eigs = [
+    value the double nearest the exact eigenvalue: the roots of
+    char_poly_exact, by `_roots`."""
+    return _roots(char_poly_exact(sg))
+
+
+def _roots(poly):
+    """The roots of an integer polynomial whose roots are all real,
+    descending, each the double nearest the exact root: the roots of each
+    factor of its squarefree decomposition, repeated by that factor's
+    multiplicity."""
+    roots = [
         root
-        for multiplicity, factor in enumerate(
-            squarefree_decomposition(char_poly_exact(sg)), start=1
-        )
+        for multiplicity, factor in enumerate(squarefree_decomposition(poly), start=1)
         for root in real_roots(factor)
         for _ in range(multiplicity)
     ]
-    return tuple(sorted(eigs, reverse=True))
+    return tuple(sorted(roots, reverse=True))
 
 
 @lru_cache(maxsize=64)

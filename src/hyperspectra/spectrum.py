@@ -23,7 +23,8 @@ floats are the convergence ratio, an exact rational rounded once, and the
 roots sigma^2 of each b, each the double nearest to the exact root: an
 integer Sturm sequence isolates it and bisection at dyadic points narrows it
 until its interval rounds to one double.  `abs_power` evaluates |f(x)|^n
-exactly, so beta's identities are checked in rationals.  Each result is
+exactly at x = p/q as an integer N over q^e, by integer Horner, and verify
+checks beta's identities by comparing such integers.  Each result is
 checked against walk counts, not signed spectra, by one route for every k:
 each class's table against its parity profile, to a length read from the
 class's own basis elements, then the exponents recombined from the tables
@@ -41,7 +42,7 @@ from typing import NamedTuple
 from .algebra import (
     coprime_basis,
     mat_rank_mod_p,
-    poly_eval,
+    poly_eval_scaled,
     power_sums_from_charpoly,
     real_roots,
 )
@@ -85,17 +86,32 @@ class FactoredSpectralFunction(NamedTuple):
         """|f(x)|^n = |x|^(n mu0) prod_b |b(x^k)|^(n mu_b), a Fraction at the
         exact binary value of x; b is monic, so b(x^k) = prod (x^k - sigma^2)
         over its roots.  Raises ValueError when some n mu is not an integer."""
-        x = Fraction(x)
+        p, q = Fraction(x).as_integer_ratio()
+        value, e = self._scaled_abs_power(p, q, n)
+        return Fraction(value) / Fraction(q) ** e
+
+    def _scaled_abs_power(self, p, q, n):
+        """(N, e) with |f(p / q)|^n = N / q^e for q > 0, N an integer unless
+        some n mu is negative: each b(x^k) is B / q^(k deg b) with the
+        integer B = `poly_eval_scaled`(b, p^k, q^k), and x is p / q."""
+        pk, qk = p**self.k, q**self.k
         exponents = {f.b: f.mu for f in self.factors}
-        terms = [(poly_eval(b, x**self.k), mu) for b, mu in exponents.items()]
-        terms.append((x, self.mu0))
-        value = Fraction(1)
-        for base, mu in terms:
+        terms = [
+            (poly_eval_scaled(b, pk, qk), self.k * (len(b) - 1), mu)
+            for b, mu in exponents.items()
+        ]
+        value, e = 1, 0
+        for base, degree, mu in terms + [(p, 1, self.mu0)]:
             power = n * Fraction(mu)
             if power.denominator != 1:
                 raise ValueError(f"{n} * {mu} is not an integer")
-            value *= abs(base) ** int(power)
-        return value
+            m = power.numerator
+            if m < 0:
+                value = Fraction(value, abs(base) ** -m)
+            else:
+                value *= abs(base) ** m
+            e += degree * m
+        return value, e
 
     def to_text(self):
         parts = []

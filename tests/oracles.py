@@ -8,9 +8,11 @@ test, subset enumeration and one canonical search per subset for the motif
 census, vertex subset enumeration for the induced census, every permutation
 for the automorphism orbits, breadth- and depth-first search for the
 components of a graph and the connectivity of a digraph's support, every
-switching for balance, Faddeev-LeVerrier on every switching representative
+orientation built as a digraph for the Eulerian structures, every switching
+for balance, Faddeev-LeVerrier on every switching representative
 for the switching-class table, the parity DP from every start vertex, subset
-inclusion-exclusion over it for the covering walk counts, the deletion sum
+inclusion-exclusion over it for the covering walk counts, Fraction
+Horner evaluations for the signed values and |f(x)|^n, the deletion sum
 over all vertex and edge sets for the moments and its sum grouped by
 component over every length at once, both census weights of a class in
 Fractions, and cyclic Jacobi rotations in floats for the real spectra read
@@ -23,9 +25,10 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from hyperspectra.algebra import poly_derivative, poly_trim
+from hyperspectra.algebra import poly_derivative, poly_eval, poly_trim
+from hyperspectra.digraphs import Multidigraph
 from hyperspectra.graphs import Graph, canonical_certificate, canonical_form
-from hyperspectra.signed import char_poly_exact, enumerate_signings
+from hyperspectra.signed import char_poly_exact, enumerate_signings, signing_polynomials
 from hyperspectra.spectrum import power_moment_prefactor
 
 
@@ -276,6 +279,33 @@ def is_connected_on_support_dfs(d):
     return len(seen) == len(support)
 
 
+def eulerian_structures_unfiltered(motif, ell):
+    """`digraphs.eulerian_structures_on` without its balance filter: a
+    Multidigraph is built for every orientation and kept when it is
+    Eulerian."""
+    m = motif.m
+    if m == 0 or ell < m:
+        return []
+    out = []
+    # positive even totals per edge summing to 2*ell
+    for split in itertools.combinations(range(ell - 1), m - 1):
+        bounds = (-1,) + split + (ell - 1,)
+        totals = [2 * (bounds[i + 1] - bounds[i]) for i in range(m)]
+        for orientation in itertools.product(
+            *(range(t + 1) for t in totals)
+        ):
+            arcs = {}
+            for (u, v), total, fwd in zip(motif.edges, totals, orientation):
+                if fwd:
+                    arcs[(u, v)] = fwd
+                if total - fwd:
+                    arcs[(v, u)] = total - fwd
+            digraph = Multidigraph(motif.n, tuple(arcs.items()))
+            if digraph.is_eulerian():
+                out.append(digraph)
+    return out
+
+
 def is_balanced_by_switching(sg):
     """Whether one of the 2^n switchings by a +-1 diagonal makes every
     edge sign +1."""
@@ -294,6 +324,31 @@ def switching_class_polynomials_by_faddeev_leverrier(g):
         tuple(char_poly_exact(sg)) for sg in enumerate_signings(g, up_to_switching=True)
     )
     return tuple(table.items())
+
+
+def signed_char_poly_values(g, lambda0):
+    """The pairs (phi(lambda0), count) over the distinct signed
+    characteristic polynomials phi of g, each value by Horner's rule in
+    Fractions at the exact value of lambda0."""
+    x = Fraction(lambda0)
+    return tuple((poly_eval(phi, x), count) for phi, count in signing_polynomials(g))
+
+
+def abs_power(fsf, x, n):
+    """`FactoredSpectralFunction.abs_power` in Fractions: |f(x)|^n =
+    |x|^(n mu0) prod_b |b(x^k)|^(n mu_b) at the exact binary value of x.
+    Raises ValueError when some n mu is not an integer."""
+    x = Fraction(x)
+    exponents = {f.b: f.mu for f in fsf.factors}
+    terms = [(poly_eval(b, x**fsf.k), mu) for b, mu in exponents.items()]
+    terms.append((x, fsf.mu0))
+    value = Fraction(1)
+    for base, mu in terms:
+        power = n * Fraction(mu)
+        if power.denominator != 1:
+            raise ValueError(f"{n} * {mu} is not an integer")
+        value *= abs(base) ** int(power)
+    return value
 
 
 def parity_profile_all_starts(g, max_d):

@@ -174,6 +174,24 @@ class TestOtherCommands:
         assert len(printed) == 3
         assert all(len(lists) == 1 for lists in printed.values()), printed
 
+    def test_signed_computes_each_polynomial_once(self, capsys, monkeypatch):
+        # the eigenvalues are the roots of the printed polynomial: one
+        # char_poly_exact per signing, whichever module looks it up
+        calls = []
+        exact = hyperspectra.signed.char_poly_exact
+
+        def counted(sg):
+            calls.append(list(sg.signs))
+            return exact(sg)
+
+        monkeypatch.setattr(hyperspectra.signed, "char_poly_exact", counted)
+        monkeypatch.setattr(cli, "char_poly_exact", counted)
+        code, out, _ = run_cli(capsys, "signed", "--graph", "complete:4", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload) == 2**6
+        assert calls == [p["signs"] for p in payload]
+
     def test_oracle(self, capsys):
         code, out, _ = run_cli(
             capsys, "oracle", "--graph", "2 1\\n0 1", "--d", "3", "--format", "json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperspectra import digraphs
 from hyperspectra.digraphs import (
     Multidigraph,
     arborescence_count,
@@ -22,6 +23,7 @@ from hyperspectra.digraphs import (
 )
 from hyperspectra.graphs import (
     Graph,
+    all_connected_graphs,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -29,7 +31,7 @@ from hyperspectra.graphs import (
 )
 from hyperspectra.spectrum import script_S
 from hyperspectra.walks import covering_parity_profile
-from oracles import is_connected_on_support_dfs
+from oracles import eulerian_structures_unfiltered, is_connected_on_support_dfs
 from test_signed import small_graphs
 
 TWO_CYCLE = Multidigraph(2, (((0, 1), 1), ((1, 0), 1)))
@@ -332,6 +334,51 @@ class TestNaiveTrace:
         h = power_hypergraph(path_graph(2), 3)
         assert naive_tensor_trace(h, 0) == 3 * 2**2
         assert naive_tensor_trace(h, 0) == script_S(path_graph(2), 0, 3)
+
+
+class TestBalanceFilter:
+    """Arc sets whose in- and out-degrees differ somewhere are dropped
+    before a Multidigraph is built for them."""
+
+    # every graph of at most 3 edges without isolated vertices: the five
+    # connected ones, and two disjoint edges, which has no Eulerian structure
+    MOTIFS = [g for n in (2, 3, 4) for g in all_connected_graphs(n) if g.m <= 3]
+    MOTIFS.append(Graph(4, ((0, 1), (2, 3))))
+
+    def test_structures_as_without_the_filter(self):
+        assert len(self.MOTIFS) == 6
+        for motif in self.MOTIFS:
+            for ell in range(motif.m, motif.m + 3):
+                expected = eulerian_structures_unfiltered(motif, ell)
+                assert eulerian_structures_on(motif, ell) == expected, (motif, ell)
+
+    def test_trace_builds_one_digraph_per_balanced_multiset(self, monkeypatch):
+        # with the walk count stubbed, every Multidigraph built in the call
+        # is one the trace built; P3's 3-power has 6 (root, hyperedge) pairs,
+        # so 462 multisets of 6 of them, and 3 are balanced
+        built = []
+
+        class Counted(Multidigraph):
+            def __init__(self, n, arcs):
+                super().__init__(n, arcs)
+                built.append(self)
+
+        h = power_hypergraph(path_graph(3), 3)
+        pairs = [(r, edge) for edge in h.hyperedges for r in edge]
+        balanced = 0
+        for combo in itertools.combinations_with_replacement(pairs, 6):
+            net = [0] * h.n
+            for r, edge in combo:
+                for u in edge:
+                    if u != r:
+                        net[r] += 1
+                        net[u] -= 1
+            balanced += not any(net)
+        monkeypatch.setattr(digraphs, "Multidigraph", Counted)
+        monkeypatch.setattr(digraphs, "eulerian_walk_count", lambda d: 1)
+        naive_tensor_trace(h, 6)
+        assert len(built) == balanced == 3
+        assert all(d.is_balanced() for d in built)
 
 
 class TestTraceTerms:

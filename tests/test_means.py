@@ -17,10 +17,10 @@ from hyperspectra.means import (
     matchings_by_size,
     mean_signed_char_poly,
     mean_signed_moments,
-    signed_char_poly_values,
 )
 from hyperspectra.signed import all_positive, char_poly_exact
 from hyperspectra.spectrum import beta
+from oracles import signed_char_poly_values
 from test_signed import small_graphs
 
 K2 = path_graph(2)

@@ -41,6 +41,7 @@ from hyperspectra.spectrum import (
 )
 from hyperspectra.walks import covering_parity_profile, parity_closed_profile
 from oracles import (
+    abs_power,
     basis_exponents,
     covering_weight,
     deletion_moments,
@@ -48,6 +49,7 @@ from oracles import (
     grouped_deletion_moments,
     parity_profile_all_starts,
     rank_over_q,
+    signed_char_poly_values,
     switching_class_polynomials_by_faddeev_leverrier,
 )
 from test_graphs import small_graphs as census_graphs
@@ -1077,7 +1079,7 @@ class TestBetaProperties:
         fsf = beta(g)
         for x in (Fraction(5, 2), Fraction(3, 4), Fraction(7, 3)):
             expected = math.prod(
-                v**c for v, c in means.signed_char_poly_values(g, x)
+                v**c for v, c in signed_char_poly_values(g, x)
             )
             assert fsf.abs_power(x, 2**g.m) == expected
 
@@ -1091,6 +1093,65 @@ class TestBetaProperties:
     @given(disjoint_pairs())
     def test_disjoint_unions_obey_the_product_rule(self, pair):
         _assert_product_rule(*pair, 2)
+
+
+def _abs_power_or_refusal(evaluate, fsf, x, n):
+    try:
+        return evaluate(fsf, x, n)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _count_refusals(fsf, g, points):
+    """Assert that abs_power, by integer Horner over a power of q, equals
+    the Fraction route of `oracles.abs_power` at every point for n = 1, 2
+    and 2^|E|, or that both raise the same ValueError; return how many
+    raised."""
+    refused = 0
+    for n in (1, 2, 2**g.m):
+        for x in points:
+            value = _abs_power_or_refusal(FactoredSpectralFunction.abs_power, fsf, x, n)
+            assert value == _abs_power_or_refusal(abs_power, fsf, x, n), (g, fsf.k, x, n)
+            refused += isinstance(value, str)
+    return refused
+
+
+class TestAbsPower:
+    """The integer route of abs_power against the Fraction one, for beta and
+    k = 3, at the sample points, at 0 and at random doubles.  The k = 3
+    exponents grow as 2^(|V| + |E|), so k = 3 runs where the 3-power has at
+    most 7 vertices."""
+
+    POINTS = verify.SAMPLE_POINTS + (0.0, -1.3078925170793915, 3.6152868811451626)
+
+    def test_beta_on_the_desk_corpus(self, desk_corpus):
+        refused = sum(_count_refusals(beta(g), g, self.POINTS) for g in desk_corpus)
+        # every cycle has fractional exponents, refused at n = 1
+        assert refused > 0
+
+    def test_k3_on_the_desk_corpus(self, desk_corpus):
+        for g in desk_corpus:
+            if g.n + g.m <= 7:
+                assert _count_refusals(char_poly_power(g, 3), g, self.POINTS) == 0
+
+    @settings(max_examples=40)
+    @given(small_graphs(max_m=5), st.randoms(use_true_random=False))
+    def test_random_graphs_and_points(self, g, rng):
+        points = verify.SAMPLE_POINTS + (0.0, rng.uniform(-4, 4))
+        _count_refusals(beta(g), g, points)
+        if g.n + g.m <= 7:
+            _count_refusals(char_poly_power(g, 3), g, points)
+
+    def test_negative_exponents_divide(self):
+        # not a pipeline result, but abs_power still evaluates it, and 0 to
+        # a negative power still divides by zero
+        fsf = FactoredSpectralFunction(2, -1, (SpectralFactor(4.0, Fraction(-1, 2), (-4, 1)),))
+        assert _count_refusals(fsf, K2, (3.0, -2.5, 0.3)) == 3
+        assert fsf.abs_power(3.0, 2) == Fraction(1, 9 * 5)
+        with pytest.raises(ZeroDivisionError):
+            fsf.abs_power(0.0, 2)
+        with pytest.raises(ZeroDivisionError):
+            abs_power(fsf, 0.0, 2)
 
 
 class TestConvergence:
