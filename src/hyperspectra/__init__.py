@@ -6,14 +6,14 @@ data: covering parity-closed walk counts of its motifs, occurrence counts of
 those motifs, and the squared eigenvalues of its signed subgraphs.  Exact
 brute-force oracles for every identity involved ship alongside the closed
 forms, each a function of its own: the averages over signings in `means`,
-the backtracking Eulerian count in `digraphs`; `hyperspectra verify`
-replays all of them.
+the backtracking Eulerian count, the naive tensor trace and its census sum
+`script_S` in `digraphs`; `hyperspectra verify` replays all of them.
 
 `import hyperspectra` loads only the exact pipeline: `graphs`, `algebra`,
-`signed`, `walks` and `spectrum`.  The oracle names from `digraphs`, `means`
-and `verify` load their module on first use, and are looked up in it on every
-access, so a wrapper installed on the defining module is what the package
-name returns.
+`signed`, `walks` and `spectrum`.  The oracle names from `digraphs` (among
+them `script_S`), `means` and `verify` load their module on first use, and
+are looked up in it on every access, so a wrapper installed on the defining
+module is what the package name returns.
 """
 
 import importlib
@@ -43,7 +43,6 @@ from .spectrum import (
     FactoredSpectralFunction,
     beta,
     char_poly_power,
-    script_S,
     spectral_radius_multiplicity,
 )
 
@@ -108,6 +107,7 @@ _ORACLES = {
         "moment_coefficient",
         "naive_tensor_trace",
         "reduce_to_core",
+        "script_S",
         "spanning_tree_reduction_check",
         "trace_terms",
     ),

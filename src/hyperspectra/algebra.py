@@ -32,14 +32,6 @@ def poly_trim(p):
     return list(p[:n])
 
 
-def poly_eval(p, x):
-    """Horner evaluation; works for int, Fraction and float inputs."""
-    acc = 0 * x
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def poly_eval_scaled(p, num, den):
     """den^deg(p) * p(num / den), by Horner's rule in integers (0 for the
     zero polynomial [])."""

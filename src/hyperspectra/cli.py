@@ -27,7 +27,13 @@ from .graphs import (
     parse_graph,
     power_hypergraph,
 )
-from .signed import _roots, char_poly_exact, enumerate_signings, is_balanced
+from .signed import (
+    _roots,
+    check_signing_edges,
+    class_polynomials,
+    enumerate_signings,
+    switching_class,
+)
 
 
 def _json_dump(obj):
@@ -182,13 +188,17 @@ def _cmd_census(args):
 
 def _cmd_signed(args):
     g = _load_graph(args.graph)
-    reps = enumerate_signings(g, up_to_switching=args.up_to_switching)
+    if not args.up_to_switching:
+        check_signing_edges(g)  # refused before the table is built
+    # one row per switching class; each signing prints its class's row
+    table = class_polynomials(g)
     payload = []
     lines = []
-    for sg in reps:
-        poly = char_poly_exact(sg)
+    for sg in enumerate_signings(g, up_to_switching=args.up_to_switching):
+        t = switching_class(sg)
+        poly = table[t]
         eigs = _roots(poly)
-        balanced = is_balanced(sg)
+        balanced = t == 0
         payload.append(
             {
                 "signs": list(sg.signs),
@@ -212,7 +222,7 @@ def _cmd_oracle(args):
     g = _load_graph(args.graph)
     h = power_hypergraph(g, args.k)
     value = digraphs.naive_tensor_trace(h, args.d, term_budget=args.budget)
-    closed = spectrum.script_S(g, args.d, args.k)
+    closed = digraphs.script_S(g, args.d, args.k)
     payload = {
         "d": args.d,
         "k": args.k,

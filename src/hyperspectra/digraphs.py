@@ -2,8 +2,9 @@
 Eulerian-walk counting (the BEST formula, `eulerian_walk_count`, and its
 reference, `eulerian_walks_by_backtracking`), the core-vertex
 lift/reduction between a digraph on a motif and the digraph on its k-power,
-the spanning-tree reduction identity, the naive tensor trace oracle, and the
-closed-form spectral-moment coefficients.
+the spanning-tree reduction identity, the naive tensor trace oracle, and
+its closed-form twin: the spectral-moment coefficients and `script_S`, the
+moments of a k-power summed over the motif census from covering walk counts.
 
 Eulerian walks are closed arc sequences that use every arc exactly its
 multiplicity and are distinguished by their starting arc; with that
@@ -22,8 +23,14 @@ from typing import NamedTuple
 
 from .algebra import det_bareiss
 from .errors import BudgetError, ConsistencyError
-from .graphs import Graph, _classes, _Value, power_hypergraph
-from .spectrum import power_moment_prefactor
+from .graphs import (
+    Graph,
+    _classes,
+    _Value,
+    connected_subgraph_classes,
+    power_hypergraph,
+)
+from .spectrum import _degree, power_moment_prefactor
 from .walks import TRACE_TERM_BUDGET, covering_parity_profile
 
 BRUTE_ARC_LIMIT = 12
@@ -535,3 +542,26 @@ def moment_coefficient(motif, ell, k):
         raise ValueError("moment coefficients are defined for k >= 3")
     p = covering_parity_profile(motif, 2 * ell)[2 * ell]
     return power_moment_prefactor(motif.n, motif.m, k) * p
+
+
+def script_S(g, d, k):
+    """Exact spectral moment of order d of the k-power of g, as a sum of
+    covering parity-closed walk counts over the motif census.  Zero whenever
+    k does not divide d; for k = 2 this reduces to the parity-closed count.
+    """
+    if k < 2:
+        raise ValueError("moments are defined for k >= 2")
+    if d < 0:
+        raise ValueError("moment order must be non-negative")
+    if d == 0:
+        return Fraction(_degree(g, k))
+    if d % k != 0:
+        return Fraction(0)
+    # walks of length 2 d / k cover at most d / k edges, so the census stops
+    # there, to reach graphs too large for the full census
+    top = d // k
+    total = Fraction(0)
+    for h, subsets in connected_subgraph_classes(g, min(top, g.m)):
+        count = covering_parity_profile(h, 2 * top)[2 * top]
+        total += power_moment_prefactor(h.n, h.m, k) * count * len(subsets)
+    return Fraction(k - 1) ** (g.n + g.m * (k - 2) - 1) * total

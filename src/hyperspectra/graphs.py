@@ -489,12 +489,6 @@ def _edge_masks(g, max_edges):
     return _connected_sets(line, max_edges)
 
 
-def connected_edge_subsets(g, max_edges):
-    """All edge-index subsets of size 1..max_edges whose subgraph is
-    connected, as frozensets by size, then by bitmask (`_edge_masks`)."""
-    return [frozenset(_bits(mask)) for mask in _edge_masks(g, max_edges)]
-
-
 def _grouped_by_class(g, masks):
     """Bitmasks of edge subsets of g that span connected subgraphs, grouped
     by isomorphism class: ((form, (subset, ...)), ...), the subsets as

@@ -1,16 +1,17 @@
 """Signed graphs: signing enumeration, exact characteristic polynomials and
-the polynomials of their squared eigenvalues, the table of distinct signed
-characteristic polynomials that every average over signings reads, real
-spectra, and balance.
+the polynomials of their squared eigenvalues, the table of signed
+characteristic polynomials that every average over signings and the
+`signed` command read, real spectra, and balance.
 
-Switching representatives and balance both read the one BFS spanning forest,
-`_bfs_forest`: representatives fix its edges to +1, and balance compares
-every edge's sign with the potentials read down it.  The switching-class
-table reads it too: with the forest at +1, each cycle's sign is a character
-of its free edges, so Sachs' coefficient theorem over one enumeration of
-the elementary subgraphs and one Walsh-Hadamard transform give every
-class's polynomial at once.  `char_poly_exact` (Faddeev-LeVerrier) expands
-single signings.
+Switching representatives and switching classes both read the one BFS
+spanning forest, `_bfs_forest`: representatives fix its edges to +1, and
+`switching_class` switches a signing by the potentials read down it, which
+puts it on its representative; balance is class 0.  The switching-class
+table reads the forest too: with the forest at +1, each cycle's sign is a
+character of its free edges, so Sachs' coefficient theorem over one
+enumeration of the elementary subgraphs and one Walsh-Hadamard transform
+give every class's polynomial at once.  `char_poly_exact`
+(Faddeev-LeVerrier, polynomial in n) expands single signings.
 
 Real spectra come from the exact integer characteristic polynomial: each
 eigenvalue is a root of one factor of its squarefree decomposition, isolated
@@ -140,9 +141,11 @@ def check_signing_table(rank, n):
         )
 
 
+@lru_cache(maxsize=64)
 def _bfs_forest(g):
     """Tree arcs (u, w, edge index) of the BFS spanning forest of g, in BFS
-    order: roots ascending, each vertex's neighbours ascending."""
+    order: roots ascending, each vertex's neighbours ascending; a tuple,
+    memoised per graph, since `switching_class` reads it once per signing."""
     index_of = {e: i for i, e in enumerate(g.edges)}
     nbrs = g.neighbors()
     seen = [False] * g.n
@@ -157,7 +160,7 @@ def _bfs_forest(g):
                         seen[w] = True
                         arcs.append((u, w, index_of[(min(u, w), max(u, w))]))
                         queue.append(w)
-    return arcs
+    return tuple(arcs)
 
 
 def spanning_forest_edges(g):
@@ -165,15 +168,29 @@ def spanning_forest_edges(g):
     return {i for _, _, i in _bfs_forest(g)}
 
 
-def is_balanced(sg):
-    """True iff every cycle has positive sign product: the potentials read
-    down the BFS forest from +1 at each root agree with every edge's sign."""
-    potential = [1] * sg.base.n
-    for u, w, i in _bfs_forest(sg.base):
+def switching_class(sg):
+    """The index t of sg's switching class among the representatives of
+    `enumerate_signings(sg.base, up_to_switching=True)`, the order of
+    `_class_rows`: switched by the potentials read down the BFS forest from
+    +1 at each root, sg is +1 on the forest, and free edge j (of r,
+    ascending) carries bit r-1-j when its switched sign is -1."""
+    g = sg.base
+    potential = [1] * g.n
+    tree = set()
+    for u, w, i in _bfs_forest(g):
         potential[w] = potential[u] * sg.signs[i]
-    return all(
-        potential[u] * potential[v] == s for s, (u, v) in zip(sg.signs, sg.base.edges)
-    )
+        tree.add(i)
+    t = 0
+    for i, (s, (u, v)) in enumerate(zip(sg.signs, g.edges)):
+        if i not in tree:
+            t = 2 * t + (potential[u] * potential[v] != s)
+    return t
+
+
+def is_balanced(sg):
+    """True iff every cycle has positive sign product: sg switches to the
+    all-positive class 0."""
+    return switching_class(sg) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +221,6 @@ def char_poly_exact(sg):
         coeffs[n - j] = -q
         prev = mat
     return coeffs
-
-
-def char_poly_of_squares(sg):
-    """Integer polynomial in x whose roots are the squares of the nonzero
-    eigenvalues, with multiplicity; ascending degree, leading coefficient +-1.
-    """
-    return poly_of_squares(char_poly_exact(sg))
 
 
 def poly_of_squares(phi):
@@ -245,6 +255,16 @@ def switching_class_polynomials(g):
     return tuple(
         (_unpack(row, width, g.n + 1), count) for row, count in Counter(rows).items()
     )
+
+
+def class_polynomials(g):
+    """Each switching class's characteristic polynomial as a tuple of
+    ascending integer coefficients, in the order of `enumerate_signings(g,
+    up_to_switching=True)`, indexed by `switching_class`: the unpacked
+    `_class_rows`, not memoised.  Refuses a table past
+    `check_signing_table`."""
+    rows, width = _class_rows(g)
+    return [_unpack(row, width, g.n + 1) for row in rows]
 
 
 def _class_rows(g):

@@ -8,7 +8,7 @@ squared eigenvalues x of signed subgraphs: covering walk counts are an
 inclusion-exclusion over parity-closed counts, which are signed-trace
 averages.  Each multiplicity mu(x) is therefore read off as a coefficient,
 with no linear system.  Squared eigenvalues are keyed exactly by the elements
-b of a gcd-free basis of the polynomials `char_poly_of_squares` of the
+b of a gcd-free basis of the polynomials `poly_of_squares` of the
 connected signed subgraphs read, built in integer arithmetic; every root of
 one b carries the same multiplicity mu_b.  beta is the k = 2 case of the
 same pipeline: one memoised census `_spectra(g, min(k, 4))` lists the
@@ -54,7 +54,7 @@ from .signed import (
     spectral_radius,
     switching_class_polynomials,
 )
-from .walks import covering_parity_profile, parity_closed_profile
+from .walks import parity_closed_profile
 
 
 class SpectralFactor(NamedTuple):
@@ -147,7 +147,7 @@ def power_moment_prefactor(v_count, e_count, k):
 
 
 def _signing_spectra(graphs):
-    """The gcd-free basis Sigma of the `char_poly_of_squares` of every
+    """The gcd-free basis Sigma of the `poly_of_squares` of every
     switching class of the given graphs, and per graph the number of its
     switching classes, the sum of their exponent vectors over Sigma and
     the sum of their degrees.  Each graph's classes come from its memoised
@@ -215,29 +215,6 @@ def _spectra(g, regime):
         groups = tuple((h, _shapes(g, subsets)) for h, subsets in classes)
     exponents, basis = _signing_spectra(h for h, _ in groups)
     return groups, exponents, basis
-
-
-def script_S(g, d, k):
-    """Exact spectral moment of order d of the k-power of g, as a sum of
-    covering parity-closed walk counts over the motif census.  Zero whenever
-    k does not divide d; for k = 2 this reduces to the parity-closed count.
-    """
-    if k < 2:
-        raise ValueError("moments are defined for k >= 2")
-    if d < 0:
-        raise ValueError("moment order must be non-negative")
-    if d == 0:
-        return Fraction(_degree(g, k))
-    if d % k != 0:
-        return Fraction(0)
-    # walks of length 2 d / k cover at most d / k edges, so the census stops
-    # there, to reach graphs too large for the full census
-    top = d // k
-    total = Fraction(0)
-    for h, subsets in connected_subgraph_classes(g, min(top, g.m)):
-        count = covering_parity_profile(h, 2 * top)[2 * top]
-        total += power_moment_prefactor(h.n, h.m, k) * count * len(subsets)
-    return Fraction(k - 1) ** (g.n + g.m * (k - 2) - 1) * total
 
 
 def _degree(g, k):

@@ -220,7 +220,7 @@ def _check_trace_formula(_seeds, _ctx):
     k2_expected = (0, 0, 9, 0, 0, 9)
     for g, d in [(k2, d) for d in range(1, 7)] + [(p3, 3), (p3, 6)]:
         direct = digraphs.naive_tensor_trace(power_hypergraph(g, 3), d)
-        closed = spectrum.script_S(g, d, 3)
+        closed = digraphs.script_S(g, d, 3)
         if direct != closed or (g is k2 and direct != k2_expected[d - 1]):
             return "fail", f"trace mismatch at d={d} on {g}: {direct} vs {closed}"
     return "pass", "K2 d=1..6 and P3 d=3,6 at k=3"

@@ -16,7 +16,9 @@ Horner evaluations for the signed values and |f(x)|^n, the deletion sum
 over all vertex and edge sets for the moments and its sum grouped by
 component over every length at once, both census weights of a class in
 Fractions, and cyclic Jacobi rotations in floats for the real spectra read
-off exact polynomials.
+off exact polynomials.  Three helpers that only the tests read live here
+too: Horner's rule for any number type, the census's connected edge subsets
+as sets, and one signing's polynomial of squared eigenvalues.
 """
 
 import itertools
@@ -25,15 +27,34 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from hyperspectra.algebra import poly_derivative, poly_eval, poly_trim
+from hyperspectra.algebra import poly_derivative, poly_trim
 from hyperspectra.digraphs import Multidigraph
-from hyperspectra.graphs import Graph, canonical_certificate, canonical_form
-from hyperspectra.signed import char_poly_exact, enumerate_signings, signing_polynomials
+from hyperspectra.graphs import (
+    Graph,
+    _bits,
+    _edge_masks,
+    canonical_certificate,
+    canonical_form,
+)
+from hyperspectra.signed import (
+    char_poly_exact,
+    enumerate_signings,
+    poly_of_squares,
+    signing_polynomials,
+)
 from hyperspectra.spectrum import power_moment_prefactor
 
 
 # ---------------------------------------------------------------------------
 # polynomials over the rationals
+
+
+def poly_eval(p, x):
+    """Horner evaluation; works for int, Fraction and float inputs."""
+    acc = 0 * x
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def poly_divmod(a, b):
@@ -316,6 +337,14 @@ def is_balanced_by_switching(sg):
     )
 
 
+def char_poly_of_squares(sg):
+    """Integer polynomial in x whose roots are the squares of the nonzero
+    eigenvalues, with multiplicity; ascending degree, leading coefficient +-1:
+    `signed.poly_of_squares` of one signing's Faddeev-LeVerrier polynomial.
+    """
+    return poly_of_squares(char_poly_exact(sg))
+
+
 def switching_class_polynomials_by_faddeev_leverrier(g):
     """Independent oracle for `signed.switching_class_polynomials`: the
     characteristic polynomial of each switching representative by
@@ -373,6 +402,13 @@ def parity_profile_all_starts(g, max_d):
             states = nxt
             profile[2 * t] += sum(cnt * cnt for cnt in states.values())
     return profile
+
+
+def connected_edge_subsets(g, max_edges):
+    """All edge-index subsets of size 1..max_edges whose subgraph is
+    connected, as frozensets by size, then by bitmask: the census's own
+    enumeration, `graphs._edge_masks`, unpacked."""
+    return [frozenset(_bits(mask)) for mask in _edge_masks(g, max_edges)]
 
 
 def connected_edge_subsets_brute(g, max_edges):

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from hyperspectra import digraphs, means, spectrum, walks
-from hyperspectra.algebra import poly_eval
 from hyperspectra.graphs import (
     connected_subgraph_classes,
     cycle_graph,
@@ -19,7 +18,7 @@ from hyperspectra.graphs import (
     power_hypergraph,
 )
 from hyperspectra.signed import all_positive, char_poly_exact
-from oracles import signed_char_poly_values
+from oracles import poly_eval, signed_char_poly_values
 
 SAMPLE_POINTS = (3.0, -3.0, 2.5, -2.5, 1.7, -1.7, 0.3)
 
@@ -158,11 +157,11 @@ def test_06_trace_formula_closure():
         for d in range(1, 7):
             value = digraphs.naive_tensor_trace(h2, d)
             assert value == expected[d - 1], d
-            assert value == spectrum.script_S(k2, d, 3), d
+            assert value == digraphs.script_S(k2, d, 3), d
         p3 = path_graph(3)
         h3 = power_hypergraph(p3, 3)
         for d in (3, 6):
-            assert digraphs.naive_tensor_trace(h3, d) == spectrum.script_S(p3, d, 3)
+            assert digraphs.naive_tensor_trace(h3, d) == digraphs.script_S(p3, d, 3)
         assert time.perf_counter() - start < 600.0
 
 

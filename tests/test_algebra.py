@@ -13,7 +13,6 @@ from hyperspectra.algebra import (
     det_bareiss,
     mat_power_traces,
     mat_rank_mod_p,
-    poly_eval,
     poly_gcd,
     poly_mul,
     poly_pow,
@@ -24,6 +23,7 @@ from hyperspectra.algebra import (
 from hyperspectra.graphs import complete_graph
 from hyperspectra.signed import poly_of_squares, switching_class_polynomials
 from hyperspectra.spectrum import beta, char_poly_power
+from oracles import poly_eval
 
 
 class TestPolynomials:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hyperspectra
-from hyperspectra import cli, digraphs, spectrum, walks
-from hyperspectra.graphs import parse_graph, path_graph
-from test_signed import small_graphs
+from hyperspectra import cli, digraphs, signed, spectrum, walks
+from hyperspectra.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    parse_graph,
+    path_graph,
+)
+from hyperspectra.verify import quick_corpus
+from oracles import is_balanced_by_switching
+from test_signed import disjoint_union, small_graphs
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _spec(g):
+    """g as an inline edge list, for --graph."""
+    return "\n".join([f"{g.n} {g.m}", *(f"{u} {v}" for u, v in g.edges)])
 
 
 class TestCharpolyCommand:
@@ -38,7 +52,7 @@ class TestCharpolyCommand:
         assert factor == {"sigma_sq": 1.0, "mu": "3"}
         # the first moment, exactly: k * mu * sigma^2 = S_k
         moment = 3 * Fraction(factor["mu"]) * Fraction(factor["sigma_sq"])
-        assert moment == spectrum.script_S(path_graph(2), 3, 3)
+        assert moment == digraphs.script_S(path_graph(2), 3, 3)
 
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "charpoly", "--graph", "path:2", "--k", "3")
@@ -175,22 +189,74 @@ class TestOtherCommands:
         assert all(len(lists) == 1 for lists in printed.values()), printed
 
     def test_signed_computes_each_polynomial_once(self, capsys, monkeypatch):
-        # the eigenvalues are the roots of the printed polynomial: one
-        # char_poly_exact per signing, whichever module looks it up
-        calls = []
-        exact = hyperspectra.signed.char_poly_exact
+        # every polynomial comes from one switching-class table, and no
+        # signing is expanded on its own
+        exact = signed.char_poly_exact
+        exact_calls, table_calls = [], []
 
         def counted(sg):
-            calls.append(list(sg.signs))
+            exact_calls.append(sg)
             return exact(sg)
 
-        monkeypatch.setattr(hyperspectra.signed, "char_poly_exact", counted)
-        monkeypatch.setattr(cli, "char_poly_exact", counted)
+        def counted_rows(g):
+            table_calls.append(g)
+            return class_rows(g)
+
+        class_rows = signed._class_rows
+        monkeypatch.setattr(signed, "char_poly_exact", counted)
+        monkeypatch.setattr(signed, "_class_rows", counted_rows)
         code, out, _ = run_cli(capsys, "signed", "--graph", "complete:4", "--format", "json")
         assert code == 0
+        assert exact_calls == [] and len(table_calls) == 1
         payload = json.loads(out)
         assert len(payload) == 2**6
-        assert calls == [p["signs"] for p in payload]
+        for p in payload:
+            sg = signed.SignedGraph(complete_graph(4), p["signs"])
+            assert p["char_poly"] == [str(c) for c in exact(sg)], p["signs"]
+
+    @pytest.mark.parametrize("up_to_switching", [False, True], ids=["all", "classes"])
+    def test_signed_json_matches_each_signing_expanded(self, capsys, up_to_switching):
+        # the table's rows, byte for byte, against Faddeev-LeVerrier per
+        # signing and balance by every switching
+        graphs = quick_corpus() + [
+            disjoint_union(cycle_graph(4), path_graph(2), Graph(1, ())),
+            Graph(3, ()),
+        ]
+        mode = ["--up-to-switching"] if up_to_switching else []
+        for g in graphs:
+            code, out, _ = run_cli(
+                capsys, "signed", "--graph", _spec(g), "--format", "json", *mode
+            )
+            assert code == 0, g
+            expected = []
+            for sg in signed.enumerate_signings(g, up_to_switching=up_to_switching):
+                poly = signed.char_poly_exact(sg)
+                expected.append(
+                    {
+                        "signs": list(sg.signs),
+                        "balanced": is_balanced_by_switching(sg),
+                        "eigenvalues": list(signed._roots(poly)),
+                        "char_poly": [str(c) for c in poly],
+                    }
+                )
+            assert out == cli._json_dump(expected) + "\n", g
+
+    def test_signed_refusals_name_their_budget(self, capsys):
+        # K8 minus an edge: cycle rank 20, so 2^20 classes, but the table of
+        # 9 coefficients each is refused before any class is listed
+        k8_minus_edge = _spec(Graph(8, complete_graph(8).edges[1:]))
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "signed", "--graph", k8_minus_edge, "--up-to-switching"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert "switching-class table needs 9437184 entries" in err
+        assert "budget is 2097152" in err
+        # listing all 2^27 signings is refused by the edge limit first
+        code, out, err = run_cli(capsys, "signed", "--graph", k8_minus_edge)
+        assert (code, out) == (1, "")
+        assert "signing enumeration supports at most 20 edges, got 27" in err
 
     def test_oracle(self, capsys):
         code, out, _ = run_cli(

@@ -19,6 +19,7 @@ from hyperspectra.digraphs import (
     naive_tensor_trace,
     power_moment_prefactor,
     reduce_to_core,
+    script_S,
     spanning_tree_reduction_check,
 )
 from hyperspectra.graphs import (
@@ -29,7 +30,6 @@ from hyperspectra.graphs import (
     path_graph,
     power_hypergraph,
 )
-from hyperspectra.spectrum import script_S
 from hyperspectra.walks import covering_parity_profile
 from oracles import eulerian_structures_unfiltered, is_connected_on_support_dfs
 from test_signed import small_graphs

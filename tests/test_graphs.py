@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperspectra import cli, graphs
+from hyperspectra.digraphs import script_S
 from hyperspectra.errors import BudgetError, GraphParseError
 from hyperspectra.graphs import (
     Graph,
@@ -18,7 +19,6 @@ from hyperspectra.graphs import (
     canonical_certificate,
     canonical_form,
     complete_graph,
-    connected_edge_subsets,
     connected_induced_subgraph_classes,
     connected_subgraph_classes,
     cycle_graph,
@@ -28,11 +28,11 @@ from hyperspectra.graphs import (
     star_graph,
     vertex_orbits,
 )
-from hyperspectra.spectrum import script_S
 from oracles import (
     are_isomorphic,
     automorphism_orbits,
     components_bfs,
+    connected_edge_subsets,
     connected_edge_subsets_brute,
     connected_vertex_sets_brute,
     grouped_by_class_per_subset,

@@ -130,3 +130,17 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         hyperspectra.nope
     assert not hasattr(hyperspectra, "nope")
+
+
+def test_oracles_and_second_routes_stay_off_the_pipeline():
+    from hyperspectra import cli, spectrum
+
+    # the census moment sum is an oracle in digraphs, and `signed` reads
+    # the switching-class table rather than expanding each signing
+    assert not hasattr(spectrum, "script_S")
+    assert not hasattr(spectrum, "covering_parity_profile")
+    assert not hasattr(cli, "char_poly_exact")
+    # a lazy name, so `import hyperspectra` still loads no oracle module
+    # (test_import_loads_only_the_pipeline)
+    assert "script_S" in hyperspectra._ORACLES["digraphs"]
+    assert "script_S" not in vars(hyperspectra)

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperspectra import algebra, signed
-from hyperspectra.algebra import poly_eval
 from hyperspectra.errors import BudgetError
 from hyperspectra.graphs import complete_graph, cycle_graph, path_graph
 from hyperspectra.means import (
@@ -20,7 +19,7 @@ from hyperspectra.means import (
 )
 from hyperspectra.signed import all_positive, char_poly_exact
 from hyperspectra.spectrum import beta
-from oracles import signed_char_poly_values
+from oracles import poly_eval, signed_char_poly_values
 from test_signed import small_graphs
 
 K2 = path_graph(2)

@@ -7,11 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperspectra import signed, spectrum
-from hyperspectra.algebra import (
-    coprime_basis,
-    poly_eval,
-    power_sums_from_charpoly,
-)
+from hyperspectra.algebra import coprime_basis, power_sums_from_charpoly
 from hyperspectra.errors import BudgetError
 from hyperspectra.graphs import (
     Graph,
@@ -26,7 +22,7 @@ from hyperspectra.signed import (
     SignedGraph,
     all_positive,
     char_poly_exact,
-    char_poly_of_squares,
+    class_polynomials,
     eigenvalues,
     enumerate_signings,
     is_balanced,
@@ -34,14 +30,17 @@ from hyperspectra.signed import (
     signing_polynomials,
     spanning_forest_edges,
     spectral_radius,
+    switching_class,
     switching_class_polynomials,
 )
 from hyperspectra.spectrum import beta, char_poly_power
 from hyperspectra.walks import parity_closed_profile
 from oracles import (
     basis_exponents,
+    char_poly_of_squares,
     is_balanced_by_switching,
     jacobi_eigenvalues,
+    poly_eval,
     switching_class_polynomials_by_faddeev_leverrier as faddeev_leverrier_table,
 )
 from test_graphs import PETERSEN
@@ -322,6 +321,13 @@ class TestBalance:
     def test_balance_matches_every_switching(self, g, rng):
         sg = SignedGraph(g, tuple(rng.choice((1, -1)) for _ in g.edges))
         assert is_balanced(sg) == is_balanced_by_switching(sg)
+        # the class's row of the table is the signing's own polynomial
+        assert class_polynomials(g)[switching_class(sg)] == tuple(char_poly_exact(sg))
+
+    @given(small_graphs())
+    def test_each_representative_is_its_own_class(self, g):
+        reps = enumerate_signings(g, up_to_switching=True)
+        assert [switching_class(sg) for sg in reps] == list(range(len(reps)))
 
     def test_balance_matches_switching_class_of_all_positive(self):
         for sg in enumerate_signings(C3):

@@ -9,18 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperspectra import algebra, graphs, means, spectrum, verify, walks
-from hyperspectra.algebra import poly_eval
 from hyperspectra.algebra import (
     coprime_basis,
     power_sums_from_charpoly,
     real_roots,
 )
-from hyperspectra.digraphs import naive_tensor_trace, power_moment_prefactor
+from hyperspectra.digraphs import naive_tensor_trace, power_moment_prefactor, script_S
 from hyperspectra.errors import BudgetError, ConsistencyError
 from hyperspectra.graphs import (
     Graph,
     complete_graph,
-    connected_edge_subsets,
     connected_subgraph_classes,
     cycle_graph,
     path_graph,
@@ -36,18 +34,19 @@ from hyperspectra.spectrum import (
     convergence_ratio,
     radius_cluster_exponent,
     radius_total_multiplicity,
-    script_S,
     spectral_radius_multiplicity,
 )
 from hyperspectra.walks import covering_parity_profile, parity_closed_profile
 from oracles import (
     abs_power,
     basis_exponents,
+    connected_edge_subsets,
     covering_weight,
     deletion_moments,
     deletion_weight,
     grouped_deletion_moments,
     parity_profile_all_starts,
+    poly_eval,
     rank_over_q,
     signed_char_poly_values,
     switching_class_polynomials_by_faddeev_leverrier,
